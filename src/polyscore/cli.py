@@ -25,7 +25,6 @@ import numpy as np
 
 from . import __version__
 from .estimators import (
-    GridConvergenceError,
     NonConvergenceError,
     SingularGramError,
     convergence_study,
@@ -34,6 +33,7 @@ from .estimators import (
     study_csv,
 )
 from .expfam import (
+    GridConvergenceError,
     QuadratureGrid,
     build_grid,
     family_grid,
@@ -551,3 +551,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

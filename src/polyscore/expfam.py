@@ -12,6 +12,14 @@ Gauss-Legendre quadrature, restricted to n <= 3 where the tensor rule is an
 auditable ground truth.  All density work is done in log space; integrals are
 accumulated with a streaming log-sum-exp so that inverse temperatures up to
 1e7 in the hardness experiments stay inside double range.
+
+Polynomial log densities go through one sum-factorised oracle,
+:func:`poly_quadrature` (Orszag 1980): on the slab x_1 = t_a of the tensor
+grid the log density is the matrix product P_2 C(t_a) P_3^t of per-axis power
+tables and the slab's coefficient matrix, so no grid point is ever formed and
+the working set is one K x K slab.  Callable integrands (the Jacobian and
+Laplacian integrals of ``fisher``) still stream node chunks through
+:func:`quad_expectation`.
 """
 
 from __future__ import annotations
@@ -37,6 +45,14 @@ __all__ = [
     "log_unnormalized_density",
     "score",
     "build_grid",
+    "GATE_TOL",
+    "GridConvergenceError",
+    "PolyIntegral",
+    "log_density_tensor",
+    "member_coeffs",
+    "poly_quadrature",
+    "gated_quadrature",
+    "gated_log_partition",
     "log_partition",
     "Moments",
     "moments",
@@ -61,6 +77,14 @@ DEFAULT_POINTS_PER_AXIS = {1: 400, 2: 200, 3: 120}
 # Fixed reduction chunk: the streaming accumulators below are deterministic
 # only because every run visits identical chunks in identical order.
 _CHUNK_NODES = 1 << 16
+
+# Quadrature convergence gate: doubling points_per_axis may move log Z by
+# less than this.
+GATE_TOL = 1e-8
+
+
+class GridConvergenceError(RuntimeError):
+    """Doubling the grid moved log Z by more than the 1e-8 gate."""
 
 
 @dataclass(frozen=True)
@@ -338,7 +362,162 @@ def quad_expectation(
 
 
 # ---------------------------------------------------------------------------
-# partition function and moments
+# sum-factorised quadrature of polynomial log densities
+
+
+@dataclass(frozen=True)
+class PolyIntegral:
+    """One pass of :func:`poly_quadrature` over a grid.
+
+    ``moments[e]`` is E[x^e] under the normalized density for every exponent
+    tuple e in {0..order}^n, so ``moments[0, ..., 0] == 1``; ``orthant_mass``
+    is the probability of the union of the requested closed orthants.
+    """
+
+    log_integral: float
+    moments: np.ndarray
+    orthant_mass: float
+
+
+def log_density_tensor(n: int, exponents, coeffs, base_degree: int) -> np.ndarray:
+    """Dense coefficients of sum_k c_k x^{a_k} - sum_i x_i^base_degree.
+
+    Entry e of the (base_degree + 1,) * n result is the coefficient of x^e;
+    repeated exponent rows add up.
+    """
+    exponents = np.asarray(exponents, dtype=np.int64).reshape(-1, n)
+    if exponents.size and (exponents.min() < 0 or exponents.max() > base_degree):
+        raise ValueError(f"exponents must lie in 0..{base_degree}")
+    C = np.zeros((base_degree + 1,) * n)
+    np.add.at(C, tuple(exponents.T), np.asarray(coeffs, dtype=float))
+    C[tuple(base_degree * np.eye(n, dtype=np.int64))] -= 1.0
+    return C
+
+
+def member_coeffs(p: ParamVector) -> np.ndarray:
+    """log h + <theta, T> as a dense (d + 2,)^n coefficient tensor."""
+    return log_density_tensor(p.n, p.basis.degrees, p.theta, p.d + 1)
+
+
+def _split_separable(grid: QuadratureGrid, C: np.ndarray) -> tuple[float, list[np.ndarray], np.ndarray]:
+    """Split a log density into a constant, per-axis parts and mixed terms.
+
+    Returns (c, [l_1, .., l_n], mixed) with log w(x) + log f(x) =
+    c + sum_i l_i(x_i) + mixed(x) at every node, l_i holding axis i's log
+    weights and pure powers of x_i less their largest value on the axis.
+    Large couplings make the pure powers cancel to near 0 at the density's
+    peaks (the hardness wells), so they are evaluated in extended precision
+    where the platform has it and c takes the shifts; rounding then acts on
+    the small shifted values only.
+    """
+    mixed = C.copy()
+    const = np.longdouble(mixed[(0,) * grid.n])
+    mixed[(0,) * grid.n] = 0.0
+    powers = np.vander(grid.axis_nodes.astype(np.longdouble), C.shape[0], increasing=True)
+    parts = []
+    for i in range(grid.n):
+        line = (0,) * i + (slice(None),) + (0,) * (grid.n - 1 - i)
+        vals = powers @ mixed[line].astype(np.longdouble)
+        mixed[line] = 0.0
+        top = vals.max()
+        const += top
+        parts.append((vals - top).astype(float) + grid.axis_logw)
+    return float(const), parts, mixed
+
+
+def poly_quadrature(grid: QuadratureGrid, coeffs, order: int = 0, orthants=()) -> PolyIntegral:
+    """Quadrature of exp(polynomial) over the grid, one slab at a time.
+
+    ``coeffs`` is a dense tensor of shape (D + 1,) * n whose entry e is the
+    coefficient of x^e in the log density (see :func:`log_density_tensor`).
+    Grids with n < 3 get leading single-node axes at x = 0, so every grid is
+    swept in slabs along its first axis: K slabs of K x K nodes at n = 3, one
+    slab holding the whole grid at n <= 2.  On the slab x_1 = t_a the mixed
+    terms of the log density are P_2 C(t_a) P_3^t, with P_i the axis power
+    tables; the log weights and pure powers are added per axis (see
+    :func:`_split_separable`), and a log-sum-exp streams over the slabs in a
+    fixed order, which makes the result bitwise deterministic.  The working
+    set is O(K^2) whatever n is.
+
+    ``orthants`` lists sign vectors v; a node counts towards
+    ``orthant_mass`` once if v_i x_i >= 0 for all i holds for any of them.
+    """
+    n = grid.n
+    C = np.asarray(coeffs, dtype=float)
+    if C.ndim != n or len(set(C.shape)) != 1:
+        raise ValueError(f"coefficient tensor of shape {C.shape} does not fit an n={n} grid")
+    if order < 0:
+        raise ValueError(f"moment order must be >= 0, got {order}")
+    signs = np.asarray(orthants, dtype=float).reshape(-1, n)
+    const, parts, mixed = _split_separable(grid, C)
+    pad = 3 - n
+    origin = np.zeros(1)
+    nodes = [origin] * pad + [grid.axis_nodes] * n
+    parts = [origin] * pad + parts
+    mixed = mixed.reshape((1,) * pad + mixed.shape)
+    P = [np.vander(t, k, increasing=True) for t, k in zip(nodes, mixed.shape)]
+    Q = [np.vander(t, 1 if i < pad else order + 1, increasing=True) for i, t in enumerate(nodes)]
+    # hit[i][j, k]: node k of axis i lies on the closed side of orthant j
+    hit = [(signs[:, i, None] * t >= 0.0).astype(float) for i, t in enumerate(nodes[pad:])]
+    hit = [np.ones((len(signs), 1))] * pad + hit
+    slab_mixed = np.tensordot(P[0], mixed, axes=1)  # C(t_a) for every slab a
+    slab_parts = np.add.outer(parts[1], parts[2])
+    m, mass = -math.inf, 0.0
+    S = np.zeros([q.shape[1] for q in Q])  # sum of w f x^e, scaled by exp(-m)
+    for a, part in enumerate(parts[0]):
+        L = P[1] @ slab_mixed[a] @ P[2].T
+        L += slab_parts
+        top = float(L.max())
+        if not math.isfinite(top):
+            # a power overflowed far out, where the base measure's degree
+            # wins: the density there is zero
+            L[~np.isfinite(L)] = -math.inf
+            top = float(L.max())
+            if top == -math.inf:
+                continue
+        if top + part > m:
+            scale = math.exp(m - (top + part))
+            S *= scale
+            mass *= scale
+            m = top + part
+        L -= m - part
+        E = np.exp(L, out=L)
+        S += np.multiply.outer(Q[0][a], Q[1].T @ E @ Q[2])
+        active = hit[0][:, a] > 0.0
+        if active.any():
+            mass += float(E[hit[1][active].T @ hit[2][active] > 0.0].sum())
+    z = float(S.flat[0])
+    if not (z > 0.0 and const > -math.inf):
+        raise ValueError("integrand underflowed to zero at every grid node")
+    return PolyIntegral(
+        log_integral=const + m + math.log(z),
+        moments=(S / z)[(0,) * pad],
+        orthant_mass=mass / z,
+    )
+
+
+def _doubling_gap(grid, coeffs, order, orthants) -> tuple[PolyIntegral, float]:
+    coarse = poly_quadrature(grid, coeffs, order, orthants)
+    fine = poly_quadrature(grid.doubled(), coeffs)
+    return coarse, abs(fine.log_integral - coarse.log_integral)
+
+
+def gated_quadrature(
+    grid: QuadratureGrid, coeffs, order: int = 0, orthants=()
+) -> tuple[PolyIntegral, float]:
+    """:func:`poly_quadrature` behind the grid-doubling gate.
+
+    Returns the pass on ``grid`` and the doubling delta; raises
+    :class:`GridConvergenceError` when doubling points_per_axis moves log Z
+    by GATE_TOL or more.
+    """
+    coarse, delta = _doubling_gap(grid, coeffs, order, orthants)
+    if not delta < GATE_TOL:
+        raise GridConvergenceError(
+            f"quadrature gate failed: doubling the grid moves log Z by {delta:.3e} "
+            f"(tolerance {GATE_TOL:g}); refine the grid"
+        )
+    return coarse, delta
 
 
 def _check_grid(p: ParamVector, grid: QuadratureGrid):
@@ -346,10 +525,24 @@ def _check_grid(p: ParamVector, grid: QuadratureGrid):
         raise ValueError(f"grid dimension {grid.n} != family dimension {p.n}")
 
 
+def gated_log_partition(p: ParamVector, grid: QuadratureGrid) -> tuple[float, float]:
+    """(log Z_theta, doubling delta); raises GridConvergenceError past the gate."""
+    _check_grid(p, grid)
+    out, delta = gated_quadrature(grid, member_coeffs(p))
+    return out.log_integral, delta
+
+
+def convergence_gap(p: ParamVector, grid: QuadratureGrid) -> tuple[float, bool]:
+    """|log Z(grid) - log Z(doubled grid)| and whether it clears the 1e-8 gate."""
+    _check_grid(p, grid)
+    _, delta = _doubling_gap(grid, member_coeffs(p), 0, ())
+    return delta, delta < GATE_TOL
+
+
 def log_partition(p: ParamVector, grid: QuadratureGrid) -> float:
     """log Z_theta by composite Gauss-Legendre quadrature."""
     _check_grid(p, grid)
-    return quad_log_integral(grid, lambda X: log_unnormalized_density(p, X))
+    return poly_quadrature(grid, member_coeffs(p)).log_integral
 
 
 @dataclass(frozen=True)
@@ -360,42 +553,20 @@ class Moments:
 
 
 def moments(p: ParamVector, grid: QuadratureGrid) -> Moments:
-    """Quadrature E[T] and E[T T^t] under p_theta; mean_T = grad_theta log Z."""
+    """Quadrature E[T] and E[T T^t] under p_theta; mean_T = grad_theta log Z.
+
+    Both are gathered from one power-moment tensor of order 2d:
+    mean_T[k] = E[x^a_k] and second_T[k, l] = E[x^(a_k + a_l)].
+    """
     _check_grid(p, grid)
-    M1 = p.basis.size
-    m, z = -math.inf, 0.0
-    sT = np.zeros(M1)
-    sTT = np.zeros((M1, M1))
-    for X, logw in grid.iter_chunks():
-        ell = logw + log_unnormalized_density(p, X)
-        m_c = float(np.max(ell))
-        if m_c == -math.inf:
-            continue
-        if m_c > m:
-            scale = math.exp(m - m_c) if m > -math.inf else 0.0
-            z *= scale
-            sT *= scale
-            sTT *= scale
-            m = m_c
-        w = np.exp(ell - m)
-        T = eval_suffstats(p.basis, X)
-        z += float(np.sum(w))
-        sT += w @ T
-        sTT += (T * w[:, None]).T @ T
-    if z <= 0.0:
-        raise ValueError("integrand underflowed to zero at every grid node")
-    second = sTT / z
+    out = poly_quadrature(grid, member_coeffs(p), order=2 * p.d)
+    deg = p.basis.degrees
+    pair = deg[:, None, :] + deg[None, :, :]
     return Moments(
-        mean_T=sT / z,
-        second_T=0.5 * (second + second.T),
-        log_partition=m + math.log(z),
+        mean_T=out.moments[tuple(deg.T)],
+        second_T=out.moments[tuple(np.moveaxis(pair, -1, 0))],
+        log_partition=out.log_integral,
     )
-
-
-def convergence_gap(p: ParamVector, grid: QuadratureGrid) -> tuple[float, bool]:
-    """|log Z(grid) - log Z(doubled grid)| and whether it clears the 1e-8 gate."""
-    delta = abs(log_partition(p, grid) - log_partition(p, grid.doubled()))
-    return delta, delta < 1e-8
 
 
 # ---------------------------------------------------------------------------

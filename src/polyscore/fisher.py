@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg
 
-from .expfam import ParamVector, QuadratureGrid, convergence_gap, log_unnormalized_density, moments, quad_expectation
+from .expfam import (
+    ParamVector,
+    QuadratureGrid,
+    gated_log_partition,
+    log_unnormalized_density,
+    moments,
+    quad_expectation,
+)
 from .polybasis import PolyCoeffs, eval_jacobian, eval_laplacian, eval_suffstats, monomial_norm
 from .reports import BoundCheck
 from .sampler import SampleSet
@@ -77,12 +84,6 @@ def clip_spectrum(w: np.ndarray, tol: float = _CLIP_TOL) -> tuple[np.ndarray, st
     return w, note
 
 
-def _check_gate(p: ParamVector, grid: QuadratureGrid):
-    delta, ok = convergence_gap(p, grid)
-    if not ok:
-        raise ValueError(f"quadrature gate failed: doubling the grid moves log Z by {delta:.3e}")
-
-
 def fisher_info(p: ParamVector, source, check: bool = True) -> np.ndarray:
     """Covariance of T under p, from a grid or a SampleSet."""
     if isinstance(source, SampleSet):
@@ -99,7 +100,7 @@ def fisher_info(p: ParamVector, source, check: bool = True) -> np.ndarray:
         I = s2 / source.N - np.outer(mean, mean)
     else:
         if check:
-            _check_gate(p, source)
+            gated_log_partition(p, source)
         mom = moments(p, source)
         I = mom.second_T - np.outer(mom.mean_T, mom.mean_T)
     return 0.5 * (I + I.T)
@@ -124,7 +125,7 @@ def gram_matrix(p: ParamVector, source, check: bool = False) -> np.ndarray:
 
         return 0.5 * (G + G.T)
     if check:
-        _check_gate(p, source)
+        gated_log_partition(p, source)
 
     def jt_gram(X):
         J = eval_jacobian(p.basis, X)
@@ -182,7 +183,7 @@ def sm_moment_inputs(p: ParamVector, source, check: bool = False) -> dict:
             tot2 += float(np.sum(lap2(X)))
         return {"E_opJT4": tot4 / source.N, "E_dT2": tot2 / source.N}
     if check:
-        _check_gate(p, source)
+        gated_log_partition(p, source)
     _, (m4, m2) = quad_expectation(
         source, lambda X: log_unnormalized_density(p, X), [opnorm4, lap2]
     )
@@ -252,7 +253,7 @@ def verify_bounds(
     """
     if corrupt not in (None, "fisher"):
         raise ValueError(f"unknown corruption {corrupt!r}")
-    _check_gate(p, grid)
+    gated_log_partition(p, grid)
     n, d, B = p.n, p.d, p.B
     M = math.comb(n + d, d)
     mom = moments(p, grid)

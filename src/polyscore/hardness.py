@@ -16,15 +16,22 @@ supplied couplings.  Nothing is asserted silently: every claim lands in a
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .estimators import GridConvergenceError
-from .expfam import ParamVector, QuadratureGrid, build_grid, quad_expectation, quad_log_integral
-from .polybasis import MultiIndex, PolyCoeffs, enumerate_basis, poly_to_json
+from .expfam import (
+    ParamVector,
+    QuadratureGrid,
+    build_grid,
+    gated_quadrature,
+    log_density_tensor,
+    quad_log_integral,  # noqa: F401  re-exported; bench/test_bench.py checks its tracer patches it here
+)
+from .polybasis import MultiIndex, PolyCoeffs, enumerate_basis, graded_rank, poly_to_json
 from .reports import BoundCheck
 
 __all__ = [
@@ -50,9 +57,6 @@ __all__ = [
 ]
 
 Clause = tuple[int, int, int]
-
-# convergence gate shared with the moment routines
-GATE_TOL = 1e-8
 
 # exhaustive vertex scans; 2^20 rows chunked is the practical ceiling
 MAX_SCAN_VARS = 20
@@ -187,12 +191,42 @@ def clause_poly(clause: Clause, n: int) -> PolyCoeffs:
     return out
 
 
+# exponents (e_1, e_2, e_3) of the 27 terms of a clause's product of three
+# squared literal factors
+_CLAUSE_EXPONENTS = np.array(list(itertools.product(range(3), repeat=3)), dtype=np.int64)
+
+
+def _formula_terms(C: CnfFormula) -> tuple[np.ndarray, np.ndarray]:
+    """H_C expanded: exponent rows in graded-lex order and integer coefficients.
+
+    Each clause is the outer product of its literals' coefficient vectors,
+    (x - s)^2 = 1 - 2 s x + x^2 for a literal of sign s; the 27 terms of
+    every clause are summed by graded-lex rank in one scatter-add.
+    """
+    lits = np.array(C.clauses, dtype=np.int64).reshape(-1, 3)
+    sign = np.sign(lits)
+    factors = np.stack([np.ones_like(sign), -2 * sign, np.ones_like(sign)], axis=-1)
+    E = _CLAUSE_EXPONENTS
+    coeffs = factors[:, 0, E[:, 0]] * factors[:, 1, E[:, 1]] * factors[:, 2, E[:, 2]]
+    expo = np.zeros((len(lits), len(E), C.n), dtype=np.int64)
+    rows, terms = np.ogrid[: len(lits), : len(E)]
+    for j in range(3):
+        expo[rows, terms, np.abs(lits[:, j, None]) - 1] = E[:, j]
+    expo = expo.reshape(-1, C.n)
+    _, first, slot = np.unique(graded_rank(expo), return_index=True, return_inverse=True)
+    ints = np.zeros(len(first), dtype=np.int64)
+    np.add.at(ints, slot, coeffs.ravel())
+    keep = ints != 0
+    return expo[first[keep]], ints[keep]
+
+
+def _poly_from_terms(n: int, degrees: np.ndarray, coeffs: np.ndarray) -> PolyCoeffs:
+    return PolyCoeffs.make(n, dict(zip(map(tuple, degrees.tolist()), coeffs.tolist())))
+
+
 def formula_poly(C: CnfFormula) -> PolyCoeffs:
     """Sum of the clause polynomials; zero exactly on satisfying vertices."""
-    out = PolyCoeffs.constant(C.n, 0.0)
-    for c in C.clauses:
-        out = out + clause_poly(c, C.n)
-    return out
+    return _poly_from_terms(C.n, *_formula_terms(C))
 
 
 def hypercube_poly(n: int) -> PolyCoeffs:
@@ -215,7 +249,9 @@ class EncodedInstance:
     ``theta`` holds the negated non-constant coefficients of the energy
     ``alpha * H_C + beta * G``; the energy's constant term is recorded in
     ``dropped_constant``, so the formula density's log-partition equals
-    ``log Z(theta) - dropped_constant``.
+    ``log Z(theta) - dropped_constant``.  ``h_terms`` holds H_C expanded, as
+    integer exponent rows and coefficients; :func:`verify_roots` certifies
+    exactly these.
     """
 
     formula: CnfFormula
@@ -224,6 +260,7 @@ class EncodedInstance:
     theta: ParamVector
     energy: PolyCoeffs
     dropped_constant: float
+    h_terms: tuple[np.ndarray, np.ndarray]
 
     @property
     def n(self) -> int:
@@ -249,15 +286,15 @@ def encode(C: CnfFormula, alpha: float, beta: float) -> EncodedInstance:
         raise ValueError(
             f"couplings too small: box radius 64*m*alpha + 2*beta = {B} < 1"
         )
-    energy = alpha * formula_poly(C) + beta * hypercube_poly(C.n)
+    h_terms = _formula_terms(C)
+    energy = alpha * _poly_from_terms(C.n, *h_terms) + beta * hypercube_poly(C.n)
+    degrees, coeffs = _term_arrays(energy)
+    rank = graded_rank(degrees)
     basis = enumerate_basis(C.n, 7)
-    lookup = {idx: k for k, idx in enumerate(basis.indices)}
     theta = np.zeros(basis.size)
-    for idx, c in energy.terms.items():
-        if sum(idx) > 0:
-            theta[lookup[idx]] = -c
+    theta[rank[rank > 0] - 1] = -coeffs[rank > 0]
     return EncodedInstance(
-        C, alpha, beta, ParamVector(basis, theta, B), energy, energy.constant_term
+        C, alpha, beta, ParamVector(basis, theta, B), energy, energy.constant_term, h_terms
     )
 
 
@@ -359,9 +396,13 @@ def satisfying_assignments(C: CnfFormula) -> list[tuple[int, ...]]:
     return out
 
 
-def _int_term_arrays(f: PolyCoeffs) -> tuple[np.ndarray, np.ndarray]:
+def _term_arrays(f: PolyCoeffs) -> tuple[np.ndarray, np.ndarray]:
     degrees = np.array(list(f.terms.keys()), dtype=np.int64).reshape(len(f.terms), f.n)
-    coeffs = np.array(list(f.terms.values()))
+    return degrees, np.array(list(f.terms.values()))
+
+
+def _int_term_arrays(f: PolyCoeffs) -> tuple[np.ndarray, np.ndarray]:
+    degrees, coeffs = _term_arrays(f)
     ints = np.rint(coeffs).astype(np.int64)
     if not np.array_equal(ints.astype(float), coeffs):
         raise ValueError("expected integer coefficients")
@@ -387,17 +428,14 @@ def verify_roots(inst: EncodedInstance, n_random: int = 1000, seed: int = 0) -> 
     """
     C = inst.formula
     _check_scan_size(C.n)
-    H = formula_poly(C)
-    G = hypercube_poly(C.n)
-    h_arrays = _int_term_arrays(H) if C.m else None
-    g_arrays = _int_term_arrays(G)
+    g_arrays = _int_term_arrays(hypercube_poly(C.n))
     n_sat = 0
     min_unsat_k = None
     vertex_identity = True
     roots_match = True
     for verts in _iter_vertices(C.n):
         k = _falsified_counts(C, verts)
-        hv = _vertex_values(*h_arrays, verts) if h_arrays else np.zeros(len(verts), np.int64)
+        hv = _vertex_values(*inst.h_terms, verts)
         gv = _vertex_values(*g_arrays, verts)
         vertex_identity &= bool(np.all(gv == 0) and np.all(hv == 64 * k))
         roots_match &= bool(np.all((hv == 0) == (k == 0)))
@@ -448,31 +486,14 @@ def hardness_grid(
     return build_grid(n, radius, points_per_axis, refine_near=[-1.0, 1.0], refine_width=width)
 
 
-def _log_density_energy(inst: EncodedInstance):
-    # h(x) exp(-F(x)) with the sparse energy is far cheaper than the dense
-    # sufficient-statistics path; it differs from exp(<theta, T>) only by the
-    # dropped constant, which cancels in every normalized quantity
-    p = inst.theta.d + 1
+def _log_density_coeffs(inst: EncodedInstance) -> np.ndarray:
+    """-energy - sum_i x_i^8 as a dense coefficient tensor.
 
-    def logf(X: np.ndarray) -> np.ndarray:
-        return -np.sum(X**p, axis=1) - inst.energy.evaluate(X)
-
-    return logf
-
-
-def _gated_log_partition(inst: EncodedInstance, grid: QuadratureGrid) -> tuple[float, float]:
-    if grid.n != inst.n:
-        raise ValueError(f"grid has n={grid.n}, instance has n={inst.n}")
-    logf = _log_density_energy(inst)
-    coarse = quad_log_integral(grid, logf)
-    fine = quad_log_integral(grid.doubled(), logf)
-    delta = abs(fine - coarse)
-    if not delta < GATE_TOL:
-        raise GridConvergenceError(
-            f"log-partition moved {delta:.3e} on grid doubling (tolerance {GATE_TOL:g}); "
-            "refine the grid or lower the coupling scale"
-        )
-    return coarse, delta
+    The energy's constant term stays in, so the log density is near 0 at
+    the wells and log Z is the formula density's own.
+    """
+    degrees, coeffs = _term_arrays(inst.energy)
+    return log_density_tensor(inst.n, degrees, -coeffs, inst.theta.d + 1)
 
 
 def zgap_experiment(
@@ -501,8 +522,9 @@ def zgap_experiment(
     inst_unsat = encode(C_unsat, alpha, beta)
     if grid is None:
         grid = hardness_grid(n, beta)
-    logz_sat, delta_sat = _gated_log_partition(inst_sat, grid)
-    logz_unsat, delta_unsat = _gated_log_partition(inst_unsat, grid)
+    sat, delta_sat = gated_quadrature(grid, _log_density_coeffs(inst_sat))
+    unsat, delta_unsat = gated_quadrature(grid, _log_density_coeffs(inst_unsat))
+    logz_sat, logz_unsat = sat.log_integral, unsat.log_integral
     gap = logz_sat - logz_unsat
     threshold = 2.0 * n * math.log(1.16)
     separated = bool(gap > threshold)
@@ -542,8 +564,8 @@ def mean_sign_experiment(
     inst = encode(C, alpha, beta)
     if grid is None:
         grid = hardness_grid(C.n, beta)
-    _gated_log_partition(inst, grid)
-    _, (mean_x,) = quad_expectation(grid, _log_density_energy(inst), [lambda X: X])
+    out, _ = gated_quadrature(grid, _log_density_coeffs(inst), order=1)
+    mean_x = out.moments[tuple(np.eye(C.n, dtype=np.int64))]
     recovered = tuple(1 if t > 0 else -1 for t in mean_x)
     margins = np.asarray(v_star, dtype=float) * mean_x
     min_margin = float(margins.min())
@@ -586,22 +608,12 @@ def orthant_mass(
     inst = encode(C, alpha, beta)
     if grid is None:
         grid = hardness_grid(C.n, beta)
-    _gated_log_partition(inst, grid)
+    out, _ = gated_quadrature(grid, _log_density_coeffs(inst), orthants=sols)
+    mass = out.orthant_mass
     if sols:
-        V = np.asarray(sols, dtype=float)
-
-        def indicator(X: np.ndarray) -> np.ndarray:
-            hit = np.zeros(X.shape[0], dtype=bool)
-            for v in V:
-                hit |= np.all(X * v >= 0.0, axis=1)
-            return hit.astype(float)
-
-        _, (mass,) = quad_expectation(grid, _log_density_energy(inst), [indicator])
-        mass = float(mass)
         holds = mass >= 0.5
         note = "union of satisfying orthants"
     else:
-        mass = 0.0
         holds = True
         note = "no satisfying assignment, bound vacuous"
     return {

@@ -33,6 +33,7 @@ __all__ = [
     "MonomialBasis",
     "PolyCoeffs",
     "enumerate_basis",
+    "graded_rank",
     "eval_suffstats",
     "eval_jacobian",
     "eval_laplacian",
@@ -104,6 +105,32 @@ def _cached_basis(n: int, d: int) -> MonomialBasis:
     degrees = np.array(graded_indices(n, d, min_total=1), dtype=np.int64)
     degrees.setflags(write=False)
     return MonomialBasis(n=n, d=d, degrees=degrees)
+
+
+def graded_rank(degrees) -> np.ndarray:
+    """Position of each exponent row in graded-lex order, the constant at 0.
+
+    Row k of ``enumerate_basis(n, d).degrees`` has rank k + 1 for every d, so
+    the rank addresses a coefficient vector without listing the basis.  A
+    row ranks after every row of lower total degree, C(|e| + n - 1, n) of
+    them, and after the rows of its own degree that agree with it before
+    some position i and carry more there; with t_i the total of positions
+    i.., there are C(t_i - e_i - 1 + k_i, k_i) of those, k_i = n - 1 - i.
+    """
+    deg = np.asarray(degrees, dtype=np.int64)
+    N, n = deg.shape
+    if N == 0:
+        return np.zeros(0, dtype=np.int64)
+    tails = np.cumsum(deg[:, ::-1], axis=1)[:, ::-1]
+
+    def binom(a: np.ndarray, k: int) -> np.ndarray:
+        return np.array([math.comb(v, k) for v in range(int(a.max()) + 1)], dtype=np.int64)[a]
+
+    rank = binom(tails[:, 0] + n - 1, n)
+    for i in range(n - 1):
+        k = n - 1 - i
+        rank += binom(tails[:, i] - deg[:, i] - 1 + k, k)
+    return rank
 
 
 def enumerate_basis(n: int, d: int) -> MonomialBasis:

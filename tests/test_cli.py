@@ -1,11 +1,16 @@
 """End-to-end tests for the command-line interface and its exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polyscore
 from polyscore.cli import main
 from polyscore.expfam import ParamVector, param_to_json
 from polyscore.polybasis import enumerate_basis
@@ -222,6 +227,16 @@ class TestVerify:
         assert code == 3
         assert not json.loads(out)["report"]["all_hold"]
 
+    def test_gate_failure_exits_numerical(self, capsys):
+        # README's contract: a failed quadrature gate is a numerical failure
+        code, out, err = run(
+            capsys,
+            ["verify", "--suite", "bounds", "--n", "1", "--d", "3", "--radius", "3",
+             "--points-per-axis", "12"],
+        )
+        assert code == 3 and out == ""
+        assert "quadrature gate failed" in err
+
     def test_unknown_corruption(self, capsys):
         code, _, err = run(
             capsys, ["verify", "--suite", "bounds", "--n", "1", "--d", "3", "--corrupt", "junk"]
@@ -318,3 +333,21 @@ class TestDeterminism:
         _, out1, _ = run(capsys, args + ["--seed", "1"])
         _, out2, _ = run(capsys, args + ["--seed", "2"])
         assert strip_meta(out1) != strip_meta(out2)
+
+
+class TestModuleEntryPoint:
+    def test_python_m_polyscore_runs_the_cli(self):
+        src = str(Path(polyscore.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        for module in ("polyscore", "polyscore.cli"):
+            proc = subprocess.run(
+                [sys.executable, "-m", module, "basis", "--n", "1", "--d", "3"],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines() == ["x1", "x1^2", "x1^3", "M=4"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyscore", "basis", "--n", "1", "--d", "2"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2

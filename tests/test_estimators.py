@@ -7,7 +7,6 @@ import pytest
 
 from polyscore.estimators import (
     FitReport,
-    GridConvergenceError,
     NonConvergenceError,
     SingularGramError,
     convergence_study,
@@ -17,7 +16,13 @@ from polyscore.estimators import (
     sm_loss,
     study_csv,
 )
-from polyscore.expfam import ParamVector, build_grid, family_grid, zero_params
+from polyscore.expfam import (
+    GridConvergenceError,
+    ParamVector,
+    build_grid,
+    family_grid,
+    zero_params,
+)
 from polyscore.polybasis import enumerate_basis
 from polyscore.sampler import SampleSet, sample_exact_separable
 

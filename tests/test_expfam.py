@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from polyscore.expfam import (
+    GATE_TOL,
+    GridConvergenceError,
     ParamVector,
     auto_radius,
     build_grid,
@@ -14,12 +18,17 @@ from polyscore.expfam import (
     default_grid,
     family_grid,
     family_radius,
+    gated_log_partition,
+    gated_quadrature,
+    log_density_tensor,
     log_partition,
     log_unnormalized_density,
+    member_coeffs,
     moment_bound,
     moments,
     param_from_json,
     param_to_json,
+    poly_quadrature,
     quad_expectation,
     quad_log_integral,
     random_params,
@@ -29,7 +38,7 @@ from polyscore.expfam import (
     verify_int_concentration,
     zero_params,
 )
-from polyscore.polybasis import enumerate_basis
+from polyscore.polybasis import enumerate_basis, eval_suffstats
 
 LOG_SQRT_PI = 0.5 * math.log(math.pi)
 
@@ -334,6 +343,108 @@ class TestConvergenceGate:
     def test_coarse_grid_fails(self):
         delta, ok = convergence_gap(zero_params(1, 1), build_grid(1, 6.0, 10))
         assert not ok and delta > 1e-8
+
+    def test_gated_log_partition_raises_past_the_gate(self):
+        p = zero_params(1, 1)
+        with pytest.raises(GridConvergenceError, match="gate"):
+            gated_log_partition(p, build_grid(1, 6.0, 10))
+        logz, delta = gated_log_partition(p, build_grid(1, 6.0, 120))
+        assert logz == pytest.approx(LOG_SQRT_PI, abs=1e-12) and delta < GATE_TOL
+
+    def test_gate_returns_the_coarse_pass(self):
+        p = random_params(2, 3, 1.0, seed=8)
+        grid = build_grid(2, 4.0, 120)
+        out, delta = gated_quadrature(grid, member_coeffs(p), order=2)
+        again = poly_quadrature(grid, member_coeffs(p), order=2)
+        assert out.log_integral == again.log_integral
+        assert np.array_equal(out.moments, again.moments)
+        assert delta == convergence_gap(p, grid)[0]
+
+
+def pointwise(p: ParamVector, grid, fns=()):
+    """The chunked callable path: per-node log density and integrands."""
+    return quad_expectation(grid, lambda X: log_unnormalized_density(p, X), list(fns))
+
+
+# points per axis and radius of a small grid for each dimension
+SMALL_GRIDS = {1: (48, 5.0), 2: (24, 4.5), 3: (12, 4.0)}
+
+
+class TestPolyQuadrature:
+    """The sum-factorised oracle against the pointwise callable path."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([1, 2, 3]),
+        d=st.sampled_from([1, 3]),
+        B=st.floats(1.0, 2.0),
+        seed=st.integers(0, 2**31 - 1),
+        extra_points=st.integers(0, 8),
+    )
+    def test_agrees_with_pointwise_path(self, n, d, B, seed, extra_points):
+        p = random_params(n, d, B, seed)
+        points, radius = SMALL_GRIDS[n]
+        grid = build_grid(n, radius, points + extra_points)
+
+        def T(X):
+            return eval_suffstats(p.basis, X)
+
+        logz, (mean_T, second_T) = pointwise(
+            p, grid, [T, lambda X: T(X)[:, :, None] * T(X)[:, None, :]]
+        )
+        assert quad_log_integral(grid, lambda X: log_unnormalized_density(p, X)) == logz
+        mom = moments(p, grid)
+        assert mom.log_partition == pytest.approx(logz, rel=1e-12)
+        assert log_partition(p, grid) == pytest.approx(logz, rel=1e-12)
+        for got, ref in ((mom.mean_T, mean_T), (mom.second_T, second_T)):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    def test_power_moments(self):
+        # E[x^e] of the product density exp(-x1^2 - x2^2) is a product of
+        # Gaussian moments: E[x^2] = 1/2, E[x^4] = 3/4, odd moments vanish
+        out = poly_quadrature(build_grid(2, 7.0, 160), member_coeffs(zero_params(2, 1)), order=4)
+        assert out.moments.shape == (5, 5)
+        assert out.moments[0, 0] == 1.0
+        gauss = np.array([1.0, 0.0, 0.5, 0.0, 0.75])
+        np.testing.assert_allclose(out.moments, np.outer(gauss, gauss), atol=1e-12)
+        assert out.log_integral == pytest.approx(2 * LOG_SQRT_PI, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_orthant_mass_counts_each_node_once(self, n):
+        # an odd count on a panel symmetric about 0 puts nodes on the
+        # coordinate planes; they belong to every orthant that touches them
+        p = random_params(n, 3, 1.0, seed=n)
+        grid = build_grid(n, 3.0, SMALL_GRIDS[n][0] + 1)
+        assert np.any(grid.axis_nodes == 0.0)
+        V = np.array([[1.0] * n, [-1.0] * n, [1.0] + [-1.0] * (n - 1)])
+
+        def union(X):
+            return np.any(np.all(X[:, None, :] * V[None] >= 0.0, axis=2), axis=1).astype(float)
+
+        _, (mass,) = pointwise(p, grid, [union])
+        out = poly_quadrature(grid, member_coeffs(p), orthants=V)
+        assert out.orthant_mass == pytest.approx(float(mass), abs=1e-14)
+        assert poly_quadrature(grid, member_coeffs(p)).orthant_mass == 0.0
+
+    def test_overflow_everywhere_raises_like_pointwise(self):
+        # on a box this wide every node's powers overflow: zero density at
+        # every node, which both paths report as underflow
+        p = random_params(2, 3, 1.0, seed=4)
+        grid = build_grid(2, 1e103, 60)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="underflow"):
+                pointwise(p, grid)
+            with pytest.raises(ValueError, match="underflow"):
+                poly_quadrature(grid, member_coeffs(p))
+
+    def test_rejections(self):
+        grid = build_grid(2, 3.0, 12)
+        with pytest.raises(ValueError, match="does not fit"):
+            poly_quadrature(grid, np.zeros((3, 3, 3)))
+        with pytest.raises(ValueError, match="order"):
+            poly_quadrature(grid, np.zeros((3, 3)), order=-1)
+        with pytest.raises(ValueError, match="exponents"):
+            log_density_tensor(2, [[5, 0]], [1.0], 4)
 
 
 class TestRadiusSelection:

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from polyscore.expfam import ParamVector, build_grid, random_params, zero_params
+from polyscore.expfam import (
+    GridConvergenceError,
+    ParamVector,
+    build_grid,
+    random_params,
+    zero_params,
+)
 from polyscore.fisher import (
     SpectralReport,
     clip_spectrum,
@@ -47,7 +53,8 @@ class TestFisherInfo:
         assert abs(samp_I[0, 0] - grid_I[0, 0]) < 3 * se
 
     def test_grid_gate(self):
-        with pytest.raises(ValueError, match="gate"):
+        # a gate failure is a numerical failure (CLI exit 3), not a usage error
+        with pytest.raises(GridConvergenceError, match="gate"):
             fisher_info(zero_params(1, 1), build_grid(1, 6.0, 10))
 
 

@@ -6,16 +6,26 @@ weight proportional to exp(-64 * alpha * k(v)) with k(v) the number of
 falsified clauses, and well-shape corrections are O(alpha/beta) or smaller.
 """
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polyscore.estimators import GridConvergenceError
-from polyscore.expfam import build_grid, log_unnormalized_density, quad_expectation, zero_params
+from polyscore.expfam import (
+    GridConvergenceError,
+    build_grid,
+    log_unnormalized_density,
+    poly_quadrature,
+    quad_expectation,
+    zero_params,
+)
 from polyscore.hardness import (
     CnfFormula,
+    _log_density_coeffs,
     clause_poly,
     default_params,
     encode,
@@ -33,7 +43,7 @@ from polyscore.hardness import (
     verify_roots,
     zgap_experiment,
 )
-from polyscore.polybasis import poly_from_json
+from polyscore.polybasis import PolyCoeffs, poly_from_json
 from polyscore.sampler import McmcConfig, sample_mala
 
 
@@ -173,6 +183,16 @@ class TestClausePoly:
         x = np.array([0.3, -0.7, 1.1])
         total = sum(clause_poly(c, 3).evaluate(x) for c in C.clauses)
         assert F.evaluate(x) == pytest.approx(total, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(3, 12), m=st.integers(0, 60), seed=st.integers(0, 2**31 - 1))
+    def test_formula_poly_is_the_sum_of_clause_polys(self, n, m, seed):
+        # integer coefficients: the scatter-add and the term-by-term sum agree exactly
+        C = random_formula(n, m, seed)
+        total = PolyCoeffs.zero(n)
+        for c in C.clauses:
+            total = total + clause_poly(c, n)
+        assert dict(formula_poly(C).terms) == dict(total.terms)
 
 
 class TestHypercubePoly:
@@ -356,6 +376,18 @@ class TestVerifyRoots:
         inst = encode(load_fixture("uniq3"), 1.0, 1.0)
         assert verify_roots(inst, seed=7) == verify_roots(inst, seed=7)
 
+    def test_certifies_the_expanded_terms(self):
+        # the certificate reads the instance's own expansion of H_C: one
+        # wrong coefficient there breaks the vertex identity
+        inst = encode(load_fixture("uniq3"), 1.0, 1.0)
+        degrees, ints = inst.h_terms
+        assert np.array_equal(ints, np.rint(ints)) and ints.dtype == np.int64
+        bad = ints.copy()
+        bad[0] += 1
+        broken = dataclasses.replace(inst, h_terms=(degrees, bad))
+        rep = verify_roots(broken, seed=7)
+        assert not rep["vertex_identity"] and not rep["holds"]
+
 
 class TestHardnessGrid:
     def test_refined_at_wells(self):
@@ -372,6 +404,41 @@ class TestHardnessGrid:
             hardness_grid(1, 0.0)
         with pytest.raises(ValueError, match="n <= 3"):
             hardness_grid(4, 100.0)
+
+
+FIXTURE_MODES = (("clause1", "sampling"), ("uniq3", "first"), ("unsat8", "zeroth"))
+
+
+class TestSlabOracleOnFixtures:
+    """The hardness quadrature against the pointwise callable path."""
+
+    @pytest.mark.parametrize("name,mode", FIXTURE_MODES)
+    def test_matches_pointwise_path(self, name, mode):
+        C = load_fixture(name)
+        pp = default_params(3, C.m, mode, scale=0.01)
+        inst = encode(C, pp.alpha, pp.beta)
+        grid = hardness_grid(3, pp.beta, points_per_axis=60)
+        sols = satisfying_assignments(C)
+        fns = [lambda X: X]
+        if sols:
+            V = np.asarray(sols, dtype=float)
+            fns.append(
+                lambda X: np.any(np.all(X[:, None, :] * V[None] >= 0.0, axis=2), axis=1)
+                .astype(float)
+            )
+        logz, outs = quad_expectation(
+            grid, lambda X: -np.sum(X**8, axis=1) - inst.energy.evaluate(X), fns
+        )
+        out = poly_quadrature(grid, _log_density_coeffs(inst), order=1, orthants=sols)
+        assert out.log_integral == pytest.approx(logz, abs=1e-10)
+        np.testing.assert_allclose(out.moments[tuple(np.eye(3, dtype=int))], outs[0], atol=1e-11)
+        assert out.orthant_mass == pytest.approx(float(outs[1]) if sols else 0.0, abs=1e-12)
+
+    def test_coarse_grid_fails_the_gate(self):
+        C = load_fixture("clause1")
+        pp = default_params(3, C.m, "sampling", scale=0.01)
+        with pytest.raises(GridConvergenceError, match="gate"):
+            orthant_mass(C, pp.alpha, pp.beta, hardness_grid(3, pp.beta, points_per_axis=60))
 
 
 class TestZgap:

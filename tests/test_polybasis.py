@@ -15,6 +15,7 @@ from polyscore.polybasis import (
     format_monomial,
     from_legendre,
     graded_indices,
+    graded_rank,
     l2_cube_inner,
     l2_cube_norm,
     legendre_1d,
@@ -60,6 +61,21 @@ class TestEnumerateBasis:
             enumerate_basis(2, 0)
         with pytest.raises(ValueError):
             enumerate_basis(2, -1)
+
+
+class TestGradedRank:
+    def test_ranks_follow_the_basis_order(self):
+        for n in (1, 2, 3, 5, 12):
+            for d in (1, 3, 7):
+                basis = enumerate_basis(n, d)
+                assert np.array_equal(graded_rank(basis.degrees), np.arange(1, basis.size + 1))
+
+    def test_constant_and_cross_degree_rows(self):
+        # rank does not depend on the basis degree a row is looked up in
+        rows = np.array([[0, 0, 0], [0, 0, 1], [2, 2, 2], [0, 0, 6]])
+        full = graded_indices(3, 6)
+        assert graded_rank(rows).tolist() == [full.index(tuple(r)) for r in rows.tolist()]
+        assert graded_rank(np.zeros((0, 3), dtype=int)).shape == (0,)
 
 
 class TestEvaluation:
