@@ -1,16 +1,19 @@
 """Score-matching and maximum-likelihood estimators, plus rate studies.
 
-Score matching minimizes the empirical Hyvarinen objective, which is
-quadratic in theta, so the fit is a single linear solve of the normal
-equations.  Because the family carries the base measure
-h(x) = exp(-sum x_i^{d+1}), the gradient of the objective picks up a cross
-term E[(JT) grad log h] alongside E[Laplacian T]; we solve the full system so
-the returned theta is the exact minimizer of sm_loss (this is checked in the
-tests against generic quadratic minimization).
+Both estimators are statistics plus one solve: ``polybasis.sample_stats``
+reads the sample once, and the MLE adds the quadrature oracle's ``moments``.
 
-The MLE is projected gradient ascent with backtracking on the concave
-log-likelihood; the partition function and its gradient come from the
-quadrature oracle, which restricts MLE to n <= 3.
+Score matching minimizes the empirical Hyvarinen objective, which is
+quadratic in theta: c + b . theta + theta^t G theta / 2 with G the Gram
+matrix of the Jacobian and b = E[Laplacian T + (JT) grad log h], the cross
+term coming from the base measure h(x) = exp(-sum x_i^{d+1}).  The fit
+solves G theta = -b, the exact minimizer of sm_loss (checked in the tests
+against generic quadratic minimization).
+
+The MLE is damped Newton ascent on the concave log-likelihood, whose Hessian
+is minus the Fisher information from the same ``moments`` pass as the
+gradient; the partition function comes from the quadrature oracle, which
+restricts MLE to n <= 3.
 """
 
 from __future__ import annotations
@@ -31,11 +34,9 @@ from .expfam import (
     QuadratureGrid,
     family_grid,
     gated_log_partition,
-    log_unnormalized_density,
     moments,
-    score,
 )
-from .polybasis import MonomialBasis, eval_jacobian, eval_laplacian, eval_suffstats
+from .polybasis import FamilyStats, MonomialBasis, sample_stats
 from .sampler import McmcConfig, SampleSet, sample_exact_separable, sample_mala
 
 __all__ = [
@@ -51,7 +52,6 @@ __all__ = [
     "study_csv",
 ]
 
-_SAMPLE_CHUNK = 1 << 16
 _RESIDUAL_TOL = 1e-8
 _MLE_MAX_ITER = 10_000
 
@@ -61,7 +61,7 @@ class SingularGramError(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    """The MLE ascent hit its iteration cap before reaching tolerance."""
+    """The MLE ascent cannot reach, or cannot certify, its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -90,28 +90,10 @@ def _check_dims(s: SampleSet, basis: MonomialBasis):
         raise ValueError(f"sample dimension {s.n} != basis dimension {basis.n}")
 
 
-def _grad_log_h(X: np.ndarray, d: int) -> np.ndarray:
-    return -(d + 1) * X**d
-
-
-def _laplacian_log_h(X: np.ndarray, d: int) -> np.ndarray:
-    if d == 1:
-        return np.full(len(X), -2.0 * X.shape[1])
-    return -(d + 1) * d * np.sum(X ** (d - 1), axis=1)
-
-
 def _normal_equations(s: SampleSet, basis: MonomialBasis) -> tuple[np.ndarray, np.ndarray]:
     """G = E[(JT)(JT)^t] and b = E[Laplacian T + (JT) grad log h]."""
-    M1 = basis.size
-    G = np.zeros((M1, M1))
-    bsum = np.zeros(M1)
-    for lo in range(0, s.N, _SAMPLE_CHUNK):
-        X = s.data[lo : lo + _SAMPLE_CHUNK]
-        J = eval_jacobian(basis, X)
-        G += np.einsum("ski,sli->kl", J, J)
-        bsum += eval_laplacian(basis, X).sum(axis=0)
-        bsum += np.einsum("ski,si->k", J, _grad_log_h(X, basis.d))
-    return G / s.N, bsum / s.N
+    st = sample_stats(basis, s.data)
+    return st.gram, st.sm_linear
 
 
 def fit_score_matching(s: SampleSet, basis: MonomialBasis) -> FitReport:
@@ -126,7 +108,8 @@ def fit_score_matching(s: SampleSet, basis: MonomialBasis) -> FitReport:
         raise ValueError("need at least one sample")
     _check_dims(s, basis)
     t0 = time.perf_counter()
-    G, b = _normal_equations(s, basis)
+    st = sample_stats(basis, s.data)
+    G, b = st.gram, st.sm_linear
     notes = []
     theta = None
     try:
@@ -151,11 +134,9 @@ def fit_score_matching(s: SampleSet, basis: MonomialBasis) -> FitReport:
         raise SingularGramError(
             f"normal equations residual {resid:.3e} exceeds tolerance; Gram matrix too ill-conditioned"
         )
-    B = max(1.0, float(np.max(np.abs(theta))))
-    loss = sm_loss(ParamVector(basis, theta, B), s)
     return FitReport(
         theta_hat=theta,
-        loss=loss,
+        loss=_quadratic_loss(st, theta),
         estimator="SM",
         gram_condition=max(cond, 1.0),
         N=s.N,
@@ -164,29 +145,26 @@ def fit_score_matching(s: SampleSet, basis: MonomialBasis) -> FitReport:
     )
 
 
+def _quadratic_loss(st: FamilyStats, theta: np.ndarray) -> float:
+    return st.sm_const + float(st.sm_linear @ theta) + 0.5 * float(theta @ st.gram @ theta)
+
+
 def sm_loss(p: ParamVector, s: SampleSet) -> float:
     """Empirical E[trace Hessian log p + 1/2 |grad log p|^2]; Z-free."""
     _check_dims(s, p.basis)
-    total = 0.0
-    for lo in range(0, s.N, _SAMPLE_CHUNK):
-        X = s.data[lo : lo + _SAMPLE_CHUNK]
-        trace = _laplacian_log_h(X, p.d) + eval_laplacian(p.basis, X) @ p.theta
-        total += float(np.sum(trace + 0.5 * np.sum(score(p, X) ** 2, axis=1)))
-    return total / s.N
+    return _quadratic_loss(sample_stats(p.basis, s.data), p.theta)
 
 
 # ---------------------------------------------------------------------------
 # maximum likelihood
 
 
-def _empirical_parts(s: SampleSet, basis: MonomialBasis) -> tuple[float, np.ndarray]:
-    mean_logh = 0.0
-    mean_T = np.zeros(basis.size)
-    for lo in range(0, s.N, _SAMPLE_CHUNK):
-        X = s.data[lo : lo + _SAMPLE_CHUNK]
-        mean_logh += float(np.sum(-np.sum(X ** (basis.d + 1), axis=1)))
-        mean_T += eval_suffstats(basis, X).sum(axis=0)
-    return mean_logh / s.N, mean_T / s.N
+def _mle_objective(p: ParamVector, emp: FamilyStats, grid: QuadratureGrid):
+    """Average log-likelihood, its gradient and minus its Hessian, the Fisher matrix."""
+    mom = moments(p, grid)
+    loss = emp.mean_log_h + float(p.theta @ emp.mean_T) - mom.log_partition
+    info = mom.second_T - np.outer(mom.mean_T, mom.mean_T)
+    return loss, emp.mean_T - mom.mean_T, 0.5 * (info + info.T)
 
 
 def mle_loss_and_grad(
@@ -196,10 +174,7 @@ def mle_loss_and_grad(
     _check_dims(s, p.basis)
     if check:
         gated_log_partition(p, grid)
-    mean_logh, emp_T = _empirical_parts(s, p.basis)
-    mom = moments(p, grid)
-    loss = mean_logh + float(p.theta @ emp_T) - mom.log_partition
-    return loss, emp_T - mom.mean_T
+    return _mle_objective(p, sample_stats(p.basis, s.data), grid)[:2]
 
 
 def _as_member(basis: MonomialBasis, theta: np.ndarray) -> ParamVector:
@@ -214,13 +189,17 @@ def fit_mle(
     init: np.ndarray | None = None,
     tol: float = 1e-6,
 ) -> FitReport:
-    """Gradient ascent with Armijo backtracking on the concave likelihood.
+    """Damped Newton ascent with Armijo backtracking on the concave likelihood.
 
-    Concavity (the Hessian is minus the Fisher information) makes the optimum
-    unique and independent of init; iterations stop when the gradient's sup
-    norm is at most tol.  The quadrature gate is checked at the start and at
-    the returned optimum, so an under-resolved grid fails loudly rather than
-    silently biasing the fit.
+    The Hessian is minus the Fisher information, so each step solves
+    I step = grad (gradient steps where I is not numerically positive
+    definite) and halves the step until the Armijo condition holds.
+    Concavity makes the optimum unique and independent of init; iterations
+    stop when the gradient's sup norm is at most tol.  A tol below the
+    gradient's rounding bound eps (N + nodes) max(1, max|E_hat[T]|) cannot
+    be certified and is refused up front.  The quadrature gate is checked at
+    the start and at the returned optimum, so an under-resolved grid fails
+    loudly rather than silently biasing the fit.
     """
     if s.N < 1:
         raise ValueError("need at least one sample")
@@ -228,36 +207,34 @@ def fit_mle(
     t0 = time.perf_counter()
     theta = np.zeros(basis.size) if init is None else np.asarray(init, dtype=float).copy()
     gated_log_partition(_as_member(basis, theta), grid)
-    mean_logh, emp_T = _empirical_parts(s, basis)
-
-    def objective(th: np.ndarray) -> tuple[float, np.ndarray]:
-        mom = moments(_as_member(basis, th), grid)
-        loss = mean_logh + float(th @ emp_T) - mom.log_partition
-        return loss, emp_T - mom.mean_T
-
-    loss, grad = objective(theta)
-    step = 1.0
+    emp = sample_stats(basis, s.data)
+    floor = np.finfo(float).eps * (s.N + grid.total_nodes) * max(1.0, float(np.max(np.abs(emp.mean_T))))
+    if tol < floor:
+        raise NonConvergenceError(
+            f"tol {tol:.1e} is below the gradient's rounding bound {floor:.1e}; it cannot be certified"
+        )
+    loss, grad, info = _mle_objective(_as_member(basis, theta), emp, grid)
     notes = []
     for it in range(1, _MLE_MAX_ITER + 1):
         if np.max(np.abs(grad)) <= tol:
             notes.append(f"iterations={it - 1}")
             break
-        step = min(step * 2.0, 1.0)
+        try:
+            direction = linalg.cho_solve(linalg.cho_factor(info), grad)
+        except linalg.LinAlgError:
+            direction = grad
+        step = 1.0
         while True:
-            cand = theta + step * grad
-            if np.array_equal(cand, theta):
+            cand = theta + step * direction
+            if step < 1e-16 or np.array_equal(cand, theta):
                 raise NonConvergenceError(
-                    f"updates below float resolution with gradient {np.max(np.abs(grad)):.3e} > tol {tol:.1e}"
+                    f"line search stalled at iteration {it} with gradient {np.max(np.abs(grad)):.3e} > tol {tol:.1e}"
                 )
-            cand_loss, cand_grad = objective(cand)
-            if cand_loss >= loss + 1e-4 * step * float(grad @ grad):
-                theta, loss, grad = cand, cand_loss, cand_grad
+            cand_loss, cand_grad, cand_info = _mle_objective(_as_member(basis, cand), emp, grid)
+            if cand_loss >= loss + 1e-4 * step * float(grad @ direction):
+                theta, loss, grad, info = cand, cand_loss, cand_grad, cand_info
                 break
             step *= 0.5
-            if step < 1e-16:
-                raise NonConvergenceError(
-                    f"line search stalled at iteration {it} with gradient {np.max(np.abs(grad)):.3e}"
-                )
     else:
         raise NonConvergenceError(
             f"no convergence in {_MLE_MAX_ITER} iterations; gradient still {np.max(np.abs(grad)):.3e}"

@@ -17,9 +17,12 @@ Polynomial log densities go through one sum-factorised oracle,
 :func:`poly_quadrature` (Orszag 1980): on the slab x_1 = t_a of the tensor
 grid the log density is the matrix product P_2 C(t_a) P_3^t of per-axis power
 tables and the slab's coefficient matrix, so no grid point is ever formed and
-the working set is one K x K slab.  Callable integrands (the Jacobian and
-Laplacian integrals of ``fisher``) still stream node chunks through
-:func:`quad_expectation`.
+the working set is one K x K slab.  The same pass returns the power moments
+E[x^e] up to a requested order; :func:`moments` takes them to order 2d, which
+determines E[T], E[T T^t], the Jacobian Gram matrix, the score-matching terms
+and E|Lap T|^2 (``polybasis.family_stats``).  Only integrands that are not
+polynomials, such as ``fisher``'s largest eigenvalue of (JT)^t(JT), stream
+node chunks through :func:`quad_expectation`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,15 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from scipy import integrate
 
-from .polybasis import MonomialBasis, enumerate_basis, eval_jacobian, eval_suffstats
+from .polybasis import (
+    FamilyStats,
+    MonomialBasis,
+    enumerate_basis,
+    eval_jacobian,
+    eval_suffstats,
+    family_stats,
+    moment_degrees,
+)
 from .reports import BoundCheck
 
 __all__ = [
@@ -546,27 +557,24 @@ def log_partition(p: ParamVector, grid: QuadratureGrid) -> float:
 
 
 @dataclass(frozen=True)
-class Moments:
-    mean_T: np.ndarray
-    second_T: np.ndarray
+class Moments(FamilyStats):
+    """The family statistics under p_theta, plus log Z_theta."""
+
     log_partition: float
 
 
 def moments(p: ParamVector, grid: QuadratureGrid) -> Moments:
-    """Quadrature E[T] and E[T T^t] under p_theta; mean_T = grad_theta log Z.
+    """Quadrature statistics under p_theta; mean_T = grad_theta log Z.
 
-    Both are gathered from one power-moment tensor of order 2d:
-    mean_T[k] = E[x^a_k] and second_T[k, l] = E[x^(a_k + a_l)].
+    One :func:`poly_quadrature` pass of order 2d gives the power moments
+    E[x^e], |e| <= 2d, and every :class:`FamilyStats` field is gathered
+    from them (see ``polybasis.family_stats``).
     """
     _check_grid(p, grid)
     out = poly_quadrature(grid, member_coeffs(p), order=2 * p.d)
-    deg = p.basis.degrees
-    pair = deg[:, None, :] + deg[None, :, :]
-    return Moments(
-        mean_T=out.moments[tuple(deg.T)],
-        second_T=out.moments[tuple(np.moveaxis(pair, -1, 0))],
-        log_partition=out.log_integral,
-    )
+    power = out.moments[tuple(moment_degrees(p.n, p.d).T)]
+    stats = family_stats(p.basis, power)
+    return Moments(**vars(stats), log_partition=out.log_integral)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import linalg
@@ -28,7 +29,15 @@ from .expfam import (
     moments,
     quad_expectation,
 )
-from .polybasis import PolyCoeffs, eval_jacobian, eval_laplacian, eval_suffstats, monomial_norm
+from .polybasis import (
+    FamilyStats,
+    PolyCoeffs,
+    eval_jacobian,
+    eval_suffstats,
+    monomial_norm,
+    row_mean,
+    sample_stats,
+)
 from .reports import BoundCheck
 from .sampler import SampleSet
 
@@ -84,56 +93,27 @@ def clip_spectrum(w: np.ndarray, tol: float = _CLIP_TOL) -> tuple[np.ndarray, st
     return w, note
 
 
-def fisher_info(p: ParamVector, source, check: bool = True) -> np.ndarray:
-    """Covariance of T under p, from a grid or a SampleSet."""
+def _stats(p: ParamVector, source, check: bool) -> FamilyStats:
+    """The family statistics under a SampleSet's rows or under p on a grid."""
     if isinstance(source, SampleSet):
         if source.n != p.n:
             raise ValueError("sample dimension mismatch")
-        M1 = p.basis.size
-        s1 = np.zeros(M1)
-        s2 = np.zeros((M1, M1))
-        for lo in range(0, source.N, 1 << 16):
-            T = eval_suffstats(p.basis, source.data[lo : lo + (1 << 16)])
-            s1 += T.sum(axis=0)
-            s2 += T.T @ T
-        mean = s1 / source.N
-        I = s2 / source.N - np.outer(mean, mean)
-    else:
-        if check:
-            gated_log_partition(p, source)
-        mom = moments(p, source)
-        I = mom.second_T - np.outer(mom.mean_T, mom.mean_T)
+        return sample_stats(p.basis, source.data)
+    if check:
+        gated_log_partition(p, source)
+    return moments(p, source)
+
+
+def fisher_info(p: ParamVector, source, check: bool = True) -> np.ndarray:
+    """Covariance of T under p, from a grid or a SampleSet."""
+    st = _stats(p, source, check)
+    I = st.second_T - np.outer(st.mean_T, st.mean_T)
     return 0.5 * (I + I.T)
-
-
-def _node_chunk(M1: int) -> int:
-    # keep the per-chunk (nodes, M1, M1) workspaces near 128 MB
-    return max(1024, (1 << 24) // (M1 * M1))
 
 
 def gram_matrix(p: ParamVector, source, check: bool = False) -> np.ndarray:
     """E[(JT)(JT)^t] under p, from a grid or a SampleSet."""
-    M1 = p.basis.size
-    if isinstance(source, SampleSet):
-        if source.n != p.n:
-            raise ValueError("sample dimension mismatch")
-        G = np.zeros((M1, M1))
-        for lo in range(0, source.N, _node_chunk(M1)):
-            J = eval_jacobian(p.basis, source.data[lo : lo + _node_chunk(M1)])
-            G += np.einsum("ski,sli->kl", J, J)
-        G /= source.N
-
-        return 0.5 * (G + G.T)
-    if check:
-        gated_log_partition(p, source)
-
-    def jt_gram(X):
-        J = eval_jacobian(p.basis, X)
-        return np.einsum("ski,sli->skl", J, J)
-
-    _, (G,) = quad_expectation(
-        source, lambda X: log_unnormalized_density(p, X), [jt_gram]
-    )
+    G = _stats(p, source, check).gram
     return 0.5 * (G + G.T)
 
 
@@ -163,31 +143,26 @@ def restricted_poincare(I: np.ndarray, G: np.ndarray, basis=None, return_witness
     return C_P
 
 
+def _opnorm4(basis, X: np.ndarray) -> np.ndarray:
+    """op-norm(JT)^4 per row: lambda_max((JT)^t JT)^2, not a polynomial for n >= 2."""
+    J = eval_jacobian(basis, X)
+    return np.linalg.eigvalsh(np.einsum("ski,skj->sij", J, J))[:, -1] ** 2
+
+
+def _grid_means(p: ParamVector, grid: QuadratureGrid, fns) -> list[np.ndarray]:
+    """Expectations under p of per-node integrands, by one quadrature pass."""
+    return quad_expectation(grid, lambda X: log_unnormalized_density(p, X), fns)[1]
+
+
 def sm_moment_inputs(p: ParamVector, source, check: bool = False) -> dict:
     """E[op-norm(JT)^4] and E[|Laplacian T|^2] under p (quadrature or samples)."""
-
-    def opnorm4(X):
-        J = eval_jacobian(p.basis, X)
-        A = np.einsum("ski,skj->sij", J, J)
-        return np.linalg.eigvalsh(A)[:, -1] ** 2
-
-    def lap2(X):
-        L = eval_laplacian(p.basis, X)
-        return np.sum(L * L, axis=1)
-
+    lap2 = _stats(p, source, check).lap_sq
+    opnorm4 = partial(_opnorm4, p.basis)
     if isinstance(source, SampleSet):
-        tot4 = tot2 = 0.0
-        for lo in range(0, source.N, 1 << 16):
-            X = source.data[lo : lo + (1 << 16)]
-            tot4 += float(np.sum(opnorm4(X)))
-            tot2 += float(np.sum(lap2(X)))
-        return {"E_opJT4": tot4 / source.N, "E_dT2": tot2 / source.N}
-    if check:
-        gated_log_partition(p, source)
-    _, (m4, m2) = quad_expectation(
-        source, lambda X: log_unnormalized_density(p, X), [opnorm4, lap2]
-    )
-    return {"E_opJT4": float(m4), "E_dT2": float(m2)}
+        m4 = row_mean(opnorm4, source.data, p.basis.size * p.n)
+    else:
+        (m4,) = _grid_means(p, source, [opnorm4])
+    return {"E_opJT4": float(m4), "E_dT2": lap2}
 
 
 def regularity_preflight(p: ParamVector, grid: QuadratureGrid) -> dict:
@@ -197,9 +172,7 @@ def regularity_preflight(p: ParamVector, grid: QuadratureGrid) -> dict:
         g2 = (p.d + 1) ** 2 * np.sum(X ** (2 * p.d), axis=1)
         return g2 * g2
 
-    _, (g4,) = quad_expectation(
-        grid, lambda X: log_unnormalized_density(p, X), [gradlogh4]
-    )
+    (g4,) = _grid_means(p, grid, [gradlogh4])
     out = sm_moment_inputs(p, grid)
     out["E_gradlogh4"] = float(g4)
     if not all(math.isfinite(v) for v in out.values()):
@@ -274,8 +247,7 @@ def verify_bounds(
     cap_i = B ** (2 * d) * float(M) ** (2 * d + 1) * 2.0 ** (2 * d * (d + 1) + 1)
     meanT2 = float(mom.mean_T @ mom.mean_T)
     cap_ii = B ** (2 * d) * float(M) ** (2 * d + 2) * 2.0 ** (2 * d * (d + 1) + 1)
-    aux = sm_moment_inputs(p, grid)
-    lap2 = aux["E_dT2"]
+    lap2 = mom.lap_sq
     cap_iii = d**4 * B ** (2 * d) * float(M) ** (2 * d + 1) * 2.0 ** (2 * d * (d + 1) + 1)
 
     checks = [
@@ -311,30 +283,29 @@ def verify_bounds(
                    f"{n_poly} random constant-free polynomials; worst log-margin {worst_margin:.3g}")
     )
 
-    # (vi): Var(<w,T>) equals w^t I w, recomputed by scalar quadrature
-    worst_diff = 0.0
-    for _ in range(5):
-        wvec = rng.standard_normal(p.basis.size)
+    # (vi): Var(<w,T>) equals w^t I w, recomputed by scalar quadrature; the
+    # same pass integrates op-norm(JT)^4 for the gamma bound
+    W = rng.standard_normal((5, p.basis.size))
 
-        def wt(X, wvec=wvec):
-            return eval_suffstats(p.basis, X) @ wvec
+    def wt_and_square(X):
+        Y = eval_suffstats(p.basis, X) @ W.T
+        return np.hstack([Y, Y * Y])
 
-        _, (m1, m2) = quad_expectation(
-            grid, lambda X: log_unnormalized_density(p, X), [wt, lambda X: wt(X) ** 2]
-        )
-        worst_diff = max(worst_diff, abs((float(m2) - float(m1) ** 2) - float(wvec @ I @ wvec)))
+    m4, wt_means = _grid_means(p, grid, [partial(_opnorm4, p.basis), wt_and_square])
+    var = wt_means[5:] - wt_means[:5] ** 2
+    worst_diff = float(np.max(np.abs(var - np.einsum("jk,kl,jl->j", W, I, W))))
     checks.append(
         BoundCheck("vi_variance_identity", worst_diff, 1e-8, worst_diff <= 1e-8,
                    "max |scalar-quadrature Var - w^t I w| over 5 random w")
     )
 
     # (vii): Poincare conditioning bound
-    G = gram_matrix(p, grid)
-    C_P = restricted_poincare(I, G, basis=p.basis)
+    C_P = restricted_poincare(I, mom.gram, basis=p.basis)
     cap_vii = (4.0 + 4.0 * meanT2) * lam_max / min(1.0, lam_min) if lam_min != 0 else math.inf
     holds_vii = lam_min > 0 and C_P <= cap_vii
     checks.append(BoundCheck("vii_poincare_cond", C_P, cap_vii, holds_vii))
 
+    aux = {"E_opJT4": float(m4), "E_dT2": lap2}
     gamma = gamma_bound(p, C_P, lam_min, aux) if lam_min > 0 else math.inf
     return SpectralReport(
         lambda_min=lam_min,

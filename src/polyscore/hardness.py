@@ -410,11 +410,16 @@ def _int_term_arrays(f: PolyCoeffs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _vertex_values(degrees: np.ndarray, ints: np.ndarray, verts: np.ndarray) -> np.ndarray:
-    # exact: at a vertex a monomial is (-1)^(number of odd exponents on -1 coords)
+    # exact: at a vertex a monomial is (-1)^(number of odd exponents on -1 coords);
+    # blocks of 2^20 / terms vertices keep the (vertices, terms) matrices near 8 MB
     odd = degrees % 2
     neg = (verts < 0).astype(np.int64)
-    parity = (neg @ odd.T) & 1
-    return (1 - 2 * parity) @ ints
+    block = max(1, (1 << 20) // max(1, len(ints)))
+    out = np.empty(len(verts), dtype=np.int64)
+    for lo in range(0, len(verts), block):
+        parity = (neg[lo : lo + block] @ odd.T) & 1
+        out[lo : lo + block] = (1 - 2 * parity) @ ints
+    return out
 
 
 def verify_roots(inst: EncodedInstance, n_random: int = 1000, seed: int = 0) -> dict:

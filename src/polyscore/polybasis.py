@@ -4,10 +4,11 @@ Everything downstream parametrizes log densities by their coefficients on the
 monomials of total degree 1..d in n variables.  This module owns that
 coordinate system: deterministic enumeration of the multi-indices, batched
 evaluation of the monomial vector T(x) together with its Jacobian and
-Laplacian, sparse polynomials for constructions that stay far below the full
-basis size, and the two polynomial norms (Euclidean norm of the coefficient
-vector, L2 norm under the uniform measure on [-1,1]^n) together with the
-comparison inequality between them.
+Laplacian, the map from power moments to every expectation the estimators
+and audits use (:class:`FamilyStats`), sparse polynomials for constructions
+that stay far below the full basis size, and the two polynomial norms
+(Euclidean norm of the coefficient vector, L2 norm under the uniform measure
+on [-1,1]^n) together with the comparison inequality between them.
 
 Multi-indices are plain tuples of nonnegative ints.  The basis order is
 graded lexicographic: ascending total degree, and within a degree block the
@@ -37,6 +38,11 @@ __all__ = [
     "eval_suffstats",
     "eval_jacobian",
     "eval_laplacian",
+    "row_mean",
+    "moment_degrees",
+    "FamilyStats",
+    "family_stats",
+    "sample_stats",
     "monomial_norm",
     "l2_cube_inner",
     "l2_cube_norm",
@@ -224,6 +230,113 @@ def eval_laplacian(basis: MonomialBasis, x) -> np.ndarray:
         expo[:, i] -= 2
         L[:, mask] += (ci[mask] * (ci[mask] - 1)) * _monomials_from_table(P, expo)
     return L[0] if single else L
+
+
+def row_mean(fn, X: np.ndarray, width: int) -> np.ndarray:
+    """Mean of fn over the rows of X, in fixed blocks of 2^20 / width rows.
+
+    fn maps a block of rows to about ``width`` values per row, so a block's
+    working set stays near 8 MB per temporary whatever len(X) is.
+    """
+    block = max(1, (1 << 20) // width)
+    return sum(np.sum(fn(X[lo : lo + block]), axis=0) for lo in range(0, len(X), block)) / len(X)
+
+
+# ---------------------------------------------------------------------------
+# family statistics as gathers from power moments
+#
+# Every expectation the estimators and audits use is that of a fixed
+# polynomial of degree <= 2d, so it is a fixed linear combination of the
+# power moments E[x^e], |e| <= 2d.  _stats_plan lists the combinations once
+# per (n, d); a grid (``expfam.moments``) or a sample (:func:`sample_stats`)
+# supplies the moment vector, ordered by graded_rank.
+
+
+@lru_cache(maxsize=None)
+def moment_degrees(n: int, d: int) -> np.ndarray:
+    """Exponent rows with |e| <= 2d in graded-lex order; row r has graded rank r."""
+    degrees = np.array(graded_indices(n, 2 * d), dtype=np.int64)
+    degrees.setflags(write=False)
+    return degrees
+
+
+@dataclass(frozen=True)
+class FamilyStats:
+    """Expectations of the family's polynomial statistics under one measure.
+
+    T is the basis monomials, JT their Jacobian, h = exp(-sum x_i^{d+1}) the
+    base measure.  The score-matching loss of theta under the measure is
+    sm_const + sm_linear . theta + theta^t gram theta / 2 (Hyvarinen 2005).
+    """
+
+    mean_T: np.ndarray  # E[T]
+    second_T: np.ndarray  # E[T T^t]
+    gram: np.ndarray  # E[(JT)(JT)^t]
+    sm_linear: np.ndarray  # E[Lap T + (JT) grad log h]
+    sm_const: float  # E[Lap log h + |grad log h|^2 / 2]
+    mean_log_h: float  # E[log h]
+    lap_sq: float  # E|Lap T|^2
+
+
+@lru_cache(maxsize=None)
+def _stats_plan(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(out, rank, coef): flat[j] = sum of coef * power[rank] where out == j.
+
+    flat holds the FamilyStats fields in order: mean_T (M1 values), second_T
+    and gram (M1^2 each, row-major), sm_linear (M1), then the three scalars.
+    """
+    A = _cached_basis(n, d).degrees
+    M1, E = len(A), np.eye(n, dtype=np.int64)
+    k, l = np.divmod(np.arange(M1 * M1), M1)
+    vec, pair, scalars = np.arange(M1), np.arange(M1 * M1), 2 * M1 + 2 * M1 * M1
+    gram, linear = M1 + M1 * M1 + pair, M1 + 2 * M1 * M1 + vec
+    lap = A * (A - 1)  # lap[k, i] x^(a_k - 2 e_i) is the i-th term of Lap T_k
+    terms = [(vec, A, 1.0), (M1 + pair, A[k] + A[l], 1.0)]
+    for i in range(n):
+        terms += [
+            (gram, A[k] + A[l] - 2 * E[i], A[k, i] * A[l, i]),
+            (linear, A - 2 * E[i], lap[:, i]),
+            (linear, A + (d - 1) * E[i], -(d + 1) * A[:, i]),
+            ([scalars], [(d - 1) * E[i]], -(d + 1) * d),
+            ([scalars], [2 * d * E[i]], 0.5 * (d + 1) ** 2),
+            ([scalars + 1], [(d + 1) * E[i]], -1.0),
+        ]
+        terms += [(np.full(M1, scalars + 2), 2 * (A - E[i] - E[j]), lap[:, i] * lap[:, j])
+                  for j in range(n)]
+    out, rank, coef = [], [], []
+    for idx, expo, c in terms:
+        idx, expo = np.asarray(idx), np.asarray(expo)
+        c = np.broadcast_to(np.asarray(c, dtype=float), idx.shape)
+        keep = c != 0.0  # the dropped rows carry negative exponents
+        out.append(idx[keep])
+        rank.append(graded_rank(expo[keep]))
+        coef.append(c[keep])
+    plan = np.concatenate(out), np.concatenate(rank), np.concatenate(coef)
+    for a in plan:
+        a.setflags(write=False)
+    return plan
+
+
+def family_stats(basis: MonomialBasis, power) -> FamilyStats:
+    """Gather :class:`FamilyStats` from power[r] = E[x^e], e of graded rank r, |e| <= 2d."""
+    power = np.asarray(power, dtype=float)
+    if power.shape != (len(moment_degrees(basis.n, basis.d)),):
+        raise ValueError(f"power moments of shape {power.shape} do not fit n={basis.n}, d={basis.d}")
+    out, rank, coef = _stats_plan(basis.n, basis.d)
+    M1, q = basis.size, basis.size**2
+    v = np.bincount(out, weights=coef * power[rank], minlength=2 * M1 + 2 * q + 3)
+    return FamilyStats(
+        v[:M1], v[M1 : M1 + q].reshape(M1, M1), v[M1 + q : M1 + 2 * q].reshape(M1, M1),
+        v[M1 + 2 * q : -3], *map(float, v[-3:]),
+    )
+
+
+def sample_stats(basis: MonomialBasis, x) -> FamilyStats:
+    """:class:`FamilyStats` of the empirical measure of the rows of x."""
+    xb, _ = _as_batch(x, basis.n)
+    deg = moment_degrees(basis.n, basis.d)
+    power = row_mean(lambda X: _monomials_from_table(_power_table(X, 2 * basis.d), deg), xb, len(deg))
+    return family_stats(basis, power)
 
 
 def format_monomial(degrees: Iterable[int]) -> str:

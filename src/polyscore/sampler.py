@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .expfam import ParamVector, auto_radius, log_unnormalized_density, moments, score
-from .polybasis import enumerate_basis, eval_suffstats, format_monomial
+from .polybasis import enumerate_basis, eval_suffstats, format_monomial, row_mean
 
 __all__ = [
     "SampleSet",
@@ -300,15 +300,12 @@ def diagnostics(s: SampleSet, p: ParamVector, grid) -> dict:
     se_mean = np.maximum(T.std(axis=0, ddof=1) / math.sqrt(s.N), 1e-15)
     z_mean = np.abs(emp_mean - mom.mean_T) / se_mean
 
-    M1 = p.basis.size
-    s1 = np.zeros((M1, M1))
-    s2 = np.zeros((M1, M1))
-    for lo in range(0, s.N, 256):
-        prods = T[lo : lo + 256, :, None] * T[lo : lo + 256, None, :]
-        s1 += prods.sum(axis=0)
-        s2 += (prods * prods).sum(axis=0)
-    emp_second = s1 / s.N
-    var_second = np.maximum(s2 / s.N - emp_second**2, 0.0) * s.N / max(s.N - 1, 1)
+    def products(Tb):
+        prods = Tb[:, :, None] * Tb[:, None, :]
+        return np.stack([prods, prods * prods], axis=1)
+
+    emp_second, mean_sq = row_mean(products, T, 2 * p.basis.size**2)
+    var_second = np.maximum(mean_sq - emp_second**2, 0.0) * s.N / max(s.N - 1, 1)
     se_second = np.maximum(np.sqrt(var_second / s.N), 1e-15)
     z_second = np.abs(emp_second - mom.second_T) / se_second
 

@@ -230,6 +230,26 @@ class TestFitMle:
         H = 0.5 * (H + H.T)
         assert np.linalg.eigvalsh(H).max() <= 1e-6
 
+    def test_newton_reaches_tight_tol_on_coupled_member(self):
+        # n = 2, d = 3 couples the coordinates; Newton steps on the Fisher
+        # matrix reach 1e-9 in a handful of iterations
+        basis = enumerate_basis(2, 3)
+        rng = np.random.default_rng(21)
+        s = SampleSet(n=2, N=500, data=rng.normal(scale=0.7, size=(500, 2)), seed=0)
+        grid = build_grid(2, 4.5, 100)
+        report = fit_mle(s, basis, grid, tol=1e-9)
+        iterations = int(report.notes[0].split("=")[1])
+        assert iterations <= 20
+        box = max(1.0, float(np.max(np.abs(report.theta_hat))))
+        _, grad = mle_loss_and_grad(ParamVector(basis, report.theta_hat, box), s, grid)
+        assert np.max(np.abs(grad)) <= 1e-9
+
+    def test_tol_below_rounding_bound_refused(self):
+        basis = enumerate_basis(1, 1)
+        s = _samples(np.random.default_rng(3).normal(0.0, 0.7, 200))
+        with pytest.raises(NonConvergenceError, match="rounding bound"):
+            fit_mle(s, basis, build_grid(1, 6.0, 200), tol=1e-15)
+
     def test_gate_checked_at_start(self):
         basis = enumerate_basis(1, 1)
         with pytest.raises(GridConvergenceError):

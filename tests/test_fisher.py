@@ -9,6 +9,8 @@ from polyscore.expfam import (
     GridConvergenceError,
     ParamVector,
     build_grid,
+    log_unnormalized_density,
+    quad_expectation,
     random_params,
     zero_params,
 )
@@ -23,7 +25,7 @@ from polyscore.fisher import (
     sm_moment_inputs,
     verify_bounds,
 )
-from polyscore.polybasis import enumerate_basis
+from polyscore.polybasis import enumerate_basis, eval_jacobian, eval_laplacian
 from polyscore.sampler import sample_exact_separable
 
 
@@ -56,6 +58,28 @@ class TestFisherInfo:
         # a gate failure is a numerical failure (CLI exit 3), not a usage error
         with pytest.raises(GridConvergenceError, match="gate"):
             fisher_info(zero_params(1, 1), build_grid(1, 6.0, 10))
+
+
+class TestGridGathers:
+    def test_gram_and_laplacian_match_per_node_quadrature_n3(self):
+        # the gathered statistics against integrands evaluated node by node
+        p = random_params(3, 3, 1.0, seed=0)
+        grid = build_grid(3, 4.5, 20)
+
+        def jt_gram(X):
+            J = eval_jacobian(p.basis, X)
+            return np.einsum("ski,sli->skl", J, J)
+
+        def lap2(X):
+            L = eval_laplacian(p.basis, X)
+            return np.sum(L * L, axis=1)
+
+        _, (G, l2) = quad_expectation(
+            grid, lambda X: log_unnormalized_density(p, X), [jt_gram, lap2]
+        )
+        got = gram_matrix(p, grid)
+        assert np.max(np.abs(got - G)) <= 1e-12 * np.max(np.abs(G))
+        assert sm_moment_inputs(p, grid)["E_dT2"] == pytest.approx(float(l2), rel=1e-12)
 
 
 class TestRestrictedPoincare:

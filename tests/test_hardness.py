@@ -25,7 +25,9 @@ from polyscore.expfam import (
 )
 from polyscore.hardness import (
     CnfFormula,
+    _iter_vertices,
     _log_density_coeffs,
+    _vertex_values,
     clause_poly,
     default_params,
     encode,
@@ -387,6 +389,17 @@ class TestVerifyRoots:
         broken = dataclasses.replace(inst, h_terms=(degrees, bad))
         rep = verify_roots(broken, seed=7)
         assert not rep["vertex_identity"] and not rep["holds"]
+
+    def test_vertex_values_in_row_blocks(self):
+        # about a thousand terms of H put the 4096 vertices of n = 12 into
+        # several row blocks; every value must stay the exact integer H(v)
+        inst = encode(random_formula(12, 120, seed=9), 1.0, 2.0)
+        degrees, ints = inst.h_terms
+        (verts,) = list(_iter_vertices(12))
+        got = _vertex_values(degrees, ints, verts)
+        want = formula_poly(inst.formula).evaluate(verts.astype(float))
+        assert (1 << 20) // len(ints) < len(verts)
+        assert np.array_equal(got, np.rint(want).astype(np.int64))
 
 
 class TestHardnessGrid:

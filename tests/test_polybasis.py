@@ -4,7 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polyscore.estimators import sm_loss
+from polyscore.expfam import ParamVector, score
+from polyscore.fisher import fisher_info, gram_matrix, sm_moment_inputs
 from polyscore.polybasis import (
     PolyCoeffs,
     check_mon_l2_bound,
@@ -12,6 +17,7 @@ from polyscore.polybasis import (
     eval_jacobian,
     eval_laplacian,
     eval_suffstats,
+    family_stats,
     format_monomial,
     from_legendre,
     graded_indices,
@@ -21,11 +27,14 @@ from polyscore.polybasis import (
     legendre_1d,
     legendre_indices,
     legendre_tensor,
+    moment_degrees,
     monomial_norm,
     poly_from_json,
     poly_to_json,
+    sample_stats,
     to_legendre,
 )
+from polyscore.sampler import SampleSet
 
 
 class TestEnumerateBasis:
@@ -380,3 +389,91 @@ class TestMonL2Bound:
                 assert 1.0 / vals[0] <= bound
                 f = PolyCoeffs.make(n, dict(zip(idx, vecs[:, 0])))
                 assert check_mon_l2_bound(f, n, d).holds
+
+
+# ---------------------------------------------------------------------------
+# family statistics gathered from power moments
+
+
+def _pointwise_stats(basis, X):
+    """Every FamilyStats field by its per-point definition."""
+    d = basis.d
+    T = eval_suffstats(basis, X)
+    J = eval_jacobian(basis, X)
+    L = eval_laplacian(basis, X)
+    grad_log_h = -(d + 1) * X**d
+    lap_log_h = -(d + 1) * d * np.sum(X ** (d - 1), axis=1)
+    return {
+        "mean_T": T.mean(axis=0),
+        "second_T": T.T @ T / len(X),
+        "gram": np.einsum("ski,sli->kl", J, J) / len(X),
+        "sm_linear": (L + np.einsum("ski,si->sk", J, grad_log_h)).mean(axis=0),
+        "sm_const": float(np.mean(lap_log_h + 0.5 * np.sum(grad_log_h**2, axis=1))),
+        "mean_log_h": float(np.mean(-np.sum(X ** (d + 1), axis=1))),
+        "lap_sq": float(np.mean(np.sum(L * L, axis=1))),
+    }
+
+
+def _rel_err(got, want, scale=None) -> float:
+    """Largest error relative to the largest entry of want (or of scale)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    ref = want if scale is None else np.asarray(scale, dtype=float)
+    return float(np.max(np.abs(got - want))) / max(float(np.max(np.abs(ref))), 1e-300)
+
+
+class TestFamilyStats:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 5),
+        d=st.sampled_from([1, 3]),
+        N=st.integers(1, 40),
+        scale=st.floats(0.1, 2.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_gathers_match_pointwise_definitions(self, n, d, N, scale, seed):
+        basis = enumerate_basis(n, d)
+        rng = np.random.default_rng(seed)
+        X = rng.normal(scale=scale, size=(N, n))
+        theta = rng.uniform(-1.0, 1.0, basis.size)
+        got = sample_stats(basis, X)
+        want = _pointwise_stats(basis, X)
+        for name, ref in want.items():
+            assert _rel_err(getattr(got, name), ref) <= 1e-12, name
+        # Hyvarinen's loss is quadratic in theta: c + b.theta + theta^t G theta / 2
+        p = ParamVector(basis, theta, 1.0)
+        s = SampleSet(n=n, N=N, data=X, seed=0)
+        lap_log_p = -(d + 1) * d * np.sum(X ** (d - 1), axis=1) + eval_laplacian(basis, X) @ theta
+        direct = float(np.mean(lap_log_p + 0.5 * np.sum(score(p, X) ** 2, axis=1)))
+        assert _rel_err(sm_loss(p, s), direct) <= 1e-12
+        # the covariance cancels to 0 at N = 1: measure it against E[T T^t]
+        cov = want["second_T"] - np.outer(want["mean_T"], want["mean_T"])
+        assert _rel_err(fisher_info(p, s), cov, scale=want["second_T"]) <= 1e-12
+        assert _rel_err(gram_matrix(p, s), want["gram"]) <= 1e-12
+        assert _rel_err(sm_moment_inputs(p, s)["E_dT2"], want["lap_sq"]) <= 1e-12
+
+    def test_row_blocks_cover_every_row_once(self):
+        # at n = 5, d = 3 a block of degree-6 monomials holds 2269 rows
+        basis = enumerate_basis(5, 3)
+        X = np.random.default_rng(2).normal(scale=0.7, size=(5000, 5))
+        got = sample_stats(basis, X)
+        for name, ref in _pointwise_stats(basis, X).items():
+            assert _rel_err(getattr(got, name), ref) <= 1e-12, name
+
+    def test_gaussian_hand_values(self):
+        # n = 1, d = 1 under N(0, 1/2): E[x^2] = 1/2, G = 1, b = -2 E[x] = 0,
+        # c = -2 + 2 E[x^2] = -1, E[log h] = -1/2, E|Lap T|^2 = 0
+        basis = enumerate_basis(1, 1)
+        st_ = family_stats(basis, np.array([1.0, 0.0, 0.5]))
+        assert st_.second_T[0, 0] == 0.5 and st_.gram[0, 0] == 1.0
+        assert st_.sm_linear[0] == 0.0 and st_.sm_const == -1.0
+        assert st_.mean_log_h == -0.5 and st_.lap_sq == 0.0
+
+    def test_moment_degrees_are_graded_ranked(self):
+        for n, d in [(1, 1), (2, 3), (3, 3), (5, 1)]:
+            deg = moment_degrees(n, d)
+            assert len(deg) == math.comb(n + 2 * d, n)
+            assert np.array_equal(graded_rank(deg), np.arange(len(deg)))
+
+    def test_wrong_length_moment_vector_rejected(self):
+        with pytest.raises(ValueError, match="do not fit"):
+            family_stats(enumerate_basis(2, 3), np.ones(5))
