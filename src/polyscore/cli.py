@@ -8,7 +8,9 @@ wall time, version).  Given identical flags and seed, ``config`` and
 ``report`` serialize byte-identically; only ``meta`` varies.
 
 Exit codes: 0 success / all checks hold, 1 I/O or malformed input file,
-2 usage, 3 numerical failure, 4 non-convergence.
+2 usage, 3 numerical failure or a failed verify check, 4 non-convergence.
+Commands raise; :func:`main` alone maps a failure to its exit code (see
+``polyscore.errors``) and a one-line ``error:`` message.
 """
 
 from __future__ import annotations
@@ -24,20 +26,13 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .estimators import (
-    NonConvergenceError,
-    SingularGramError,
-    convergence_study,
-    fit_mle,
-    fit_score_matching,
-    study_csv,
-)
+from .errors import InputError, NumericalError, PolyscoreError, UsageError
+from .estimators import convergence_study, fit_mle, fit_score_matching, study_csv
 from .expfam import (
-    GridConvergenceError,
     QuadratureGrid,
     build_grid,
     family_grid,
-    param_from_json,
+    load_param,
     verify_1d_moment_bound,
     verify_int_concentration,
 )
@@ -64,30 +59,13 @@ from .polybasis import (
     to_legendre,
 )
 from .reports import BoundCheck, to_jsonable
-from .sampler import DivergenceError, load_samples
+from .sampler import load_samples
 
 EXIT_OK = 0
-EXIT_IO = 1
-EXIT_USAGE = 2
-EXIT_NUMERICAL = 3
-EXIT_NONCONVERGENCE = 4
 
 # desk-scale surrogate for the hardness experiments; validated by the
 # quadrature convergence gate on every run
 DEFAULT_HARDNESS_SCALE = 0.01
-
-
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as e:
-        raise _CliError(EXIT_IO, f"cannot read {path}: {e}") from e
 
 
 def _emit(args, config: dict, report: dict, t0: float) -> None:
@@ -102,10 +80,7 @@ def _emit(args, config: dict, report: dict, t0: float) -> None:
     }
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.out:
-        try:
-            Path(args.out).write_text(text)
-        except OSError as e:
-            raise _CliError(EXIT_IO, f"cannot write {args.out}: {e}") from e
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -132,20 +107,11 @@ def _resolve_grid(args, basis, B: float) -> tuple[QuadratureGrid, dict]:
         grid = family_grid(basis, B)
     else:
         if args.radius is None or args.points_per_axis is None:
-            raise _CliError(
-                EXIT_USAGE, "--radius and --points-per-axis must be given together"
-            )
+            raise UsageError("--radius and --points-per-axis must be given together")
         grid = build_grid(
             basis.n, args.radius, args.points_per_axis, refine, args.refine_width
         )
     return grid, grid.spec()
-
-
-def _basis_for(args):
-    try:
-        return enumerate_basis(args.n, args.d)
-    except ValueError as e:
-        raise _CliError(EXIT_USAGE, str(e)) from e
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +120,7 @@ def _basis_for(args):
 
 def cmd_basis(args) -> int:
     t0 = time.perf_counter()
-    basis = _basis_for(args)
+    basis = enumerate_basis(args.n, args.d)
     names = basis.monomial_names()
     M = basis.size + 1  # the constant slot is implicit
     if args.format == "text" and not args.out:
@@ -175,30 +141,16 @@ def cmd_basis(args) -> int:
 
 def cmd_fit(args) -> int:
     t0 = time.perf_counter()
-    basis = _basis_for(args)
-    try:
-        samples = load_samples(args.samples)
-    except FileNotFoundError as e:
-        raise _CliError(EXIT_IO, f"samples file not found: {args.samples}") from e
-    except (OSError, ValueError) as e:
-        raise _CliError(EXIT_IO, f"cannot load samples: {e}") from e
+    basis = enumerate_basis(args.n, args.d)
+    samples = load_samples(args.samples)
     if samples.n != basis.n:
-        raise _CliError(
-            EXIT_USAGE, f"samples have n={samples.n} but --n {basis.n} was given"
-        )
+        raise UsageError(f"samples have n={samples.n} but --n {basis.n} was given")
     grid_spec = None
-    try:
-        if args.estimator == "sm":
-            fit = fit_score_matching(samples, basis)
-        else:
-            grid, grid_spec = _resolve_grid(args, basis, args.B)
-            fit = fit_mle(samples, basis, grid, tol=args.tol)
-    except SingularGramError as e:
-        raise _CliError(EXIT_NUMERICAL, str(e)) from e
-    except GridConvergenceError as e:
-        raise _CliError(EXIT_NUMERICAL, str(e)) from e
-    except NonConvergenceError as e:
-        raise _CliError(EXIT_NONCONVERGENCE, str(e)) from e
+    if args.estimator == "sm":
+        fit = fit_score_matching(samples, basis)
+    else:
+        grid, grid_spec = _resolve_grid(args, basis, args.B)
+        fit = fit_mle(samples, basis, grid, tol=args.tol)
     config = {
         "command": "fit",
         "estimator": args.estimator,
@@ -224,28 +176,19 @@ def cmd_fit(args) -> int:
 
 def cmd_encode(args) -> int:
     t0 = time.perf_counter()
-    try:
-        formula = parse_dimacs(_read_text(args.cnf))
-    except ValueError as e:
-        raise _CliError(EXIT_IO, f"malformed DIMACS in {args.cnf}: {e}") from e
+    formula = parse_dimacs(Path(args.cnf).read_text())
     if args.alpha is not None or args.beta is not None:
         if args.alpha is None or args.beta is None:
-            raise _CliError(EXIT_USAGE, "--alpha and --beta must be given together")
+            raise UsageError("--alpha and --beta must be given together")
         alpha, beta = args.alpha, args.beta
         prescription = None
     elif args.mode is not None:
-        try:
-            pp = default_params(formula.n, formula.m, args.mode, scale=args.scale)
-        except ValueError as e:
-            raise _CliError(EXIT_USAGE, str(e)) from e
+        pp = default_params(formula.n, formula.m, args.mode, scale=args.scale)
         alpha, beta = pp.alpha, pp.beta
         prescription = {"mode": pp.mode, "scale": pp.scale}
     else:
-        raise _CliError(EXIT_USAGE, "give either --alpha/--beta or --mode")
-    try:
-        inst = encode(formula, alpha, beta)
-    except ValueError as e:
-        raise _CliError(EXIT_USAGE, str(e)) from e
+        raise UsageError("give either --alpha/--beta or --mode")
+    inst = encode(formula, alpha, beta)
     report = encoded_to_json(inst)
     report["prescription"] = prescription
     config = {
@@ -312,7 +255,7 @@ def _suite_bounds(args) -> dict:
 
 def _suite_hardness(args) -> dict:
     if args.cnf:
-        formula = parse_dimacs(_read_text(args.cnf))
+        formula = parse_dimacs(Path(args.cnf).read_text())
         fixture_pair = False
     else:
         formula = load_fixture("uniq3")
@@ -381,21 +324,16 @@ def _suite_hardness(args) -> dict:
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     if (args.alpha is None) != (args.beta is None):
-        raise _CliError(EXIT_USAGE, "--alpha and --beta must be given together")
+        raise UsageError("--alpha and --beta must be given together")
     suites = ["polybasis", "bounds", "hardness"] if args.suite == "all" else [args.suite]
     report: dict = {"suites": {}}
-    try:
-        for name in suites:
-            if name == "polybasis":
-                report["suites"][name] = _suite_polybasis(args)
-            elif name == "bounds":
-                report["suites"][name] = _suite_bounds(args)
-            else:
-                report["suites"][name] = _suite_hardness(args)
-    except (GridConvergenceError, DivergenceError, np.linalg.LinAlgError) as e:
-        raise _CliError(EXIT_NUMERICAL, str(e)) from e
-    except ValueError as e:
-        raise _CliError(EXIT_USAGE, str(e)) from e
+    for name in suites:
+        if name == "polybasis":
+            report["suites"][name] = _suite_polybasis(args)
+        elif name == "bounds":
+            report["suites"][name] = _suite_bounds(args)
+        else:
+            report["suites"][name] = _suite_hardness(args)
     all_hold = all(s["all_hold"] for s in report["suites"].values())
     report["all_hold"] = all_hold
     config = {
@@ -412,20 +350,13 @@ def cmd_verify(args) -> int:
         "corrupt": args.corrupt,
     }
     _emit(args, config, report, t0)
-    return EXIT_OK if all_hold else EXIT_NUMERICAL
+    return EXIT_OK if all_hold else NumericalError.exit_code
 
 
 def cmd_study(args) -> int:
     t0 = time.perf_counter()
-    try:
-        theta_obj = json.loads(_read_text(args.theta_file))
-        theta_star = param_from_json(theta_obj)
-    except (ValueError, KeyError) as e:
-        raise _CliError(EXIT_IO, f"cannot parse theta file {args.theta_file}: {e}") from e
-    try:
-        Ns = [int(t) for t in args.Ns.split(",")]
-    except ValueError as e:
-        raise _CliError(EXIT_USAGE, f"--Ns must be a comma list of integers: {args.Ns}") from e
+    theta_star = load_param(args.theta_file)
+    Ns = [int(t) for t in args.Ns.split(",")]
     estimators = ["SM", "MLE"] if args.estimator == "both" else [args.estimator.upper()]
     notes = []
     if args.trials == 1:
@@ -434,21 +365,16 @@ def cmd_study(args) -> int:
         notes.append("a rate slope needs at least two sample sizes")
     results = {}
     csv_parts: list[str] = []
-    try:
-        for name in estimators:
-            res = convergence_study(theta_star, Ns, args.trials, estimator=name, seed=args.seed)
-            results[name] = {
-                "slope": res.slope,
-                "medians": {str(k): v for k, v in res.medians.items()},
-                "Ns": list(res.Ns),
-                "trials": res.trials,
-            }
-            table = study_csv(res)
-            csv_parts.append(table if not csv_parts else table.split("\n", 1)[1])
-    except NonConvergenceError as e:
-        raise _CliError(EXIT_NONCONVERGENCE, str(e)) from e
-    except (SingularGramError, GridConvergenceError, DivergenceError) as e:
-        raise _CliError(EXIT_NUMERICAL, str(e)) from e
+    for name in estimators:
+        res = convergence_study(theta_star, Ns, args.trials, estimator=name, seed=args.seed)
+        results[name] = {
+            "slope": res.slope,
+            "medians": {str(k): v for k, v in res.medians.items()},
+            "Ns": list(res.Ns),
+            "trials": res.trials,
+        }
+        table = study_csv(res)
+        csv_parts.append(table if not csv_parts else table.split("\n", 1)[1])
     csv_text = "".join(csv_parts)
     config = {
         "command": "study",
@@ -461,10 +387,7 @@ def cmd_study(args) -> int:
     }
     if args.format == "csv":
         if args.out:
-            try:
-                Path(args.out).write_text(csv_text)
-            except OSError as e:
-                raise _CliError(EXIT_IO, f"cannot write {args.out}: {e}") from e
+            Path(args.out).write_text(csv_text)
         else:
             sys.stdout.write(csv_text)
         return EXIT_OK
@@ -536,17 +459,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_code(e: Exception) -> int:
+    """The documented exit code of a failure a command let through."""
+    if isinstance(e, PolyscoreError):
+        return e.exit_code
+    if isinstance(e, OSError):
+        return InputError.exit_code
+    if isinstance(e, np.linalg.LinAlgError):
+        return NumericalError.exit_code
+    return UsageError.exit_code
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_OK if e.code == 0 else EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except _CliError as e:
+    except SystemExit as e:
+        # argparse has written its own message; --help exits 0
+        return EXIT_OK if e.code == 0 else UsageError.exit_code
+    except (PolyscoreError, OSError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
-        return e.code
+        return _exit_code(e)
 
 
 def console_main() -> None:

@@ -21,14 +21,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg
 
+from .errors import NonConvergenceError, SingularGramError
 from .expfam import (
     ParamVector,
     QuadratureGrid,
@@ -54,14 +53,6 @@ __all__ = [
 
 _RESIDUAL_TOL = 1e-8
 _MLE_MAX_ITER = 10_000
-
-
-class SingularGramError(RuntimeError):
-    """The score-matching Gram matrix is singular beyond ridge rescue."""
-
-
-class NonConvergenceError(RuntimeError):
-    """The MLE ascent cannot reach, or cannot certify, its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -318,8 +309,7 @@ def convergence_study(
     """Median squared error against N, with the log-log rate slope.
 
     Per-trial seeds are spawned from one seed sequence, so results do not
-    depend on the execution order; POLYSCORE_THREADS > 1 runs trials in a
-    thread pool.
+    depend on the order the trials run in.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -329,19 +319,12 @@ def convergence_study(
         raise ValueError(f"unknown estimator {estimator!r}")
     if estimator == "MLE" and grid is None:
         grid = family_grid(theta_star.basis, theta_star.B)
-    jobs = []
-    ss = np.random.SeedSequence(seed)
-    children = ss.spawn(len(Ns) * trials)
-    for a, N in enumerate(Ns):
+    children = iter(np.random.SeedSequence(seed).spawn(len(Ns) * trials))
+    rows = []
+    for N in Ns:
         for t in range(trials):
-            child_seed = int(children[a * trials + t].generate_state(1, dtype=np.uint64)[0] >> 1)
-            jobs.append((theta_star, N, t, child_seed, estimator, grid))
-    threads = int(os.environ.get("POLYSCORE_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda args: _one_trial(*args), jobs))
-    else:
-        rows = [_one_trial(*args) for args in jobs]
+            child_seed = int(next(children).generate_state(1, dtype=np.uint64)[0] >> 1)
+            rows.append(_one_trial(theta_star, N, t, child_seed, estimator, grid))
     medians = {
         N: float(np.median([r["error_sq"] for r in rows if r["N"] == N])) for N in Ns
     }

@@ -27,14 +27,17 @@ node chunks through :func:`quad_expectation`.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy import integrate
 
+from .errors import GridConvergenceError, InputError, NumericalError
 from .polybasis import (
     FamilyStats,
     MonomialBasis,
@@ -53,6 +56,7 @@ __all__ = [
     "random_params",
     "param_to_json",
     "param_from_json",
+    "load_param",
     "log_unnormalized_density",
     "score",
     "build_grid",
@@ -92,10 +96,6 @@ _CHUNK_NODES = 1 << 16
 # Quadrature convergence gate: doubling points_per_axis may move log Z by
 # less than this.
 GATE_TOL = 1e-8
-
-
-class GridConvergenceError(RuntimeError):
-    """Doubling the grid moved log Z by more than the 1e-8 gate."""
 
 
 @dataclass(frozen=True)
@@ -152,6 +152,14 @@ def param_to_json(p: ParamVector) -> dict:
 def param_from_json(obj: dict) -> ParamVector:
     basis = enumerate_basis(int(obj["n"]), int(obj["d"]))
     return ParamVector(basis, np.asarray(obj["theta"], dtype=float), float(obj["B"]))
+
+
+def load_param(path) -> ParamVector:
+    """Read a member from a JSON file; a malformed one raises InputError."""
+    try:
+        return param_from_json(json.loads(Path(path).read_text()))
+    except (ValueError, KeyError, TypeError) as e:
+        raise InputError(f"cannot parse theta file {path}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +225,11 @@ class QuadratureGrid:
     def total_nodes(self) -> int:
         return self.points_per_axis**self.n
 
-    def iter_chunks(self, chunk: int = _CHUNK_NODES) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def iter_chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield (points (k, n), log weights (k,)) blocks in a fixed order."""
         shape = (self.points_per_axis,) * self.n
-        for lo in range(0, self.total_nodes, chunk):
-            flat = np.arange(lo, min(lo + chunk, self.total_nodes))
+        for lo in range(0, self.total_nodes, _CHUNK_NODES):
+            flat = np.arange(lo, min(lo + _CHUNK_NODES, self.total_nodes))
             axes = np.unravel_index(flat, shape)
             X = np.column_stack([self.axis_nodes[ix] for ix in axes])
             logw = self.axis_logw[axes[0]].copy()
@@ -341,12 +349,12 @@ class _LogAccumulator:
     @property
     def log_integral(self) -> float:
         if self.z <= 0.0 or self.m == -math.inf:
-            raise ValueError("integrand underflowed to zero at every grid node")
+            raise NumericalError("integrand underflowed to zero at every grid node")
         return self.m + math.log(self.z)
 
     def means(self) -> list[np.ndarray]:
         if self.z <= 0.0:
-            raise ValueError("integrand underflowed to zero at every grid node")
+            raise NumericalError("integrand underflowed to zero at every grid node")
         return [s / self.z for s in self.sums]
 
 
@@ -436,6 +444,8 @@ def _split_separable(grid: QuadratureGrid, C: np.ndarray) -> tuple[float, list[n
     return float(const), parts, mixed
 
 
+# powers that overflow far out are zero density, handled below without warnings
+@np.errstate(over="ignore", invalid="ignore")
 def poly_quadrature(grid: QuadratureGrid, coeffs, order: int = 0, orthants=()) -> PolyIntegral:
     """Quadrature of exp(polynomial) over the grid, one slab at a time.
 
@@ -499,7 +509,7 @@ def poly_quadrature(grid: QuadratureGrid, coeffs, order: int = 0, orthants=()) -
             mass += float(E[hit[1][active].T @ hit[2][active] > 0.0].sum())
     z = float(S.flat[0])
     if not (z > 0.0 and const > -math.inf):
-        raise ValueError("integrand underflowed to zero at every grid node")
+        raise NumericalError("integrand underflowed to zero at every grid node")
     return PolyIntegral(
         log_integral=const + m + math.log(z),
         moments=(S / z)[(0,) * pad],
@@ -581,16 +591,16 @@ def moments(p: ParamVector, grid: QuadratureGrid) -> Moments:
 # radius selection
 
 
-def auto_radius(
-    p: ParamVector,
-    points_per_axis: int = 96,
-    start: float = 2.0,
-    growth: float = 1.5,
-    rtol: float = 1e-12,
-) -> float:
+_PROBE_POINTS = 96  # per axis at the start radius; node spacing stays fixed
+_PROBE_START = 2.0
+_PROBE_GROWTH = 1.5  # radius factor between probes
+_PROBE_RTOL = 1e-12  # log Z agreement that ends the search
+
+
+def auto_radius(p: ParamVector) -> float:
     """Smallest probe radius at which log Z has stopped changing.
 
-    Grows the box geometrically until two consecutive radii agree to rtol;
+    Grows the box geometrically until two consecutive radii agree to 1e-12;
     the base measure's exp(-x^{d+1}) tails make the remainder monotone, so
     agreement certifies the tail mass is below resolution.  Node spacing is
     held fixed as the box grows, otherwise resolution loss at large R mimics
@@ -598,36 +608,34 @@ def auto_radius(
     loose) analytic tail radius.
     """
     cap = tail_radius(p.n, p.d, p.B)
-    R = min(start, cap)
+    R = min(_PROBE_START, cap)
     prev = None
     while True:
-        ppa = max(points_per_axis, math.ceil(points_per_axis * R / start))
+        ppa = max(_PROBE_POINTS, math.ceil(_PROBE_POINTS * R / _PROBE_START))
         lz = log_partition(p, build_grid(p.n, R, ppa))
-        if prev is not None and abs(lz - prev) <= rtol * max(1.0, abs(lz)):
+        if prev is not None and abs(lz - prev) <= _PROBE_RTOL * max(1.0, abs(lz)):
             return R
         prev = lz
         if R >= cap:
             return R
-        R = min(R * growth, cap)
+        R = min(R * _PROBE_GROWTH, cap)
 
 
-def family_radius(basis: MonomialBasis, B: float, points_per_axis: int = 96) -> float:
+def family_radius(basis: MonomialBasis, B: float) -> float:
     """Radius covering the whole box: probes theta = 0 and the +-B corners."""
     corners = [
         np.zeros(basis.size),
         np.full(basis.size, float(B)),
         np.full(basis.size, -float(B)),
     ]
-    return max(
-        auto_radius(ParamVector(basis, t, B), points_per_axis=points_per_axis)
-        for t in corners
-    )
+    return max(auto_radius(ParamVector(basis, t, B)) for t in corners)
 
 
 def default_grid(p: ParamVector, points_per_axis: int | None = None, radius: float | None = None) -> QuadratureGrid:
     """Grid sized for this member: auto radius, per-dimension default points."""
     if points_per_axis is None:
-        points_per_axis = DEFAULT_POINTS_PER_AXIS[p.n]
+        # an n outside 1..3 gets build_grid's n-range error
+        points_per_axis = DEFAULT_POINTS_PER_AXIS.get(p.n, 0)
     if radius is None:
         radius = auto_radius(p)
     return build_grid(p.n, radius, points_per_axis)
@@ -636,7 +644,7 @@ def default_grid(p: ParamVector, points_per_axis: int | None = None, radius: flo
 def family_grid(basis: MonomialBasis, B: float, points_per_axis: int | None = None) -> QuadratureGrid:
     """Grid valid across the whole parameter box (used by iterative fits)."""
     if points_per_axis is None:
-        points_per_axis = DEFAULT_POINTS_PER_AXIS[basis.n]
+        points_per_axis = DEFAULT_POINTS_PER_AXIS.get(basis.n, 0)
     return build_grid(basis.n, family_radius(basis, B), points_per_axis)
 
 

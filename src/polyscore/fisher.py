@@ -21,6 +21,7 @@ from functools import partial
 import numpy as np
 from scipy import linalg
 
+from .errors import NumericalError
 from .expfam import (
     ParamVector,
     QuadratureGrid,
@@ -28,16 +29,9 @@ from .expfam import (
     log_unnormalized_density,
     moments,
     quad_expectation,
+    tail_radius,
 )
-from .polybasis import (
-    FamilyStats,
-    PolyCoeffs,
-    eval_jacobian,
-    eval_suffstats,
-    monomial_norm,
-    row_mean,
-    sample_stats,
-)
+from .polybasis import FamilyStats, eval_jacobian, eval_suffstats, row_mean, sample_stats
 from .reports import BoundCheck
 from .sampler import SampleSet
 
@@ -83,7 +77,7 @@ def clip_spectrum(w: np.ndarray, tol: float = _CLIP_TOL) -> tuple[np.ndarray, st
     """Clip eigenvalues in [-tol, 0) to 0; anything more negative is a bug."""
     w = np.asarray(w, dtype=float)
     if w.min() < -tol:
-        raise ValueError(
+        raise NumericalError(
             f"eigenvalue {w.min():.3e} below -{tol:.0e}: not quadrature roundoff, refusing to clip"
         )
     note = None
@@ -135,7 +129,7 @@ def restricted_poincare(I: np.ndarray, G: np.ndarray, basis=None, return_witness
             dirs = ", ".join(sorted(set(names[np.any(np.abs(V[:, null]) > 1e-8, axis=1)])))
         else:
             dirs = ", ".join(str(i) for i in np.nonzero(np.any(np.abs(V[:, null]) > 1e-8, axis=1))[0])
-        raise ValueError(f"gradient Gram matrix is singular along directions {dirs}")
+        raise NumericalError(f"gradient Gram matrix is singular along directions {dirs}")
     vals, vecs = linalg.eigh(I, G)
     C_P = float(vals[-1])
     if return_witness:
@@ -176,7 +170,7 @@ def regularity_preflight(p: ParamVector, grid: QuadratureGrid) -> dict:
     out = sm_moment_inputs(p, grid)
     out["E_gradlogh4"] = float(g4)
     if not all(math.isfinite(v) for v in out.values()):
-        raise ValueError(f"regularity preflight found non-finite moments: {out}")
+        raise NumericalError(f"regularity preflight found non-finite moments: {out}")
     return out
 
 
@@ -200,7 +194,7 @@ def gamma_bound(p: ParamVector, C_P: float, lambda_min: float, moment_inputs: di
 def _log_var_lb_denominator(n: int, d: int, B: float) -> float:
     """log of 2^{2d}(d+1)^{2d}(4e)^{d+1} M^{2d+3} R^{2d^2+2d} (n+B)^{2d}."""
     M = math.comb(n + d, d)
-    R = 2.0 ** (d + 3) * n * B * M
+    R = tail_radius(n, d, B)
     return (
         2 * d * math.log(2.0)
         + 2 * d * math.log(d + 1.0)
@@ -266,8 +260,8 @@ def verify_bounds(
     ok_v = True
     for _ in range(n_poly):
         wvec = rng.standard_normal(p.basis.size)
-        f = PolyCoeffs.make(n, {idx: c for idx, c in zip(p.basis.indices, wvec)})
-        log_lhs = 2.0 * math.log(monomial_norm(f)) - log_den
+        # |w| is the monomial norm of the polynomial <w, T>
+        log_lhs = 2.0 * math.log(math.sqrt(sum(c * c for c in wvec.tolist()))) - log_den
         var = float(wvec @ I @ wvec)
         if var <= 0:
             ok_v = False

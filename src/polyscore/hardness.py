@@ -23,6 +23,7 @@ from importlib import resources
 
 import numpy as np
 
+from .errors import InputError
 from .expfam import (
     ParamVector,
     QuadratureGrid,
@@ -95,7 +96,14 @@ class CnfFormula:
 
 
 def parse_dimacs(text: str) -> CnfFormula:
-    """Parse a DIMACS CNF file body; every clause needs three distinct variables."""
+    """Parse a DIMACS CNF body; a malformed one, or a clause CnfFormula refuses, raises InputError."""
+    try:
+        return _parse_dimacs(text)
+    except ValueError as e:
+        raise InputError(f"malformed DIMACS: {e}") from e
+
+
+def _parse_dimacs(text: str) -> CnfFormula:
     header: tuple[int, int] | None = None
     tokens: list[int] = []
     for raw in text.splitlines():

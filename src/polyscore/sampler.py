@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import DivergenceError, InputError
 from .expfam import ParamVector, auto_radius, log_unnormalized_density, moments, score
 from .polybasis import enumerate_basis, eval_suffstats, format_monomial, row_mean
 
@@ -35,10 +36,6 @@ __all__ = [
 ]
 
 _HEADER_RE = re.compile(r"^polyscore-samples v1 n=(\d+) N=(\d+) seed=(\d+)\s*$")
-
-
-class DivergenceError(RuntimeError):
-    """The chain's energy left the representable range."""
 
 
 @dataclass(frozen=True)
@@ -335,15 +332,21 @@ def save_samples(s: SampleSet, path) -> None:
 
 
 def load_samples(path) -> SampleSet:
-    with open(path) as fh:
-        first = fh.readline()
-    m = _HEADER_RE.match(first)
-    if not m:
-        raise ValueError(f"{path}: not a polyscore-samples v1 file (header {first!r})")
-    n, N, seed = (int(g) for g in m.groups())
-    data = np.loadtxt(path, skiprows=1, ndmin=2)
-    if N == 0:
-        data = data.reshape(0, n)
-    if data.shape != (N, n):
-        raise ValueError(f"{path}: header promises ({N}, {n}) but data is {data.shape}")
-    return SampleSet(n=n, N=N, data=data, seed=seed, provenance={"kind": "file", "parameters": {"path": str(Path(path))}})
+    """Read a samples file; a missing or malformed one raises InputError."""
+    try:
+        with open(path) as fh:
+            first = fh.readline()
+        m = _HEADER_RE.match(first)
+        if not m:
+            raise ValueError(f"{path}: not a polyscore-samples v1 file (header {first!r})")
+        n, N, seed = (int(g) for g in m.groups())
+        data = np.loadtxt(path, skiprows=1, ndmin=2)
+        if N == 0:
+            data = data.reshape(0, n)
+        if data.shape != (N, n):
+            raise ValueError(f"{path}: header promises ({N}, {n}) but data is {data.shape}")
+        return SampleSet(n=n, N=N, data=data, seed=seed, provenance={"kind": "file", "parameters": {"path": str(Path(path))}})
+    except FileNotFoundError:
+        raise InputError(f"samples file not found: {path}") from None
+    except ValueError as e:
+        raise InputError(f"cannot load samples: {e}") from e

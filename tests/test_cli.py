@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -12,6 +13,7 @@ import pytest
 
 import polyscore
 from polyscore.cli import main
+from polyscore.errors import PolyscoreError
 from polyscore.expfam import ParamVector, param_to_json
 from polyscore.polybasis import enumerate_basis
 from polyscore.sampler import SampleSet, sample_exact_separable, save_samples
@@ -308,6 +310,70 @@ class TestStudy:
             capsys, ["study", "--estimator", "sm", "--theta-file", "nope.json", "--Ns", "100"]
         )
         assert code == 1
+
+    def test_malformed_theta_file(self, capsys, tmp_path):
+        path = tmp_path / "theta.json"
+        path.write_text('{"n": 1, "d": 1}')
+        code, _, err = run(
+            capsys, ["study", "--estimator", "sm", "--theta-file", str(path), "--Ns", "100"]
+        )
+        assert code == 1 and "cannot parse theta file" in err
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bad")
+    (root / "bad.cnf").write_text("p cnf 3 1\n1 2 0\n")
+    (root / "theta4.json").write_text(json.dumps({"n": 4, "d": 1, "B": 1.0, "theta": [0.1] * 4}))
+    return {"cnf": str(root / "bad.cnf"), "theta4": str(root / "theta4.json")}
+
+
+MLE_FIT = ["fit", "--estimator", "mle", "--samples", "{samples}", "--n", "1", "--d", "1"]
+SM_STUDY = ["study", "--estimator", "sm", "--theta-file", "{theta}"]
+
+
+class TestExitCodes:
+    """Each failure exits with the code README documents and one error line."""
+
+    @pytest.mark.parametrize(
+        "argv, expect",
+        [
+            (SM_STUDY + ["--Ns", "10,20", "--trials", "0"], 2),
+            (SM_STUDY + ["--Ns", "20,10", "--trials", "2"], 2),
+            (MLE_FIT + ["--radius", "-1", "--points-per-axis", "10"], 2),
+            (MLE_FIT + ["--radius", "4", "--points-per-axis", "40", "--refine-near", "a"], 2),
+            (["verify", "--suite", "bounds", "--n", "4", "--d", "1"], 2),
+            (["study", "--estimator", "mle", "--theta-file", "{theta4}", "--Ns", "10,20",
+              "--trials", "1"], 2),
+            (["verify", "--suite", "bounds", "--n", "1", "--d", "1", "--radius", "1e200",
+              "--points-per-axis", "12"], 3),
+            (MLE_FIT + ["--radius", "1e200", "--points-per-axis", "12"], 3),
+            (["verify", "--suite", "hardness", "--cnf", "{cnf}"], 1),
+        ],
+        ids=["study-zero-trials", "study-decreasing-Ns", "fit-negative-radius",
+             "fit-bad-refine-near", "verify-n4", "study-mle-n4", "verify-underflow",
+             "fit-underflow", "verify-malformed-cnf"],
+    )
+    def test_documented_exit_code(self, capsys, argv, expect, theta_file, gaussian_samples,
+                                  bad_inputs):
+        files = {"theta": theta_file, "samples": gaussian_samples, **bad_inputs}
+        code, out, err = run(capsys, [a.format(**files) for a in argv])
+        assert code == expect
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_readme_lists_each_error_class_with_its_exit_code():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = [line for line in readme.splitlines() if re.match(r"\| \d \|", line)]
+    classes, todo = [], [PolyscoreError]
+    while todo:
+        subs = todo.pop().__subclasses__()
+        classes += subs
+        todo += subs
+    assert len(classes) == 7
+    for cls in classes:
+        listed = [int(row.split("|")[1]) for row in rows if f"`{cls.__name__}`" in row]
+        assert listed == [cls.exit_code], cls.__name__
 
 
 class TestDeterminism:

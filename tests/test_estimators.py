@@ -309,10 +309,3 @@ class TestConvergenceStudy:
         a = convergence_study(p_star, [50, 100], trials=3, estimator="SM", seed=9)
         b = convergence_study(p_star, [50, 100], trials=3, estimator="SM", seed=9)
         assert [r["error_sq"] for r in a.rows] == [r["error_sq"] for r in b.rows]
-
-    def test_thread_env_does_not_change_results(self, monkeypatch):
-        p_star = _gaussian_theta_star()
-        serial = convergence_study(p_star, [50, 100], trials=3, estimator="SM", seed=3)
-        monkeypatch.setenv("POLYSCORE_THREADS", "4")
-        threaded = convergence_study(p_star, [50, 100], trials=3, estimator="SM", seed=3)
-        assert [r["error_sq"] for r in serial.rows] == [r["error_sq"] for r in threaded.rows]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from polyscore.errors import NumericalError
 from polyscore.expfam import (
     GATE_TOL,
     GridConvergenceError,
@@ -198,6 +199,10 @@ class TestBuildGrid:
             build_grid(4, 2.0, 50)
         with pytest.raises(ValueError, match="1 <= n <= 3"):
             build_grid(0, 2.0, 50)
+        with pytest.raises(ValueError, match="1 <= n <= 3"):
+            family_grid(enumerate_basis(4, 1), 1.0)
+        with pytest.raises(ValueError, match="1 <= n <= 3"):
+            default_grid(zero_params(4, 1))
 
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError, match="radius"):
@@ -262,7 +267,7 @@ class TestLogPartition:
 
     def test_underflow_everywhere_raises(self):
         grid = build_grid(1, 2.0, 50)
-        with pytest.raises(ValueError, match="underflow"):
+        with pytest.raises(NumericalError, match="underflow"):
             quad_log_integral(grid, lambda X: np.full(len(X), -np.inf))
 
     def test_quad_expectation_gaussian_variance(self):
@@ -432,9 +437,9 @@ class TestPolyQuadrature:
         p = random_params(2, 3, 1.0, seed=4)
         grid = build_grid(2, 1e103, 60)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="underflow"):
+            with pytest.raises(NumericalError, match="underflow"):
                 pointwise(p, grid)
-            with pytest.raises(ValueError, match="underflow"):
+            with pytest.raises(NumericalError, match="underflow"):
                 poly_quadrature(grid, member_coeffs(p))
 
     def test_rejections(self):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from polyscore.errors import NumericalError
 from polyscore.expfam import (
     GridConvergenceError,
     ParamVector,
@@ -130,11 +131,11 @@ class TestRestrictedPoincare:
         basis = enumerate_basis(1, 3)
         G = np.diag([1.0, 0.0, 0.0])
         I = np.eye(3)
-        with pytest.raises(ValueError, match=r"x1\^2"):
+        with pytest.raises(NumericalError, match=r"x1\^2"):
             restricted_poincare(I, G, basis=basis)
 
     def test_indefinite_gram_rejected(self):
-        with pytest.raises(ValueError, match="singular"):
+        with pytest.raises(NumericalError, match="singular"):
             restricted_poincare(np.eye(2), np.diag([1.0, -1.0]))
 
 
@@ -189,7 +190,7 @@ class TestClipPolicy:
         assert note is None
 
     def test_rejects_real_negatives(self):
-        with pytest.raises(ValueError, match="refusing to clip"):
+        with pytest.raises(NumericalError, match="refusing to clip"):
             clip_spectrum(np.array([-1e-9, 1.0]))
 
 
