@@ -95,22 +95,15 @@ def _family_flags(p: argparse.ArgumentParser, need_B: bool = True):
 def _grid_flags(p: argparse.ArgumentParser):
     p.add_argument("--radius", type=float, default=None, help="quadrature box half-width")
     p.add_argument("--points-per-axis", type=int, default=None)
-    p.add_argument("--refine-near", type=str, default=None, help="comma list of abscissae")
-    p.add_argument("--refine-width", type=float, default=1.0)
 
 
 def _resolve_grid(args, basis, B: float) -> tuple[QuadratureGrid, dict]:
-    refine = (
-        [float(t) for t in args.refine_near.split(",")] if args.refine_near else None
-    )
-    if args.radius is None and args.points_per_axis is None and refine is None:
+    if args.radius is None and args.points_per_axis is None:
         grid = family_grid(basis, B)
     else:
         if args.radius is None or args.points_per_axis is None:
             raise UsageError("--radius and --points-per-axis must be given together")
-        grid = build_grid(
-            basis.n, args.radius, args.points_per_axis, refine, args.refine_width
-        )
+        grid = build_grid(basis.n, args.radius, args.points_per_axis)
     return grid, grid.spec()
 
 

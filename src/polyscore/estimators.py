@@ -154,8 +154,7 @@ def _mle_objective(p: ParamVector, emp: FamilyStats, grid: QuadratureGrid):
     """Average log-likelihood, its gradient and minus its Hessian, the Fisher matrix."""
     mom = moments(p, grid)
     loss = emp.mean_log_h + float(p.theta @ emp.mean_T) - mom.log_partition
-    info = mom.second_T - np.outer(mom.mean_T, mom.mean_T)
-    return loss, emp.mean_T - mom.mean_T, 0.5 * (info + info.T)
+    return loss, emp.mean_T - mom.mean_T, mom.fisher
 
 
 def mle_loss_and_grad(

@@ -46,6 +46,7 @@ from .polybasis import (
     eval_suffstats,
     family_stats,
     moment_degrees,
+    row_blocks,
 )
 from .reports import BoundCheck
 
@@ -73,7 +74,6 @@ __all__ = [
     "moments",
     "quad_log_integral",
     "quad_expectation",
-    "convergence_gap",
     "auto_radius",
     "family_radius",
     "default_grid",
@@ -88,10 +88,6 @@ __all__ = [
 # Grid resolution defaults by dimension; chosen so that doubling
 # points_per_axis moves log_partition by less than 1e-8 on desk-scale members.
 DEFAULT_POINTS_PER_AXIS = {1: 400, 2: 200, 3: 120}
-
-# Fixed reduction chunk: the streaming accumulators below are deterministic
-# only because every run visits identical chunks in identical order.
-_CHUNK_NODES = 1 << 16
 
 # Quadrature convergence gate: doubling points_per_axis may move log Z by
 # less than this.
@@ -226,11 +222,10 @@ class QuadratureGrid:
         return self.points_per_axis**self.n
 
     def iter_chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield (points (k, n), log weights (k,)) blocks in a fixed order."""
+        """Yield (points (k, n), log weights (k,)) blocks of 2^16 nodes in a fixed order."""
         shape = (self.points_per_axis,) * self.n
-        for lo in range(0, self.total_nodes, _CHUNK_NODES):
-            flat = np.arange(lo, min(lo + _CHUNK_NODES, self.total_nodes))
-            axes = np.unravel_index(flat, shape)
+        for rows in row_blocks(self.total_nodes, 16):
+            axes = np.unravel_index(np.arange(rows.start, rows.stop), shape)
             X = np.column_stack([self.axis_nodes[ix] for ix in axes])
             logw = self.axis_logw[axes[0]].copy()
             for ix in axes[1:]:
@@ -323,47 +318,49 @@ def build_grid(
 # streaming log-space reductions
 
 
-class _LogAccumulator:
-    """Streaming log-sum-exp with optional weighted sums, deterministic."""
+class _LogSum:
+    """Streaming log-sum-exp over blocks in a fixed order, so bitwise deterministic.
 
-    def __init__(self, shapes: Sequence[tuple[int, ...]] = ()):
+    Holds the running max m and sums kept scaled by exp(-m); callers add each
+    block's weighted terms, the weight sum itself first in ``sums[0]``.
+    """
+
+    def __init__(self, *shapes):
         self.m = -math.inf
-        self.z = 0.0
         self.sums = [np.zeros(s) for s in shapes]
 
-    def add(self, logvals: np.ndarray, arrays: Sequence[np.ndarray] = ()):
-        m_c = float(np.max(logvals)) if logvals.size else -math.inf
-        if m_c == -math.inf:
-            return
-        if m_c > self.m:
-            scale = math.exp(self.m - m_c) if self.m > -math.inf else 0.0
-            self.z *= scale
+    def weights(self, logvals: np.ndarray, offset: float = 0.0) -> np.ndarray | None:
+        """exp(logvals + offset - m), written over logvals; None when all are zero.
+
+        Raises m, and rescales the sums, when the block holds a larger value.
+        A non-finite log value (a power that overflowed far out, where the
+        base measure's degree wins) gets zero weight.
+        """
+        top = float(logvals.max())
+        if not math.isfinite(top):
+            logvals[~np.isfinite(logvals)] = -math.inf
+            top = float(logvals.max())
+            if top == -math.inf:
+                return None
+        if top + offset > self.m:
+            scale = math.exp(self.m - (top + offset))
             for s in self.sums:
                 s *= scale
-            self.m = m_c
-        w = np.exp(logvals - self.m)
-        self.z += float(np.sum(w))
-        for s, a in zip(self.sums, arrays):
-            s += np.tensordot(w, a, axes=(0, 0))
+            self.m = top + offset
+        logvals -= self.m - offset
+        return np.exp(logvals, out=logvals)
 
-    @property
-    def log_integral(self) -> float:
-        if self.z <= 0.0 or self.m == -math.inf:
+    def total(self) -> float:
+        """The weight sum; raises when every weight underflowed to zero."""
+        z = float(self.sums[0].flat[0])
+        if not z > 0.0:
             raise NumericalError("integrand underflowed to zero at every grid node")
-        return self.m + math.log(self.z)
-
-    def means(self) -> list[np.ndarray]:
-        if self.z <= 0.0:
-            raise NumericalError("integrand underflowed to zero at every grid node")
-        return [s / self.z for s in self.sums]
+        return z
 
 
 def quad_log_integral(grid: QuadratureGrid, logf: Callable[[np.ndarray], np.ndarray]) -> float:
-    """log of integral of exp(logf) over the grid's box."""
-    acc = _LogAccumulator()
-    for X, logw in grid.iter_chunks():
-        acc.add(logw + logf(X))
-    return acc.log_integral
+    """log of integral of exp(logf) over the grid's box; nodes where logf is not finite add nothing."""
+    return quad_expectation(grid, logf, [])[0]
 
 
 def quad_expectation(
@@ -373,11 +370,16 @@ def quad_expectation(
 ) -> tuple[float, list[np.ndarray]]:
     """(log integral, expectations of each fn under the normalized density)."""
     probe = np.zeros((1, grid.n))
-    shapes = [np.asarray(fn(probe)).shape[1:] for fn in fns]
-    acc = _LogAccumulator(shapes)
+    acc = _LogSum((), *(np.asarray(fn(probe)).shape[1:] for fn in fns))
     for X, logw in grid.iter_chunks():
-        acc.add(logw + logf(X), [np.asarray(fn(X), dtype=float) for fn in fns])
-    return acc.log_integral, acc.means()
+        w = acc.weights(logw + logf(X))
+        if w is None:
+            continue
+        acc.sums[0] += np.sum(w)
+        for s, fn in zip(acc.sums[1:], fns):
+            s += np.tensordot(w, np.asarray(fn(X), dtype=float), axes=(0, 0))
+    z = acc.total()
+    return acc.m + math.log(z), [s / z for s in acc.sums[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -483,44 +485,27 @@ def poly_quadrature(grid: QuadratureGrid, coeffs, order: int = 0, orthants=()) -
     hit = [np.ones((len(signs), 1))] * pad + hit
     slab_mixed = np.tensordot(P[0], mixed, axes=1)  # C(t_a) for every slab a
     slab_parts = np.add.outer(parts[1], parts[2])
-    m, mass = -math.inf, 0.0
-    S = np.zeros([q.shape[1] for q in Q])  # sum of w f x^e, scaled by exp(-m)
+    # S sums w f x^e over all nodes, mass sums w f over the orthants' nodes
+    acc = _LogSum([q.shape[1] for q in Q], ())
+    S, mass = acc.sums
     for a, part in enumerate(parts[0]):
         L = P[1] @ slab_mixed[a] @ P[2].T
         L += slab_parts
-        top = float(L.max())
-        if not math.isfinite(top):
-            # a power overflowed far out, where the base measure's degree
-            # wins: the density there is zero
-            L[~np.isfinite(L)] = -math.inf
-            top = float(L.max())
-            if top == -math.inf:
-                continue
-        if top + part > m:
-            scale = math.exp(m - (top + part))
-            S *= scale
-            mass *= scale
-            m = top + part
-        L -= m - part
-        E = np.exp(L, out=L)
+        E = acc.weights(L, part)
+        if E is None:
+            continue
         S += np.multiply.outer(Q[0][a], Q[1].T @ E @ Q[2])
         active = hit[0][:, a] > 0.0
         if active.any():
             mass += float(E[hit[1][active].T @ hit[2][active] > 0.0].sum())
-    z = float(S.flat[0])
-    if not (z > 0.0 and const > -math.inf):
+    z = acc.total()
+    if not const > -math.inf:
         raise NumericalError("integrand underflowed to zero at every grid node")
     return PolyIntegral(
-        log_integral=const + m + math.log(z),
+        log_integral=const + acc.m + math.log(z),
         moments=(S / z)[(0,) * pad],
-        orthant_mass=mass / z,
+        orthant_mass=float(mass / z),
     )
-
-
-def _doubling_gap(grid, coeffs, order, orthants) -> tuple[PolyIntegral, float]:
-    coarse = poly_quadrature(grid, coeffs, order, orthants)
-    fine = poly_quadrature(grid.doubled(), coeffs)
-    return coarse, abs(fine.log_integral - coarse.log_integral)
 
 
 def gated_quadrature(
@@ -532,7 +517,8 @@ def gated_quadrature(
     :class:`GridConvergenceError` when doubling points_per_axis moves log Z
     by GATE_TOL or more.
     """
-    coarse, delta = _doubling_gap(grid, coeffs, order, orthants)
+    coarse = poly_quadrature(grid, coeffs, order, orthants)
+    delta = abs(poly_quadrature(grid.doubled(), coeffs).log_integral - coarse.log_integral)
     if not delta < GATE_TOL:
         raise GridConvergenceError(
             f"quadrature gate failed: doubling the grid moves log Z by {delta:.3e} "
@@ -551,13 +537,6 @@ def gated_log_partition(p: ParamVector, grid: QuadratureGrid) -> tuple[float, fl
     _check_grid(p, grid)
     out, delta = gated_quadrature(grid, member_coeffs(p))
     return out.log_integral, delta
-
-
-def convergence_gap(p: ParamVector, grid: QuadratureGrid) -> tuple[float, bool]:
-    """|log Z(grid) - log Z(doubled grid)| and whether it clears the 1e-8 gate."""
-    _check_grid(p, grid)
-    _, delta = _doubling_gap(grid, member_coeffs(p), 0, ())
-    return delta, delta < GATE_TOL
 
 
 def log_partition(p: ParamVector, grid: QuadratureGrid) -> float:

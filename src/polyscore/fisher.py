@@ -100,9 +100,7 @@ def _stats(p: ParamVector, source, check: bool) -> FamilyStats:
 
 def fisher_info(p: ParamVector, source, check: bool = True) -> np.ndarray:
     """Covariance of T under p, from a grid or a SampleSet."""
-    st = _stats(p, source, check)
-    I = st.second_T - np.outer(st.mean_T, st.mean_T)
-    return 0.5 * (I + I.T)
+    return _stats(p, source, check).fisher
 
 
 def gram_matrix(p: ParamVector, source, check: bool = False) -> np.ndarray:
@@ -166,9 +164,8 @@ def regularity_preflight(p: ParamVector, grid: QuadratureGrid) -> dict:
         g2 = (p.d + 1) ** 2 * np.sum(X ** (2 * p.d), axis=1)
         return g2 * g2
 
-    (g4,) = _grid_means(p, grid, [gradlogh4])
-    out = sm_moment_inputs(p, grid)
-    out["E_gradlogh4"] = float(g4)
+    g4, m4 = _grid_means(p, grid, [gradlogh4, partial(_opnorm4, p.basis)])
+    out = {"E_opJT4": float(m4), "E_dT2": moments(p, grid).lap_sq, "E_gradlogh4": float(g4)}
     if not all(math.isfinite(v) for v in out.values()):
         raise NumericalError(f"regularity preflight found non-finite moments: {out}")
     return out
@@ -224,8 +221,7 @@ def verify_bounds(
     n, d, B = p.n, p.d, p.B
     M = math.comb(n + d, d)
     mom = moments(p, grid)
-    I = mom.second_T - np.outer(mom.mean_T, mom.mean_T)
-    I = 0.5 * (I + I.T)
+    I = mom.fisher
     w, V = np.linalg.eigh(I)
     notes_iv = []
     if corrupt == "fisher":

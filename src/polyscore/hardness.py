@@ -32,7 +32,7 @@ from .expfam import (
     log_density_tensor,
     quad_log_integral,  # noqa: F401  re-exported; bench/test_bench.py checks its tracer patches it here
 )
-from .polybasis import MultiIndex, PolyCoeffs, enumerate_basis, graded_rank, poly_to_json
+from .polybasis import MultiIndex, PolyCoeffs, enumerate_basis, graded_rank, poly_to_json, row_blocks
 from .reports import BoundCheck
 
 __all__ = [
@@ -61,8 +61,6 @@ Clause = tuple[int, int, int]
 
 # exhaustive vertex scans; 2^20 rows chunked is the practical ceiling
 MAX_SCAN_VARS = 20
-
-_VERTEX_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -367,12 +365,11 @@ def default_params(n: int, m: int, mode: str, scale: float = 1.0) -> PrescribedP
 # exhaustive vertex checks
 
 
-def _iter_vertices(n: int):
-    """Yield the vertices of {-1,1}^n in binary-counter order, chunked."""
-    total = 1 << n
+def _iter_vertices(n: int, width: int):
+    """Yield the vertices of {-1,1}^n in binary-counter order, in row blocks for ``width``."""
     shifts = np.arange(n - 1, -1, -1)
-    for start in range(0, total, _VERTEX_CHUNK):
-        codes = np.arange(start, min(start + _VERTEX_CHUNK, total), dtype=np.int64)
+    for rows in row_blocks(1 << n, width):
+        codes = np.arange(rows.start, rows.stop, dtype=np.int64)
         bits = (codes[:, None] >> shifts) & 1
         yield 2 * bits - 1
 
@@ -398,7 +395,7 @@ def satisfying_assignments(C: CnfFormula) -> list[tuple[int, ...]]:
     """All vertices of {-1,1}^n satisfying the formula, by exhaustive scan."""
     _check_scan_size(C.n)
     out: list[tuple[int, ...]] = []
-    for verts in _iter_vertices(C.n):
+    for verts in _iter_vertices(C.n, C.n):
         sat = _falsified_counts(C, verts) == 0
         out.extend(tuple(int(v) for v in row) for row in verts[sat])
     return out
@@ -419,15 +416,9 @@ def _int_term_arrays(f: PolyCoeffs) -> tuple[np.ndarray, np.ndarray]:
 
 def _vertex_values(degrees: np.ndarray, ints: np.ndarray, verts: np.ndarray) -> np.ndarray:
     # exact: at a vertex a monomial is (-1)^(number of odd exponents on -1 coords);
-    # blocks of 2^20 / terms vertices keep the (vertices, terms) matrices near 8 MB
-    odd = degrees % 2
-    neg = (verts < 0).astype(np.int64)
-    block = max(1, (1 << 20) // max(1, len(ints)))
-    out = np.empty(len(verts), dtype=np.int64)
-    for lo in range(0, len(verts), block):
-        parity = (neg[lo : lo + block] @ odd.T) & 1
-        out[lo : lo + block] = (1 - 2 * parity) @ ints
-    return out
+    # works on a (vertices, terms) matrix, so callers pass row blocks sized by the terms
+    parity = ((verts < 0).astype(np.int64) @ (degrees % 2).T) & 1
+    return (1 - 2 * parity) @ ints
 
 
 def verify_roots(inst: EncodedInstance, n_random: int = 1000, seed: int = 0) -> dict:
@@ -446,7 +437,9 @@ def verify_roots(inst: EncodedInstance, n_random: int = 1000, seed: int = 0) -> 
     min_unsat_k = None
     vertex_identity = True
     roots_match = True
-    for verts in _iter_vertices(C.n):
+    # the (vertices, terms) matrices of _vertex_values set the block size
+    width = max(len(inst.h_terms[1]), len(g_arrays[1]))
+    for verts in _iter_vertices(C.n, width):
         k = _falsified_counts(C, verts)
         hv = _vertex_values(*inst.h_terms, verts)
         gv = _vertex_values(*g_arrays, verts)

@@ -38,6 +38,7 @@ __all__ = [
     "eval_suffstats",
     "eval_jacobian",
     "eval_laplacian",
+    "row_blocks",
     "row_mean",
     "moment_degrees",
     "FamilyStats",
@@ -232,14 +233,20 @@ def eval_laplacian(basis: MonomialBasis, x) -> np.ndarray:
     return L[0] if single else L
 
 
-def row_mean(fn, X: np.ndarray, width: int) -> np.ndarray:
-    """Mean of fn over the rows of X, in fixed blocks of 2^20 / width rows.
+def row_blocks(total: int, width: int) -> Iterator[slice]:
+    """Slices covering range(total) in order, each of at most 2^20 // width rows.
 
-    fn maps a block of rows to about ``width`` values per row, so a block's
-    working set stays near 8 MB per temporary whatever len(X) is.
+    The package's one chunk rule, for samples, grid nodes and hypercube
+    vertices: with about ``width`` values per row, each temporary of a block
+    stays near 8 MB, and fixed blocks keep streamed sums deterministic.
     """
     block = max(1, (1 << 20) // width)
-    return sum(np.sum(fn(X[lo : lo + block]), axis=0) for lo in range(0, len(X), block)) / len(X)
+    return (slice(lo, min(lo + block, total)) for lo in range(0, total, block))
+
+
+def row_mean(fn, X: np.ndarray, width: int) -> np.ndarray:
+    """Mean of fn over the rows of X; fn maps a block of rows to ``width`` values per row."""
+    return sum(np.sum(fn(X[rows]), axis=0) for rows in row_blocks(len(X), width)) / len(X)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +283,12 @@ class FamilyStats:
     sm_const: float  # E[Lap log h + |grad log h|^2 / 2]
     mean_log_h: float  # E[log h]
     lap_sq: float  # E|Lap T|^2
+
+    @property
+    def fisher(self) -> np.ndarray:
+        """The covariance of T, E[T T^t] - E[T] E[T]^t, symmetrized."""
+        I = self.second_T - np.outer(self.mean_T, self.mean_T)
+        return 0.5 * (I + I.T)
 
 
 @lru_cache(maxsize=None)

@@ -62,7 +62,6 @@ class McmcConfig:
     step_size: float = 0.5
     burn_in: int = 10_000
     thinning: int | None = None  # None: pick it so lag-1 autocorr of x1 < 0.5
-    target_accept: float = 0.574
     chains: int = 1
 
     def __post_init__(self):
@@ -72,8 +71,6 @@ class McmcConfig:
             raise ValueError("burn_in must be >= 0")
         if self.thinning is not None and self.thinning < 1:
             raise ValueError("thinning must be >= 1")
-        if not 0 < self.target_accept < 1:
-            raise ValueError("target_accept must be in (0, 1)")
         if self.chains < 1:
             raise ValueError("chains must be >= 1")
 
@@ -143,6 +140,7 @@ def sample_exact_separable(p: ParamVector, N: int, seed: int) -> SampleSet:
 
 _PILOT_STEPS = 1000
 _MAX_THIN = 64
+_TARGET_ACCEPT = 0.574  # the acceptance rate optimal for MALA (Roberts and Rosenthal 1998)
 
 
 def _autocorr(x: np.ndarray) -> np.ndarray:
@@ -216,9 +214,10 @@ def sample_mala(
 ) -> SampleSet:
     """Metropolis-adjusted Langevin draws targeting p.
 
-    Step size is tuned toward config.target_accept by Robbins-Monro during
-    burn-in and then frozen.  If config.thinning is None, a pilot segment sets
-    the thinning so the lag-1 autocorrelation of x1 drops below 0.5.
+    Step size is tuned toward an acceptance rate of 0.574 by Robbins-Monro
+    during burn-in and then frozen.  If config.thinning is None, a pilot
+    segment sets the thinning so the lag-1 autocorrelation of x1 drops below
+    0.5.
     """
     per_chain = [N // config.chains + (1 if j < N % config.chains else 0) for j in range(config.chains)]
     blocks = []
@@ -231,7 +230,7 @@ def sample_mala(
         log_step = math.log(config.step_size)
         for t in range(1, config.burn_in + 1):
             alpha = chain.advance()
-            log_step += t**-0.6 * (alpha - config.target_accept)
+            log_step += t**-0.6 * (alpha - _TARGET_ACCEPT)
             chain.step = min(max(math.exp(log_step), 1e-12), 1e3)
         thin = config.thinning
         if thin is None:
@@ -266,7 +265,7 @@ def sample_mala(
                 "step_size": steps,
                 "burn_in": config.burn_in,
                 "thinning": thins,
-                "target_accept": config.target_accept,
+                "target_accept": _TARGET_ACCEPT,
                 "chains": config.chains,
                 "acceptance_rate": rates,
                 "ess": [float(e) for e in ess],

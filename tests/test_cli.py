@@ -341,7 +341,7 @@ class TestExitCodes:
             (SM_STUDY + ["--Ns", "10,20", "--trials", "0"], 2),
             (SM_STUDY + ["--Ns", "20,10", "--trials", "2"], 2),
             (MLE_FIT + ["--radius", "-1", "--points-per-axis", "10"], 2),
-            (MLE_FIT + ["--radius", "4", "--points-per-axis", "40", "--refine-near", "a"], 2),
+            (MLE_FIT + ["--radius", "4"], 2),
             (["verify", "--suite", "bounds", "--n", "4", "--d", "1"], 2),
             (["study", "--estimator", "mle", "--theta-file", "{theta4}", "--Ns", "10,20",
               "--trials", "1"], 2),
@@ -351,7 +351,7 @@ class TestExitCodes:
             (["verify", "--suite", "hardness", "--cnf", "{cnf}"], 1),
         ],
         ids=["study-zero-trials", "study-decreasing-Ns", "fit-negative-radius",
-             "fit-bad-refine-near", "verify-n4", "study-mle-n4", "verify-underflow",
+             "fit-radius-without-points", "verify-n4", "study-mle-n4", "verify-underflow",
              "fit-underflow", "verify-malformed-cnf"],
     )
     def test_documented_exit_code(self, capsys, argv, expect, theta_file, gaussian_samples,

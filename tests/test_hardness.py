@@ -395,10 +395,12 @@ class TestVerifyRoots:
         # several row blocks; every value must stay the exact integer H(v)
         inst = encode(random_formula(12, 120, seed=9), 1.0, 2.0)
         degrees, ints = inst.h_terms
-        (verts,) = list(_iter_vertices(12))
-        got = _vertex_values(degrees, ints, verts)
+        blocks = list(_iter_vertices(12, len(ints)))
+        assert len(blocks) > 1
+        verts = np.vstack(blocks)
+        assert len(verts) == 1 << 12
+        got = np.concatenate([_vertex_values(degrees, ints, v) for v in blocks])
         want = formula_poly(inst.formula).evaluate(verts.astype(float))
-        assert (1 << 20) // len(ints) < len(verts)
         assert np.array_equal(got, np.rint(want).astype(np.int64))
 
 

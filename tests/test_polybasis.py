@@ -31,6 +31,7 @@ from polyscore.polybasis import (
     monomial_norm,
     poly_from_json,
     poly_to_json,
+    row_blocks,
     sample_stats,
     to_legendre,
 )
@@ -459,6 +460,16 @@ class TestFamilyStats:
         for name, ref in _pointwise_stats(basis, X).items():
             assert _rel_err(getattr(got, name), ref) <= 1e-12, name
 
+    @pytest.mark.parametrize(
+        "total, width",
+        [(0, 16), (1000, 16), ((1 << 16) - 1, 16), (3 * (1 << 16) + 5, 16), (7, 1 << 21)],
+    )
+    def test_row_blocks_partition_in_order(self, total, width):
+        blocks = list(row_blocks(total, width))
+        assert [i for b in blocks for i in range(total)[b]] == list(range(total))
+        assert all(b.stop - b.start == max(1, (1 << 20) // width) for b in blocks[:-1])
+        assert all(0 < b.stop - b.start <= max(1, (1 << 20) // width) for b in blocks)
+
     def test_gaussian_hand_values(self):
         # n = 1, d = 1 under N(0, 1/2): E[x^2] = 1/2, G = 1, b = -2 E[x] = 0,
         # c = -2 + 2 E[x^2] = -1, E[log h] = -1/2, E|Lap T|^2 = 0
@@ -467,6 +478,7 @@ class TestFamilyStats:
         assert st_.second_T[0, 0] == 0.5 and st_.gram[0, 0] == 1.0
         assert st_.sm_linear[0] == 0.0 and st_.sm_const == -1.0
         assert st_.mean_log_h == -0.5 and st_.lap_sq == 0.0
+        assert st_.fisher[0, 0] == 0.5
 
     def test_moment_degrees_are_graded_ranked(self):
         for n, d in [(1, 1), (2, 3), (3, 3), (5, 1)]:

@@ -46,7 +46,6 @@ class TestSampleSet:
 class TestMcmcConfig:
     def test_defaults(self):
         cfg = McmcConfig()
-        assert cfg.target_accept == 0.574
         assert cfg.burn_in == 10_000
         assert cfg.thinning is None
 
@@ -57,8 +56,6 @@ class TestMcmcConfig:
             McmcConfig(burn_in=-1)
         with pytest.raises(ValueError):
             McmcConfig(thinning=0)
-        with pytest.raises(ValueError):
-            McmcConfig(target_accept=1.0)
         with pytest.raises(ValueError):
             McmcConfig(chains=0)
 
@@ -181,6 +178,7 @@ class TestMala:
         cfg = McmcConfig(burn_in=100, thinning=3)
         s = sample_mala(p, 200, cfg, seed=2)
         assert s.provenance["parameters"]["thinning"] == [3]
+        assert s.provenance["parameters"]["target_accept"] == 0.574
 
     def test_auto_thinning_controls_autocorrelation(self):
         p = zero_params(1, 1)
