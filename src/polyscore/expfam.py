@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -41,9 +41,9 @@ from .errors import GridConvergenceError, InputError, NumericalError
 from .polybasis import (
     FamilyStats,
     MonomialBasis,
+    _monomials_from_table,
+    _power_table,
     enumerate_basis,
-    eval_jacobian,
-    eval_suffstats,
     family_stats,
     moment_degrees,
     row_blocks,
@@ -128,6 +128,11 @@ class ParamVector:
     def d(self) -> int:
         return self.basis.d
 
+    @cached_property
+    def _terms(self) -> tuple[_Terms, _Terms]:
+        """The sparse term tables of the log density and the score, built on first use."""
+        return _term_table(self)
+
 
 def zero_params(n: int, d: int, B: float = 1.0) -> ParamVector:
     basis = enumerate_basis(n, d)
@@ -162,34 +167,87 @@ def load_param(path) -> ParamVector:
 # density and score
 
 
-def _check_points(x) -> np.ndarray:
+@dataclass(frozen=True)
+class _Terms:
+    """A sparse polynomial sum_k x^deg[k] coef[k]; coef (K,) or (K, n) for a vector of them.
+
+    One power table, one gather per axis and one matvec per call.  A single
+    point builds its power table with one cumprod, a batch with the
+    repeated-multiply :func:`polybasis._power_table`; both multiply the
+    same factors in the same order.
+    """
+
+    deg: np.ndarray  # (K, n) exponent rows
+    coef: np.ndarray
+    cols: tuple[np.ndarray, ...]  # per axis i: flat index i (dmax + 1) + deg[:, i]
+    dmax: int
+
+    @classmethod
+    def make(cls, deg: np.ndarray, coef: np.ndarray) -> "_Terms":
+        dmax = int(deg.max())
+        cols = tuple(i * (dmax + 1) + deg[:, i] for i in range(deg.shape[1]))
+        return cls(deg, coef, cols, dmax)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim == 1:
+            P = x.repeat(self.dmax + 1)
+            P[:: self.dmax + 1] = 1.0  # row i of P.reshape(n, -1) is 1, x_i, .., x_i
+            np.cumprod(P.reshape(len(x), -1), axis=1, out=P.reshape(len(x), -1))
+            mono = P[self.cols[0]]
+            for c in self.cols[1:]:
+                mono = mono * P[c]
+        else:
+            mono = _monomials_from_table(_power_table(x, self.dmax), self.deg)
+        return mono @ self.coef
+
+
+def _term_table(p: ParamVector) -> tuple[_Terms, _Terms]:
+    """(log h + <theta, T>, its gradient in x) as sparse term tables.
+
+    The value terms are theta's nonzero entries and the n base terms
+    -x_i^{d+1}.  A term c x^a contributes a_i c x^(a - e_i) to gradient
+    component i; terms sharing an exponent share a row, and no (row,
+    component) pair is hit twice, so every gradient coefficient is exact.
+    """
+    n, eye = p.n, np.eye(p.n, dtype=np.int64)
+    keep = p.theta != 0.0
+    deg = np.vstack([p.basis.degrees[keep], (p.d + 1) * eye])
+    coef = np.concatenate([p.theta[keep], -np.ones(n)])
+    k, i = np.nonzero(deg)
+    grad_deg, row = np.unique(deg[k] - eye[i], axis=0, return_inverse=True)
+    grad_coef = np.zeros((len(grad_deg), n))
+    grad_coef[row.ravel(), i] = deg[k, i] * coef[k]
+    return _Terms.make(deg, coef), _Terms.make(grad_deg, grad_coef)
+
+
+def _check_points(p: ParamVector, x) -> np.ndarray:
+    """x as one point (n,) or a batch (N, n) of finite values."""
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
+    if arr.ndim > 2 or arr.shape[-1] != p.n:
+        raise ValueError(f"points of shape {arr.shape} do not fit n={p.n}")
+    if not np.isfinite(arr).all():
         raise ValueError("points must be finite")
     return arr
 
 
 def log_unnormalized_density(p: ParamVector, x) -> np.ndarray | float:
     """log h(x) + <theta, T(x)>; the log partition is deliberately excluded."""
-    arr = _check_points(x)
-    single = arr.ndim <= 1
-    xb = arr.reshape(1, -1) if single else arr
+    arr = _check_points(p, x)
     # points far enough out to overflow x^{d+1} have zero density; the base
     # measure's degree beats every statistic, so map any non-finite to -inf
     with np.errstate(over="ignore", invalid="ignore"):
-        logh = -np.sum(xb ** (p.d + 1), axis=1)
-        vals = logh + eval_suffstats(p.basis, xb) @ p.theta
-    vals = np.where(np.isfinite(vals), vals, -np.inf)
-    return float(vals[0]) if single else vals
+        vals = p._terms[0](arr)
+    if arr.ndim == 1:
+        v = float(vals)
+        return v if math.isfinite(v) else -math.inf
+    return np.where(np.isfinite(vals), vals, -np.inf)
 
 
 def score(p: ParamVector, x) -> np.ndarray:
     """Gradient in x of the log density; free of the partition function."""
-    arr = _check_points(x)
-    single = arr.ndim <= 1
-    xb = arr.reshape(1, -1) if single else arr
-    drift = -(p.d + 1) * xb**p.d + np.einsum("ski,k->si", eval_jacobian(p.basis, xb), p.theta)
-    return drift[0] if single else drift
+    return p._terms[1](_check_points(p, x))
 
 
 # ---------------------------------------------------------------------------

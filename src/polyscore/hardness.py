@@ -374,16 +374,12 @@ def _iter_vertices(n: int, width: int):
         yield 2 * bits - 1
 
 
-def _clause_satisfied(c: Clause, verts: np.ndarray) -> np.ndarray:
-    lits = np.array(c, dtype=np.int64)
-    return (verts[:, np.abs(lits) - 1] * np.sign(lits) > 0).any(axis=1)
-
-
 def _falsified_counts(C: CnfFormula, verts: np.ndarray) -> np.ndarray:
-    k = np.zeros(len(verts), dtype=np.int64)
-    for c in C.clauses:
-        k += ~_clause_satisfied(c, verts)
-    return k
+    """Falsified clauses per vertex: one (vertices, m, 3) gather, so callers size blocks by 3m."""
+    lits = np.array(C.clauses, dtype=np.int64).reshape(C.m, 3)
+    # a literal holds where its variable's sign matches its own; gathered as bools
+    satisfied = ((verts > 0)[:, np.abs(lits) - 1] == (lits > 0)).any(axis=2)
+    return C.m - satisfied.sum(axis=1)
 
 
 def _check_scan_size(n: int):
@@ -395,7 +391,7 @@ def satisfying_assignments(C: CnfFormula) -> list[tuple[int, ...]]:
     """All vertices of {-1,1}^n satisfying the formula, by exhaustive scan."""
     _check_scan_size(C.n)
     out: list[tuple[int, ...]] = []
-    for verts in _iter_vertices(C.n, C.n):
+    for verts in _iter_vertices(C.n, max(3 * C.m, 1)):
         sat = _falsified_counts(C, verts) == 0
         out.extend(tuple(int(v) for v in row) for row in verts[sat])
     return out
@@ -437,8 +433,9 @@ def verify_roots(inst: EncodedInstance, n_random: int = 1000, seed: int = 0) -> 
     min_unsat_k = None
     vertex_identity = True
     roots_match = True
-    # the (vertices, terms) matrices of _vertex_values set the block size
-    width = max(len(inst.h_terms[1]), len(g_arrays[1]))
+    # the (vertices, terms) matrices of _vertex_values and the (vertices, m, 3)
+    # clause gather set the block size
+    width = max(len(inst.h_terms[1]), len(g_arrays[1]), 3 * C.m)
     for verts in _iter_vertices(C.n, width):
         k = _falsified_counts(C, verts)
         hv = _vertex_values(*inst.h_terms, verts)

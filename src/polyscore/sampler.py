@@ -6,9 +6,8 @@ inverse CDF on a dense grid.  Otherwise we run a Metropolis-adjusted Langevin
 chain whose drift is the score, which never needs the partition function.
 
 All randomness flows through counter-based Philox generators keyed by
-(seed, stream index), so output is bit-identical across runs and across
-thread counts; coordinate i of the exact sampler and chain j of MALA each own
-their stream.
+(seed, stream index), so output is bit-identical across runs; coordinate i
+of the exact sampler and chain j of MALA each own their stream.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ class SampleSet:
 class McmcConfig:
     step_size: float = 0.5
     burn_in: int = 10_000
-    thinning: int | None = None  # None: pick it so lag-1 autocorr of x1 < 0.5
+    thinning: int | None = None  # None: pick it so every coordinate's lag-1 autocorr < 0.5
     chains: int = 1
 
     def __post_init__(self):
@@ -167,6 +166,21 @@ def _geyer_ess(x: np.ndarray) -> float:
     return n / max(2.0 * s - 1.0, 1.0)
 
 
+def _decorrelation_lag(x: np.ndarray) -> int:
+    """Smallest lag, at most _MAX_THIN, at which the autocorrelation of x is below 0.5.
+
+    The pilot estimate rho_k must clear 0.5 by two of its Bartlett standard
+    errors, sqrt((1 + 2 sum_{j<k} rho_j^2) / len(x)); without that margin a
+    short pilot picks, about half the time, a lag whose true autocorrelation
+    sits at 0.5.
+    """
+    rho = _autocorr(x)[: _MAX_THIN + 1]
+    prior = np.cumsum(rho[:-1] ** 2) - 1.0  # sum_{j<k} rho_j^2 at lag k
+    se = np.sqrt((1.0 + 2.0 * prior) / len(x))
+    below = np.nonzero(rho[1:] + 2.0 * se < 0.5)[0]
+    return int(below[0]) + 1 if below.size else _MAX_THIN
+
+
 class _Chain:
     """One MALA chain; all its randomness comes from its own stream."""
 
@@ -185,16 +199,15 @@ class _Chain:
     def advance(self) -> float:
         """One MALA step; returns the acceptance probability of the proposal."""
         eps = self.step
+        h = 0.5 * eps * eps
         noise = self.rng.standard_normal(self.p.n)
-        y = self.x + 0.5 * eps * eps * self.grad + eps * noise
-        logp_y = float(log_unnormalized_density(self.p, y))
+        y = self.x + h * self.grad + eps * noise
+        logp_y = log_unnormalized_density(self.p, y)
         if math.isfinite(logp_y):
             grad_y = score(self.p, y)
-            fwd = y - self.x - 0.5 * eps * eps * self.grad
-            bwd = self.x - y - 0.5 * eps * eps * grad_y
-            log_alpha = (
-                logp_y - self.logp + (fwd @ fwd - bwd @ bwd) / (2.0 * eps * eps)
-            )
+            # log q(x | y) - log q(y | x); the forward residual y - x - h grad is eps * noise
+            bwd = self.x - y - h * grad_y
+            log_alpha = logp_y - self.logp + 0.5 * (noise @ noise) - (bwd @ bwd) / (4.0 * h)
         else:
             log_alpha = -math.inf
         self.proposed += 1
@@ -216,8 +229,10 @@ def sample_mala(
 
     Step size is tuned toward an acceptance rate of 0.574 by Robbins-Monro
     during burn-in and then frozen.  If config.thinning is None, a pilot
-    segment sets the thinning so the lag-1 autocorrelation of x1 drops below
-    0.5.
+    segment sets the thinning from the slowest coordinate: the largest, over
+    coordinates, of the first lag at which the pilot autocorrelation is below
+    0.5 by two standard errors, so every coordinate's lag-1 autocorrelation
+    of the draws is below 0.5.
     """
     per_chain = [N // config.chains + (1 if j < N % config.chains else 0) for j in range(config.chains)]
     blocks = []
@@ -234,13 +249,11 @@ def sample_mala(
             chain.step = min(max(math.exp(log_step), 1e-12), 1e3)
         thin = config.thinning
         if thin is None:
-            pilot = np.empty(_PILOT_STEPS)
+            pilot = np.empty((_PILOT_STEPS, p.n))
             for t in range(_PILOT_STEPS):
                 chain.advance()
-                pilot[t] = chain.x[0]
-            rho = _autocorr(pilot)
-            below = np.nonzero(rho[1:_MAX_THIN + 1] < 0.5)[0]
-            thin = int(below[0]) + 1 if below.size else _MAX_THIN
+                pilot[t] = chain.x
+            thin = max(_decorrelation_lag(pilot[:, i]) for i in range(p.n))
         chain.accepted = chain.proposed = 0
         draws = np.empty((N_j, p.n))
         for k in range(N_j):

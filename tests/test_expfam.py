@@ -38,7 +38,7 @@ from polyscore.expfam import (
     verify_int_concentration,
     zero_params,
 )
-from polyscore.polybasis import enumerate_basis, eval_suffstats
+from polyscore.polybasis import enumerate_basis, eval_jacobian, eval_suffstats
 
 LOG_SQRT_PI = 0.5 * math.log(math.pi)
 
@@ -140,6 +140,75 @@ class TestDensityAndScore:
             log_unnormalized_density(p, [np.nan])
         with pytest.raises(ValueError, match="finite"):
             score(p, [np.inf])
+
+
+def _check_against_definitions(p, X):
+    """Density and score on a batch X and on each row alone, against their definitions.
+
+    The tolerance is 1e-12 of the sum of the terms' magnitudes, the scale at
+    which any summation order may round.
+    """
+    D = p.d + 1
+    T, J = eval_suffstats(p.basis, X), eval_jacobian(p.basis, X)
+    want = -np.sum(X**D, axis=1) + T @ p.theta
+    scale = np.sum(np.abs(X) ** D, axis=1) + np.abs(T) @ np.abs(p.theta)
+    want_score = -D * X ** (D - 1) + np.einsum("ski,k->si", J, p.theta)
+    score_scale = D * np.abs(X) ** (D - 1) + np.einsum("ski,k->si", np.abs(J), np.abs(p.theta))
+    got, got_score = log_unnormalized_density(p, X), score(p, X)
+    assert got.shape == (len(X),) and got_score.shape == X.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    assert np.all(np.abs(got_score - want_score) <= 1e-12 * score_scale)
+    for j, x in enumerate(X):
+        one = log_unnormalized_density(p, x)
+        assert isinstance(one, float)
+        assert abs(one - got[j]) <= 1e-12 * scale[j]
+        assert np.all(np.abs(score(p, x) - got_score[j]) <= 1e-12 * score_scale[j])
+
+
+class TestSparseTermTable:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 5),
+        d=st.sampled_from([1, 3]),
+        zero_frac=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+        spread=st.sampled_from([0.1, 1.0, 4.0]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_matches_definitions(self, n, d, zero_frac, spread, seed):
+        rng = np.random.default_rng(seed)
+        basis = enumerate_basis(n, d)
+        theta = rng.uniform(-2.0, 2.0, basis.size) * (rng.random(basis.size) >= zero_frac)
+        p = ParamVector(basis, theta, 2.0)
+        _check_against_definitions(p, spread * rng.standard_normal((7, n)))
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (1, 3), (3, 3), (5, 1)])
+    def test_overflowing_rows_map_to_minus_inf(self, n, d):
+        p = random_params(n, d, 1.0, seed=4)
+        X = np.full((4, n), 0.5)
+        X[1, 0] = 1e200
+        X[3, -1] = -1e160
+        vals = log_unnormalized_density(p, X)
+        assert vals[1] == -np.inf and vals[3] == -np.inf
+        assert np.all(np.isfinite(vals[[0, 2]])) and vals[0] == vals[2]
+        assert log_unnormalized_density(p, X[1]) == -np.inf
+
+    def test_sparse_hardness_member(self):
+        # n = 10, d = 7: 43 of the 19,447 coefficients are nonzero, and the
+        # coefficients are large, so the terms cancel near the wells
+        from polyscore.hardness import CnfFormula, default_params, encode
+
+        pp = default_params(10, 1, "sampling")
+        p = encode(CnfFormula(10, ((1, 2, 3),)), pp.alpha, pp.beta).theta
+        assert np.count_nonzero(p.theta) == 43
+        rng = np.random.default_rng(3)
+        X = np.vstack([np.sign(rng.standard_normal((4, 10))) + 0.05 * rng.standard_normal((4, 10)),
+                       rng.uniform(-1.5, 1.5, (3, 10))])
+        _check_against_definitions(p, X)
+
+    def test_table_is_cached_on_the_member(self):
+        p = random_params(2, 3, 1.0, seed=1)
+        score(p, [0.1, 0.2])
+        assert p._terms is p._terms
 
 
 class TestBuildGrid:

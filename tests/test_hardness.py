@@ -25,6 +25,7 @@ from polyscore.expfam import (
 )
 from polyscore.hardness import (
     CnfFormula,
+    _falsified_counts,
     _iter_vertices,
     _log_density_coeffs,
     _vertex_values,
@@ -341,6 +342,38 @@ class TestSatisfyingAssignments:
     def test_scan_cap(self):
         with pytest.raises(ValueError, match="capped"):
             satisfying_assignments(CnfFormula(21, ()))
+
+
+def _falsified_by_definition(C, verts):
+    # clause by clause: falsified where no literal's sign matches the vertex
+    k = np.zeros(len(verts), dtype=np.int64)
+    for c in C.clauses:
+        k += np.all([verts[:, abs(lit) - 1] * np.sign(lit) < 0 for lit in c], axis=0)
+    return k
+
+
+class TestFalsifiedCounts:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(3, 9), m=st.integers(0, 60), seed=st.integers(0, 2**31 - 1))
+    def test_random_formulas(self, n, m, seed):
+        C = random_formula(n, m, seed)
+        verts = np.vstack(list(_iter_vertices(n, 1)))
+        assert np.array_equal(_falsified_counts(C, verts), _falsified_by_definition(C, verts))
+
+    def test_empty_formula(self):
+        verts = np.vstack(list(_iter_vertices(4, 1)))
+        k = _falsified_counts(CnfFormula(4, ()), verts)
+        assert k.shape == (16,) and not k.any()
+
+    def test_blocks_of_a_large_formula(self):
+        # blocks sized by the 3m gathered literals: n = 12, m = 120 spans several
+        C = random_formula(12, 120, seed=9)
+        blocks = list(_iter_vertices(12, 3 * C.m))
+        assert len(blocks) > 1
+        got = np.concatenate([_falsified_counts(C, v) for v in blocks])
+        verts = np.vstack(blocks)
+        assert len(verts) == 1 << 12
+        assert np.array_equal(got, _falsified_by_definition(C, verts))
 
 
 class TestVerifyRoots:
