@@ -81,12 +81,6 @@ def _check_dims(s: SampleSet, basis: MonomialBasis):
         raise ValueError(f"sample dimension {s.n} != basis dimension {basis.n}")
 
 
-def _normal_equations(s: SampleSet, basis: MonomialBasis) -> tuple[np.ndarray, np.ndarray]:
-    """G = E[(JT)(JT)^t] and b = E[Laplacian T + (JT) grad log h]."""
-    st = sample_stats(basis, s.data)
-    return st.gram, st.sm_linear
-
-
 def fit_score_matching(s: SampleSet, basis: MonomialBasis) -> FitReport:
     """Closed-form score-matching fit: solve G theta = -b.
 

@@ -41,8 +41,7 @@ from .errors import GridConvergenceError, InputError, NumericalError
 from .polybasis import (
     FamilyStats,
     MonomialBasis,
-    _monomials_from_table,
-    _power_table,
+    PolyCoeffs,
     enumerate_basis,
     family_stats,
     moment_degrees,
@@ -129,8 +128,8 @@ class ParamVector:
         return self.basis.d
 
     @cached_property
-    def _terms(self) -> tuple[_Terms, _Terms]:
-        """The sparse term tables of the log density and the score, built on first use."""
+    def _terms(self) -> tuple[PolyCoeffs, PolyCoeffs]:
+        """The log density and the score as sparse polynomials, built on first use."""
         return _term_table(self)
 
 
@@ -167,57 +166,22 @@ def load_param(path) -> ParamVector:
 # density and score
 
 
-@dataclass(frozen=True)
-class _Terms:
-    """A sparse polynomial sum_k x^deg[k] coef[k]; coef (K,) or (K, n) for a vector of them.
+def _term_table(p: ParamVector) -> tuple[PolyCoeffs, PolyCoeffs]:
+    """(log h + <theta, T>, its gradient in x) as sparse polynomials.
 
-    One power table, one gather per axis and one matvec per call.  A single
-    point builds its power table with one cumprod, a batch with the
-    repeated-multiply :func:`polybasis._power_table`; both multiply the
-    same factors in the same order.
-    """
-
-    deg: np.ndarray  # (K, n) exponent rows
-    coef: np.ndarray
-    cols: tuple[np.ndarray, ...]  # per axis i: flat index i (dmax + 1) + deg[:, i]
-    dmax: int
-
-    @classmethod
-    def make(cls, deg: np.ndarray, coef: np.ndarray) -> "_Terms":
-        dmax = int(deg.max())
-        cols = tuple(i * (dmax + 1) + deg[:, i] for i in range(deg.shape[1]))
-        return cls(deg, coef, cols, dmax)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim == 1:
-            P = x.repeat(self.dmax + 1)
-            P[:: self.dmax + 1] = 1.0  # row i of P.reshape(n, -1) is 1, x_i, .., x_i
-            np.cumprod(P.reshape(len(x), -1), axis=1, out=P.reshape(len(x), -1))
-            mono = P[self.cols[0]]
-            for c in self.cols[1:]:
-                mono = mono * P[c]
-        else:
-            mono = _monomials_from_table(_power_table(x, self.dmax), self.deg)
-        return mono @ self.coef
-
-
-def _term_table(p: ParamVector) -> tuple[_Terms, _Terms]:
-    """(log h + <theta, T>, its gradient in x) as sparse term tables.
-
-    The value terms are theta's nonzero entries and the n base terms
-    -x_i^{d+1}.  A term c x^a contributes a_i c x^(a - e_i) to gradient
-    component i; terms sharing an exponent share a row, and no (row,
-    component) pair is hit twice, so every gradient coefficient is exact.
+    The value terms are theta's entries and the n base terms -x_i^{d+1}.  A
+    term c x^a contributes a_i c x^(a - e_i) to gradient component i, one row
+    of the (K, n) gradient table; :meth:`PolyCoeffs.from_arrays` merges rows
+    that share an exponent and drops theta's zeros.  No (row, component) pair
+    is hit twice, so every gradient coefficient is exact.
     """
     n, eye = p.n, np.eye(p.n, dtype=np.int64)
-    keep = p.theta != 0.0
-    deg = np.vstack([p.basis.degrees[keep], (p.d + 1) * eye])
-    coef = np.concatenate([p.theta[keep], -np.ones(n)])
+    deg = np.vstack([p.basis.degrees, (p.d + 1) * eye])
+    coef = np.concatenate([p.theta, -np.ones(n)])
     k, i = np.nonzero(deg)
-    grad_deg, row = np.unique(deg[k] - eye[i], axis=0, return_inverse=True)
-    grad_coef = np.zeros((len(grad_deg), n))
-    grad_coef[row.ravel(), i] = deg[k, i] * coef[k]
-    return _Terms.make(deg, coef), _Terms.make(grad_deg, grad_coef)
+    grad_coef = np.zeros((len(k), n))
+    grad_coef[np.arange(len(k)), i] = deg[k, i] * coef[k]
+    return PolyCoeffs.from_arrays(n, deg, coef), PolyCoeffs.from_arrays(n, deg[k] - eye[i], grad_coef)
 
 
 def _check_points(p: ParamVector, x) -> np.ndarray:

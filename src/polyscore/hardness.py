@@ -202,12 +202,13 @@ def clause_poly(clause: Clause, n: int) -> PolyCoeffs:
 _CLAUSE_EXPONENTS = np.array(list(itertools.product(range(3), repeat=3)), dtype=np.int64)
 
 
-def _formula_terms(C: CnfFormula) -> tuple[np.ndarray, np.ndarray]:
-    """H_C expanded: exponent rows in graded-lex order and integer coefficients.
+def formula_poly(C: CnfFormula) -> PolyCoeffs:
+    """Sum of the clause polynomials; zero exactly on satisfying vertices.
 
     Each clause is the outer product of its literals' coefficient vectors,
     (x - s)^2 = 1 - 2 s x + x^2 for a literal of sign s; the 27 terms of
-    every clause are summed by graded-lex rank in one scatter-add.
+    every clause go to :meth:`PolyCoeffs.from_arrays` at once, which sums
+    them by graded-lex rank.  The coefficients are integers, exact in double.
     """
     lits = np.array(C.clauses, dtype=np.int64).reshape(-1, 3)
     sign = np.sign(lits)
@@ -218,30 +219,14 @@ def _formula_terms(C: CnfFormula) -> tuple[np.ndarray, np.ndarray]:
     rows, terms = np.ogrid[: len(lits), : len(E)]
     for j in range(3):
         expo[rows, terms, np.abs(lits[:, j, None]) - 1] = E[:, j]
-    expo = expo.reshape(-1, C.n)
-    _, first, slot = np.unique(graded_rank(expo), return_index=True, return_inverse=True)
-    ints = np.zeros(len(first), dtype=np.int64)
-    np.add.at(ints, slot, coeffs.ravel())
-    keep = ints != 0
-    return expo[first[keep]], ints[keep]
-
-
-def _poly_from_terms(n: int, degrees: np.ndarray, coeffs: np.ndarray) -> PolyCoeffs:
-    return PolyCoeffs.make(n, dict(zip(map(tuple, degrees.tolist()), coeffs.tolist())))
-
-
-def formula_poly(C: CnfFormula) -> PolyCoeffs:
-    """Sum of the clause polynomials; zero exactly on satisfying vertices."""
-    return _poly_from_terms(C.n, *_formula_terms(C))
+    return PolyCoeffs.from_arrays(C.n, expo.reshape(-1, C.n), coeffs.ravel())
 
 
 def hypercube_poly(n: int) -> PolyCoeffs:
     """The vertex pinning term ``G(x) = sum_i (1 - x_i^2)^2``."""
-    terms: dict[MultiIndex, float] = {(0,) * n: float(n)}
-    for i in range(n):
-        terms[tuple(2 if k == i else 0 for k in range(n))] = -2.0
-        terms[tuple(4 if k == i else 0 for k in range(n))] = 1.0
-    return PolyCoeffs.make(n, terms)
+    eye = np.eye(n, dtype=np.int64)
+    degrees = np.vstack([np.zeros((1, n), dtype=np.int64), 2 * eye, 4 * eye])
+    return PolyCoeffs.from_arrays(n, degrees, np.concatenate([[n], np.full(n, -2.0), np.ones(n)]))
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +240,8 @@ class EncodedInstance:
     ``theta`` holds the negated non-constant coefficients of the energy
     ``alpha * H_C + beta * G``; the energy's constant term is recorded in
     ``dropped_constant``, so the formula density's log-partition equals
-    ``log Z(theta) - dropped_constant``.  ``h_terms`` holds H_C expanded, as
-    integer exponent rows and coefficients; :func:`verify_roots` certifies
-    exactly these.
+    ``log Z(theta) - dropped_constant``.  ``H`` is H_C expanded, with
+    integer coefficients; :func:`verify_roots` certifies exactly these.
     """
 
     formula: CnfFormula
@@ -266,7 +250,7 @@ class EncodedInstance:
     theta: ParamVector
     energy: PolyCoeffs
     dropped_constant: float
-    h_terms: tuple[np.ndarray, np.ndarray]
+    H: PolyCoeffs
 
     @property
     def n(self) -> int:
@@ -292,24 +276,20 @@ def encode(C: CnfFormula, alpha: float, beta: float) -> EncodedInstance:
         raise ValueError(
             f"couplings too small: box radius 64*m*alpha + 2*beta = {B} < 1"
         )
-    h_terms = _formula_terms(C)
-    energy = alpha * _poly_from_terms(C.n, *h_terms) + beta * hypercube_poly(C.n)
-    degrees, coeffs = _term_arrays(energy)
-    rank = graded_rank(degrees)
+    H = formula_poly(C)
+    energy = alpha * H + beta * hypercube_poly(C.n)
+    rank = graded_rank(energy.degrees)
     basis = enumerate_basis(C.n, 7)
     theta = np.zeros(basis.size)
-    theta[rank[rank > 0] - 1] = -coeffs[rank > 0]
+    theta[rank[rank > 0] - 1] = -energy.coeffs[rank > 0]
     return EncodedInstance(
-        C, alpha, beta, ParamVector(basis, theta, B), energy, energy.constant_term, h_terms
+        C, alpha, beta, ParamVector(basis, theta, B), energy, energy.constant_term, H
     )
 
 
 def encoded_to_json(inst: EncodedInstance) -> dict:
     """Coefficient polynomial (negated energy, constant dropped) plus couplings."""
-    theta_poly = PolyCoeffs.make(
-        inst.n, {idx: -c for idx, c in inst.energy.terms.items() if sum(idx) > 0}
-    )
-    obj = poly_to_json(theta_poly)
+    obj = poly_to_json(PolyCoeffs.constant(inst.n, inst.dropped_constant) - inst.energy)
     obj.update(
         {
             "alpha": inst.alpha,
@@ -397,19 +377,6 @@ def satisfying_assignments(C: CnfFormula) -> list[tuple[int, ...]]:
     return out
 
 
-def _term_arrays(f: PolyCoeffs) -> tuple[np.ndarray, np.ndarray]:
-    degrees = np.array(list(f.terms.keys()), dtype=np.int64).reshape(len(f.terms), f.n)
-    return degrees, np.array(list(f.terms.values()))
-
-
-def _int_term_arrays(f: PolyCoeffs) -> tuple[np.ndarray, np.ndarray]:
-    degrees, coeffs = _term_arrays(f)
-    ints = np.rint(coeffs).astype(np.int64)
-    if not np.array_equal(ints.astype(float), coeffs):
-        raise ValueError("expected integer coefficients")
-    return degrees, ints
-
-
 def _vertex_values(degrees: np.ndarray, ints: np.ndarray, verts: np.ndarray) -> np.ndarray:
     # exact: at a vertex a monomial is (-1)^(number of odd exponents on -1 coords);
     # works on a (vertices, terms) matrix, so callers pass row blocks sized by the terms
@@ -428,18 +395,21 @@ def verify_roots(inst: EncodedInstance, n_random: int = 1000, seed: int = 0) -> 
     """
     C = inst.formula
     _check_scan_size(C.n)
-    g_arrays = _int_term_arrays(hypercube_poly(C.n))
+    H, G = inst.H, hypercube_poly(C.n)
+    h_ints, g_ints = (np.rint(f.coeffs).astype(np.int64) for f in (H, G))
+    if not (np.array_equal(h_ints, H.coeffs) and np.array_equal(g_ints, G.coeffs)):
+        raise ValueError("expected integer coefficients")
     n_sat = 0
     min_unsat_k = None
     vertex_identity = True
     roots_match = True
     # the (vertices, terms) matrices of _vertex_values and the (vertices, m, 3)
     # clause gather set the block size
-    width = max(len(inst.h_terms[1]), len(g_arrays[1]), 3 * C.m)
+    width = max(len(h_ints), len(g_ints), 3 * C.m)
     for verts in _iter_vertices(C.n, width):
         k = _falsified_counts(C, verts)
-        hv = _vertex_values(*inst.h_terms, verts)
-        gv = _vertex_values(*g_arrays, verts)
+        hv = _vertex_values(H.degrees, h_ints, verts)
+        gv = _vertex_values(G.degrees, g_ints, verts)
         vertex_identity &= bool(np.all(gv == 0) and np.all(hv == 64 * k))
         roots_match &= bool(np.all((hv == 0) == (k == 0)))
         n_sat += int(np.sum(k == 0))
@@ -495,8 +465,7 @@ def _log_density_coeffs(inst: EncodedInstance) -> np.ndarray:
     The energy's constant term stays in, so the log density is near 0 at
     the wells and log Z is the formula density's own.
     """
-    degrees, coeffs = _term_arrays(inst.energy)
-    return log_density_tensor(inst.n, degrees, -coeffs, inst.theta.d + 1)
+    return log_density_tensor(inst.n, inst.energy.degrees, -inst.energy.coeffs, inst.theta.d + 1)
 
 
 def zgap_experiment(

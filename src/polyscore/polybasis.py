@@ -5,10 +5,12 @@ monomials of total degree 1..d in n variables.  This module owns that
 coordinate system: deterministic enumeration of the multi-indices, batched
 evaluation of the monomial vector T(x) together with its Jacobian and
 Laplacian, the map from power moments to every expectation the estimators
-and audits use (:class:`FamilyStats`), sparse polynomials for constructions
-that stay far below the full basis size, and the two polynomial norms
-(Euclidean norm of the coefficient vector, L2 norm under the uniform measure
-on [-1,1]^n) together with the comparison inequality between them.
+and audits use (:class:`FamilyStats`), the package's one sparse polynomial
+type :class:`PolyCoeffs` (graded-lex exponent rows plus coefficient arrays,
+behind the member's log density and score, the CNF energies and the Legendre
+code), and the two polynomial norms (Euclidean norm of the coefficient
+vector, L2 norm under the uniform measure on [-1,1]^n) together with the
+comparison inequality between them.
 
 Multi-indices are plain tuples of nonnegative ints.  The basis order is
 graded lexicographic: ascending total degree, and within a degree block the
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -366,72 +368,98 @@ def format_monomial(degrees: Iterable[int]) -> str:
 # sparse polynomials
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyCoeffs:
-    """Sparse polynomial: map from exponent tuple to coefficient.
+    """Sparse polynomial sum_k coeffs[k] x^degrees[k], the package's one such type.
 
-    Zero coefficients are never stored.  Instances are immutable; arithmetic
-    returns new objects.  Use :meth:`make` so term maps are normalized.
+    ``degrees`` holds distinct (K, n) exponent rows in graded-lex order
+    (:func:`graded_rank` strictly increasing) and ``coeffs`` their nonzero
+    coefficients, shape (K,), or (K, k) for k polynomials sharing rows (the
+    score's gradient table), where a row is kept while any column is nonzero.
+    Both arrays are read-only; build instances through :meth:`from_arrays`
+    or :meth:`make`, which canonicalise.  Arithmetic returns new objects.
     """
 
     n: int
-    terms: Mapping[MultiIndex, float]
+    degrees: np.ndarray  # (K, n) int64
+    coeffs: np.ndarray  # (K,) or (K, k) float
+
+    @classmethod
+    def from_arrays(cls, n: int, degrees, coeffs) -> "PolyCoeffs":
+        """Canonicalise: sort rows by graded rank, add up repeated rows, drop zeros.
+
+        Repeated rows are summed in their input order, starting from 0.
+        """
+        if n < 1:
+            raise ValueError(f"need n >= 1, got n={n}")
+        deg = np.asarray(degrees, dtype=np.int64)
+        deg = deg.reshape(0, n) if deg.size == 0 else deg
+        coef = np.asarray(coeffs, dtype=float)
+        if deg.ndim != 2 or deg.shape[1] != n or coef.shape[:1] != deg.shape[:1]:
+            raise ValueError(f"exponent rows {deg.shape} and coefficients {coef.shape} do not fit n={n}")
+        if deg.size and deg.min() < 0:
+            raise ValueError("exponents must be nonnegative")
+        _, first, slot = np.unique(graded_rank(deg), return_index=True, return_inverse=True)
+        summed = np.zeros((len(first),) + coef.shape[1:])
+        np.add.at(summed, slot, coef)
+        keep = (summed != 0.0).any(axis=tuple(range(1, summed.ndim)))
+        deg, summed = deg[first[keep]], summed[keep]
+        deg.setflags(write=False)
+        summed.setflags(write=False)
+        return cls(n, deg, summed)
 
     @classmethod
     def make(cls, n: int, terms: Mapping[MultiIndex, float]) -> "PolyCoeffs":
-        if n < 1:
-            raise ValueError(f"need n >= 1, got n={n}")
-        clean: dict[MultiIndex, float] = {}
-        for idx, c in terms.items():
-            idx = tuple(int(e) for e in idx)
-            if len(idx) != n or any(e < 0 for e in idx):
-                raise ValueError(f"bad exponent tuple {idx} for n={n}")
-            c = float(c)
-            if c != 0.0:
-                clean[idx] = c
-        return cls(n=n, terms=clean)
+        """From a map of exponent tuples to coefficients."""
+        return cls.from_arrays(n, list(terms.keys()), list(terms.values()))
 
     @classmethod
     def zero(cls, n: int) -> "PolyCoeffs":
-        return cls.make(n, {})
+        return cls.from_arrays(n, np.zeros((0, n)), np.zeros(0))
 
     @classmethod
     def constant(cls, n: int, c: float) -> "PolyCoeffs":
-        return cls.make(n, {(0,) * n: c})
+        return cls.from_arrays(n, np.zeros((1, n)), [c])
+
+    @property
+    def terms(self) -> dict[MultiIndex, float]:
+        """The polynomial as a fresh map from exponent tuple to coefficient."""
+        return dict(zip(map(tuple, self.degrees.tolist()), self.coeffs.tolist()))
 
     @property
     def degree(self) -> int:
-        return max((sum(idx) for idx in self.terms), default=0)
+        return int(self.degrees[-1].sum()) if len(self.degrees) else 0
 
     @property
     def constant_term(self) -> float:
-        return self.terms.get((0,) * self.n, 0.0)
+        return float(self.coeffs[0]) if len(self.degrees) and not self.degrees[0].any() else 0.0
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PolyCoeffs):
+            return NotImplemented
+        return (self.n == other.n and np.array_equal(self.degrees, other.degrees)
+                and np.array_equal(self.coeffs, other.coeffs))
 
     def __add__(self, other: "PolyCoeffs") -> "PolyCoeffs":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        out = dict(self.terms)
-        for idx, c in other.terms.items():
-            out[idx] = out.get(idx, 0.0) + c
-        return PolyCoeffs.make(self.n, out)
+        return PolyCoeffs.from_arrays(
+            self.n, np.vstack([self.degrees, other.degrees]), np.concatenate([self.coeffs, other.coeffs])
+        )
 
     def __neg__(self) -> "PolyCoeffs":
-        return PolyCoeffs.make(self.n, {idx: -c for idx, c in self.terms.items()})
+        return -1.0 * self
 
     def __sub__(self, other: "PolyCoeffs") -> "PolyCoeffs":
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, PolyCoeffs):
-            if self.n != other.n:
-                raise ValueError("dimension mismatch")
-            out: dict[MultiIndex, float] = {}
-            for ia, ca in self.terms.items():
-                for ib, cb in other.terms.items():
-                    idx = tuple(a + b for a, b in zip(ia, ib))
-                    out[idx] = out.get(idx, 0.0) + ca * cb
-            return PolyCoeffs.make(self.n, out)
-        return PolyCoeffs.make(self.n, {idx: float(other) * c for idx, c in self.terms.items()})
+        if not isinstance(other, PolyCoeffs):
+            return PolyCoeffs.from_arrays(self.n, self.degrees, float(other) * self.coeffs)
+        if self.n != other.n:
+            raise ValueError("dimension mismatch")
+        degrees = self.degrees[:, None, :] + other.degrees[None, :, :]
+        return PolyCoeffs.from_arrays(self.n, degrees.reshape(-1, self.n), np.outer(self.coeffs, other.coeffs).ravel())
 
     __rmul__ = __mul__
 
@@ -443,17 +471,39 @@ class PolyCoeffs:
             out = out * self
         return out
 
+    @cached_property
+    def _gather(self) -> tuple[int, tuple[np.ndarray, ...]]:
+        """(dmax, per axis i the flat power-table index i (dmax + 1) + degrees[:, i])."""
+        dmax = int(self.degrees.max(initial=0))
+        return dmax, tuple(i * (dmax + 1) + self.degrees[:, i] for i in range(self.n))
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Values at one float point (n,) or a batch (N, n), unchecked.
+
+        One power table, one gather per axis and one matvec.  A single point
+        builds its power table with one cumprod, a batch with the
+        repeated-multiply :func:`_power_table`; both multiply the same factors
+        in the same order.
+        """
+        dmax, cols = self._gather
+        if x.ndim == 1:
+            P = x.repeat(dmax + 1)
+            P[:: dmax + 1] = 1.0  # row i of P.reshape(n, -1) is 1, x_i, .., x_i
+            np.cumprod(P.reshape(len(x), -1), axis=1, out=P.reshape(len(x), -1))
+            mono = P[cols[0]]
+            for c in cols[1:]:
+                mono = mono * P[c]
+        else:
+            mono = _monomials_from_table(_power_table(x, dmax), self.degrees)
+        return mono @ self.coeffs
+
     def evaluate(self, x) -> np.ndarray | float:
         """Evaluate at a point (n,) or batch (N, n)."""
         xb, single = _as_batch(x, self.n)
-        if not self.terms:
-            vals = np.zeros(xb.shape[0])
-        else:
-            degrees = np.array(list(self.terms.keys()), dtype=np.int64)
-            coeffs = np.array(list(self.terms.values()))
-            P = _power_table(xb, int(degrees.max()))
-            vals = _monomials_from_table(P, degrees) @ coeffs
-        return float(vals[0]) if single else vals
+        if single:
+            vals = self(xb[0])
+            return float(vals) if vals.ndim == 0 else vals
+        return self(xb)
 
 
 def poly_to_json(f: PolyCoeffs) -> dict:
@@ -476,29 +526,20 @@ def poly_from_json(obj: Mapping) -> PolyCoeffs:
 
 def monomial_norm(f: PolyCoeffs) -> float:
     """Euclidean norm of the coefficient vector (constant term included)."""
-    return math.sqrt(sum(c * c for c in f.terms.values()))
+    return math.sqrt(float(f.coeffs @ f.coeffs))
 
 
 def l2_cube_inner(f: PolyCoeffs, g: PolyCoeffs) -> float:
     """E[f(x) g(x)] for x uniform on [-1,1]^n, via exact moments.
 
     E[x^k] = 1/(k+1) for even k and 0 for odd k, applied per coordinate to
-    each product of terms.
+    each product of terms: one moment matrix over the term pairs.
     """
     if f.n != g.n:
         raise ValueError("dimension mismatch")
-    acc = 0.0
-    for ia, ca in f.terms.items():
-        for ib, cb in g.terms.items():
-            prod = ca * cb
-            for a, b in zip(ia, ib):
-                k = a + b
-                if k % 2:
-                    prod = 0.0
-                    break
-                prod /= k + 1
-            acc += prod
-    return acc
+    k = f.degrees[:, None, :] + g.degrees[None, :, :]
+    moment = np.where(k % 2 == 0, 1.0 / (k + 1), 0.0).prod(axis=2)
+    return float(f.coeffs @ moment @ g.coeffs)
 
 
 def l2_cube_norm(f: PolyCoeffs) -> float:
@@ -519,6 +560,7 @@ def l2_cube_norm(f: PolyCoeffs) -> float:
 # coefficient vector of f satisfies sum b^2 = l2_cube_norm(f)^2 exactly.
 
 
+@lru_cache(maxsize=None)
 def legendre_1d(k: int, normalization: str = "none") -> PolyCoeffs:
     """Univariate Legendre polynomial L_k (optionally normalized)."""
     if k < 0:
@@ -539,14 +581,11 @@ def legendre_1d(k: int, normalization: str = "none") -> PolyCoeffs:
 
 
 def _embed_axis(p1d: PolyCoeffs, n: int, axis: int) -> PolyCoeffs:
-    terms = {}
-    for (e,), c in p1d.terms.items():
-        idx = [0] * n
-        idx[axis] = e
-        terms[tuple(idx)] = c
-    return PolyCoeffs.make(n, terms)
+    degrees = np.insert(np.zeros((len(p1d.degrees), n - 1), dtype=np.int64), [axis], p1d.degrees, axis=1)
+    return PolyCoeffs.from_arrays(n, degrees, p1d.coeffs)
 
 
+@lru_cache(maxsize=None)
 def legendre_tensor(index: MultiIndex, normalization: str = "uniform") -> PolyCoeffs:
     """Product of per-axis Legendre factors for the given multi-index."""
     n = len(index)
@@ -583,11 +622,10 @@ def from_legendre(coeffs, n: int, d: int) -> PolyCoeffs:
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (len(idx),):
         raise ValueError(f"expected {len(idx)} coefficients, got shape {coeffs.shape}")
-    out = PolyCoeffs.zero(n)
-    for b, ix in zip(coeffs, idx):
-        if b:
-            out = out + float(b) * legendre_tensor(ix)
-    return out
+    parts = [legendre_tensor(ix) for ix in idx]
+    return PolyCoeffs.from_arrays(
+        n, np.vstack([t.degrees for t in parts]), np.concatenate([b * t.coeffs for b, t in zip(coeffs, parts)])
+    )
 
 
 # ---------------------------------------------------------------------------

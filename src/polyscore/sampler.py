@@ -297,8 +297,9 @@ def diagnostics(s: SampleSet, p: ParamVector, grid) -> dict:
     Z-scores use the sample standard error, so a clean sampler should stay
     within a few units regardless of the statistic's scale.
     """
-    if s.N == 0:
-        raise ValueError("empty sample set has no diagnostics")
+    if s.N < 2:
+        kind = "an empty sample set" if s.N == 0 else "a single draw"
+        raise ValueError(f"diagnostics need at least two draws for a standard error, got {kind}")
     if s.n != p.n or grid.n != s.n:
         raise ValueError("sample, parameter, and grid dimensions must agree")
     mom = moments(p, grid)
@@ -314,7 +315,7 @@ def diagnostics(s: SampleSet, p: ParamVector, grid) -> dict:
         return np.stack([prods, prods * prods], axis=1)
 
     emp_second, mean_sq = row_mean(products, T, 2 * p.basis.size**2)
-    var_second = np.maximum(mean_sq - emp_second**2, 0.0) * s.N / max(s.N - 1, 1)
+    var_second = np.maximum(mean_sq - emp_second**2, 0.0) * s.N / (s.N - 1)
     se_second = np.maximum(np.sqrt(var_second / s.N), 1e-15)
     z_second = np.abs(emp_second - mom.second_T) / se_second
 

@@ -15,7 +15,6 @@ import time
 import numpy as np
 
 from polyscore.estimators import (
-    _normal_equations,
     convergence_study,
     fit_score_matching,
     sm_loss,
@@ -54,6 +53,7 @@ from polyscore.polybasis import (
     from_legendre,
     graded_indices,
     legendre_indices,
+    sample_stats,
     to_legendre,
 )
 from polyscore.reports import canonical_json
@@ -77,8 +77,8 @@ def run_criterion_1(seed=101):
         data = rng.normal(scale=0.8, size=(1000, n))
         s = SampleSet(n=n, N=1000, data=data, seed=seed + i)
         fit = fit_score_matching(s, basis)
-        G, b = _normal_equations(s, basis)
-        resid = float(np.linalg.norm(G @ fit.theta_hat + b))
+        st = sample_stats(basis, s.data)
+        resid = float(np.linalg.norm(st.gram @ fit.theta_hat + st.sm_linear))
         worst_resid = max(worst_resid, resid / (1.0 + float(np.linalg.norm(fit.theta_hat))))
         for j in range(100):
             step = probe_scales[j % 4] * rng.standard_normal(basis.size)

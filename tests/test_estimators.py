@@ -23,7 +23,7 @@ from polyscore.expfam import (
     family_grid,
     zero_params,
 )
-from polyscore.polybasis import enumerate_basis
+from polyscore.polybasis import enumerate_basis, sample_stats
 from polyscore.sampler import SampleSet, sample_exact_separable
 
 LOG_SQRT_PI = 0.5 * math.log(math.pi)
@@ -67,10 +67,8 @@ class TestScoreMatchingClosedForm:
         rng = np.random.default_rng(8)
         s = SampleSet(n=2, N=500, data=rng.normal(scale=0.8, size=(500, 2)), seed=0)
         report = fit_score_matching(s, basis)
-        from polyscore.estimators import _normal_equations
-
-        G, b = _normal_equations(s, basis)
-        resid = np.linalg.norm(G @ report.theta_hat + b)
+        st = sample_stats(basis, s.data)
+        resid = np.linalg.norm(st.gram @ report.theta_hat + st.sm_linear)
         assert resid <= 1e-8 * (1 + np.linalg.norm(report.theta_hat))
 
     def test_minimizes_loss_against_probes(self):

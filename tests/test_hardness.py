@@ -415,11 +415,10 @@ class TestVerifyRoots:
         # the certificate reads the instance's own expansion of H_C: one
         # wrong coefficient there breaks the vertex identity
         inst = encode(load_fixture("uniq3"), 1.0, 1.0)
-        degrees, ints = inst.h_terms
-        assert np.array_equal(ints, np.rint(ints)) and ints.dtype == np.int64
-        bad = ints.copy()
+        assert np.array_equal(inst.H.coeffs, np.rint(inst.H.coeffs))
+        bad = inst.H.coeffs.copy()
         bad[0] += 1
-        broken = dataclasses.replace(inst, h_terms=(degrees, bad))
+        broken = dataclasses.replace(inst, H=PolyCoeffs.from_arrays(inst.n, inst.H.degrees, bad))
         rep = verify_roots(broken, seed=7)
         assert not rep["vertex_identity"] and not rep["holds"]
 
@@ -427,7 +426,7 @@ class TestVerifyRoots:
         # about a thousand terms of H put the 4096 vertices of n = 12 into
         # several row blocks; every value must stay the exact integer H(v)
         inst = encode(random_formula(12, 120, seed=9), 1.0, 2.0)
-        degrees, ints = inst.h_terms
+        degrees, ints = inst.H.degrees, np.rint(inst.H.coeffs).astype(np.int64)
         blocks = list(_iter_vertices(12, len(ints)))
         assert len(blocks) > 1
         verts = np.vstack(blocks)

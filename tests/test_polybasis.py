@@ -237,6 +237,105 @@ class TestPolyCoeffs:
         assert format_monomial((1,)) == "x1"
 
 
+@st.composite
+def _raw_terms(draw, n=None, width=None):
+    """(n, rows, coeffs): up to 12 rows with exponents 0..4, repeats and zeros likely."""
+    n = draw(st.integers(1, 4)) if n is None else n
+    distinct = draw(st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n), min_size=1, max_size=12))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), max_size=12))
+    coef = st.one_of(st.just(0.0), st.floats(-3.0, 3.0, allow_nan=False))
+    shape = (len(picks),) if width is None else (len(picks), width)
+    coeffs = np.array(draw(st.lists(coef, min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))))
+    rows = np.array([distinct[i] for i in picks], dtype=np.int64).reshape(len(picks), n)
+    return n, rows, coeffs.reshape(shape)
+
+
+def _points(n, seed):
+    return np.random.default_rng(seed).uniform(-1.5, 1.5, (6, n))
+
+
+def _abs_terms(f, X):
+    """sum_k |c_k x^a_k| at each row of X: the scale of f's rounding error."""
+    return PolyCoeffs.from_arrays(f.n, f.degrees, np.abs(f.coeffs))(np.abs(X))
+
+
+class TestPolyCoeffsProperties:
+    """The array-backed sparse polynomial against pointwise definitions."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(raw=_raw_terms(), seed=st.integers(0, 2**31 - 1))
+    def test_canonical_form(self, raw, seed):
+        n, rows, coeffs = raw
+        f = PolyCoeffs.from_arrays(n, rows, coeffs)
+        assert np.all(np.diff(graded_rank(f.degrees)) > 0)
+        assert np.all(f.coeffs != 0.0)
+        assert not f.degrees.flags.writeable and not f.coeffs.flags.writeable
+        assert PolyCoeffs.make(n, f.terms) == f
+        X = _points(n, seed)
+        want = np.prod(X[:, None, :] ** rows[None], axis=2) @ coeffs
+        scale = np.prod(np.abs(X[:, None, :]) ** rows[None], axis=2) @ np.abs(coeffs)
+        assert np.all(np.abs(f.evaluate(X) - want) <= 1e-12 * scale)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), k=st.integers(0, 3), seed=st.integers(0, 2**31 - 1))
+    def test_ring_operations_pointwise(self, data, k, seed):
+        n, rows, coeffs = data.draw(_raw_terms())
+        f = PolyCoeffs.from_arrays(n, rows, coeffs)
+        g = PolyCoeffs.from_arrays(*data.draw(_raw_terms(n=n)))
+        X = _points(n, seed)
+        fx, gx, af, ag = f(X), g(X), _abs_terms(f, X), _abs_terms(g, X)
+        assert np.all(np.abs((f + g)(X) - (fx + gx)) <= 1e-12 * (af + ag))
+        assert np.all(np.abs((f - g)(X) - (fx - gx)) <= 1e-12 * (af + ag))
+        assert np.all(np.abs((f * g)(X) - fx * gx) <= 1e-12 * af * ag)
+        assert np.array_equal((-f)(X), -fx)
+        assert np.all(np.abs((2.5 * f)(X) - 2.5 * fx) <= 1e-12 * 2.5 * af)
+        assert np.all(np.abs(f.power(k)(X) - fx**k) <= 1e-12 * af**k)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(raw=_raw_terms(), seed=st.integers(0, 2**31 - 1))
+    def test_single_point_matches_batch_row(self, raw, seed):
+        f = PolyCoeffs.from_arrays(*raw)
+        X = _points(f.n, seed)
+        batch, scale = f.evaluate(X), _abs_terms(f, X)
+        for j in range(len(X)):
+            single = f.evaluate(X[j])
+            assert isinstance(single, float)
+            assert abs(single - batch[j]) <= 1e-12 * scale[j]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_l2_cube_inner_matches_pairwise_sum(self, data):
+        n, rows, coeffs = data.draw(_raw_terms())
+        f = PolyCoeffs.from_arrays(n, rows, coeffs)
+        g = PolyCoeffs.from_arrays(*data.draw(_raw_terms(n=n)))
+        want, scale = 0.0, 0.0
+        for ia, ca in f.terms.items():
+            for ib, cb in g.terms.items():
+                prod = ca * cb
+                for a, b in zip(ia, ib):
+                    prod = 0.0 if (a + b) % 2 else prod / (a + b + 1)
+                want += prod
+                scale += abs(prod)
+        assert abs(l2_cube_inner(f, g) - want) <= 1e-12 * scale
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), seed=st.integers(0, 2**31 - 1))
+    def test_shared_rows_match_scalar_columns(self, data, seed):
+        width = data.draw(st.integers(1, 3))
+        n, rows, coeffs = data.draw(_raw_terms(width=width))
+        F = PolyCoeffs.from_arrays(n, rows, coeffs)
+        assert F.coeffs.shape == (len(F.degrees), width)
+        assert np.all((F.coeffs != 0.0).any(axis=1))
+        X = _points(n, seed)
+        vals, single = F(X), F.evaluate(X[0])
+        assert vals.shape == (len(X), width) and single.shape == (width,)
+        for j in range(width):
+            f = PolyCoeffs.from_arrays(n, rows, coeffs[:, j])
+            scale = _abs_terms(f, X)
+            assert np.all(np.abs(vals[:, j] - f(X)) <= 1e-12 * scale)
+            assert abs(single[j] - f.evaluate(X[0])) <= 1e-12 * scale[0]
+
+
 class TestNorms:
     def test_monomial_norm_three_four_five(self):
         f = PolyCoeffs.make(2, {(1, 0): 3.0, (0, 1): 4.0})

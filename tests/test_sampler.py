@@ -210,6 +210,10 @@ class TestDiagnostics:
         s = SampleSet(n=1, N=0, data=np.zeros((0, 1)), seed=0)
         with pytest.raises(ValueError, match="empty"):
             diagnostics(s, zero_params(1, 1), build_grid(1, 6.0, 50))
+        # one draw has no standard error: refused, not reported as nan
+        s = SampleSet(n=1, N=1, data=np.zeros((1, 1)), seed=0)
+        with pytest.raises(ValueError, match="at least two draws"):
+            diagnostics(s, zero_params(1, 1), build_grid(1, 6.0, 50))
 
     def test_wrong_theta_flagged(self):
         # samples from theta = 0, diagnosed against theta = 1: mean shifts by 1/2
