@@ -144,9 +144,9 @@ def sm_loss(p: ParamVector, s: SampleSet) -> float:
 # maximum likelihood
 
 
-def _mle_objective(p: ParamVector, emp: FamilyStats, grid: QuadratureGrid):
+def _mle_objective(p: ParamVector, emp: FamilyStats, grid: QuadratureGrid, check: bool = False):
     """Average log-likelihood, its gradient and minus its Hessian, the Fisher matrix."""
-    mom = moments(p, grid)
+    mom = moments(p, grid, check)
     loss = emp.mean_log_h + float(p.theta @ emp.mean_T) - mom.log_partition
     return loss, emp.mean_T - mom.mean_T, mom.fisher
 
@@ -156,9 +156,7 @@ def mle_loss_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Average log-likelihood and its theta-gradient E_hat[T] - E_theta[T]."""
     _check_dims(s, p.basis)
-    if check:
-        gated_log_partition(p, grid)
-    return _mle_objective(p, sample_stats(p.basis, s.data), grid)[:2]
+    return _mle_objective(p, sample_stats(p.basis, s.data), grid, check)[:2]
 
 
 def _as_member(basis: MonomialBasis, theta: np.ndarray) -> ParamVector:

@@ -20,9 +20,10 @@ tables and the slab's coefficient matrix, so no grid point is ever formed and
 the working set is one K x K slab.  The same pass returns the power moments
 E[x^e] up to a requested order; :func:`moments` takes them to order 2d, which
 determines E[T], E[T T^t], the Jacobian Gram matrix, the score-matching terms
-and E|Lap T|^2 (``polybasis.family_stats``).  Only integrands that are not
-polynomials, such as ``fisher``'s largest eigenvalue of (JT)^t(JT), stream
-node chunks through :func:`quad_expectation`.
+and E|Lap T|^2 (``polybasis.family_stats``).  Functions of polynomials,
+such as ``fisher``'s largest eigenvalue of (JT)^t(JT), ride the same pass as
+fields: their polynomials' slab values come from the same GEMM chain and go
+to a reducer.  :func:`quad_expectation` streams node chunks of any integrand.
 """
 
 from __future__ import annotations
@@ -414,12 +415,14 @@ class PolyIntegral:
 
     ``moments[e]`` is E[x^e] under the normalized density for every exponent
     tuple e in {0..order}^n, so ``moments[0, ..., 0] == 1``; ``orthant_mass``
-    is the probability of the union of the requested closed orthants.
+    is the probability of the union of the requested closed orthants;
+    ``field_means`` the reducer's sums normalized, None without fields.
     """
 
     log_integral: float
     moments: np.ndarray
     orthant_mass: float
+    field_means: np.ndarray | None = None
 
 
 def log_density_tensor(n: int, exponents, coeffs, base_degree: int) -> np.ndarray:
@@ -470,7 +473,9 @@ def _split_separable(grid: QuadratureGrid, C: np.ndarray) -> tuple[float, list[n
 
 # powers that overflow far out are zero density, handled below without warnings
 @np.errstate(over="ignore", invalid="ignore")
-def poly_quadrature(grid: QuadratureGrid, coeffs, order: int = 0, orthants=()) -> PolyIntegral:
+def poly_quadrature(
+    grid: QuadratureGrid, coeffs, order: int = 0, orthants=(), fields=None, reduce=None
+) -> PolyIntegral:
     """Quadrature of exp(polynomial) over the grid, one slab at a time.
 
     ``coeffs`` is a dense tensor of shape (D + 1,) * n whose entry e is the
@@ -486,6 +491,12 @@ def poly_quadrature(grid: QuadratureGrid, coeffs, order: int = 0, orthants=()) -
 
     ``orthants`` lists sign vectors v; a node counts towards
     ``orthant_mass`` once if v_i x_i >= 0 for all i holds for any of them.
+
+    ``fields`` stacks k more tensors laid out like ``coeffs``, shape
+    (k,) + (D' + 1,) * n.  On each slab their values P_2 F(t_a) P_3^t,
+    V (k, K, K), and the slab's weights E (K, K) go to ``reduce(V, E)``,
+    whose weighted sums (an array of fixed shape) stream through the same
+    log-sum-exp into ``field_means``.
     """
     n = grid.n
     C = np.asarray(coeffs, dtype=float)
@@ -509,7 +520,15 @@ def poly_quadrature(grid: QuadratureGrid, coeffs, order: int = 0, orthants=()) -
     slab_parts = np.add.outer(parts[1], parts[2])
     # S sums w f x^e over all nodes, mass sums w f over the orthants' nodes
     acc = _LogSum([q.shape[1] for q in Q], ())
-    S, mass = acc.sums
+    if reduce is not None:  # a third sum, of the reducer's output
+        F = np.asarray(fields, dtype=float)
+        if F.ndim != n + 1 or len(set(F.shape[1:])) != 1:
+            raise ValueError(f"field tensors of shape {F.shape} do not fit an n={n} grid")
+        F = F.reshape(F.shape[:1] + (1,) * pad + F.shape[1:])
+        PF = [np.vander(t, k, increasing=True) for t, k in zip(nodes, F.shape[1:])]
+        slab_fields = np.tensordot(PF[0], F, axes=(1, 1))  # F(t_a) for every slab a
+        acc.sums.append(np.zeros(np.shape(reduce(np.zeros((len(F), 1, 1)), np.zeros((1, 1))))))
+    S, mass = acc.sums[:2]
     for a, part in enumerate(parts[0]):
         L = P[1] @ slab_mixed[a] @ P[2].T
         L += slab_parts
@@ -520,6 +539,8 @@ def poly_quadrature(grid: QuadratureGrid, coeffs, order: int = 0, orthants=()) -
         active = hit[0][:, a] > 0.0
         if active.any():
             mass += float(E[hit[1][active].T @ hit[2][active] > 0.0].sum())
+        if reduce is not None:
+            acc.sums[2] += reduce(PF[1] @ slab_fields[a] @ PF[2].T, E)
     z = acc.total()
     if not const > -math.inf:
         raise NumericalError("integrand underflowed to zero at every grid node")
@@ -527,19 +548,20 @@ def poly_quadrature(grid: QuadratureGrid, coeffs, order: int = 0, orthants=()) -
         log_integral=const + acc.m + math.log(z),
         moments=(S / z)[(0,) * pad],
         orthant_mass=float(mass / z),
+        field_means=acc.sums[2] / z if reduce is not None else None,
     )
 
 
 def gated_quadrature(
-    grid: QuadratureGrid, coeffs, order: int = 0, orthants=()
+    grid: QuadratureGrid, coeffs, order: int = 0, orthants=(), fields=None, reduce=None
 ) -> tuple[PolyIntegral, float]:
     """:func:`poly_quadrature` behind the grid-doubling gate.
 
     Returns the pass on ``grid`` and the doubling delta; raises
     :class:`GridConvergenceError` when doubling points_per_axis moves log Z
-    by GATE_TOL or more.
+    by GATE_TOL or more.  Fields ride the pass on ``grid`` only.
     """
-    coarse = poly_quadrature(grid, coeffs, order, orthants)
+    coarse = poly_quadrature(grid, coeffs, order, orthants, fields, reduce)
     delta = abs(poly_quadrature(grid.doubled(), coeffs).log_integral - coarse.log_integral)
     if not delta < GATE_TOL:
         raise GridConvergenceError(
@@ -573,19 +595,25 @@ class Moments(FamilyStats):
 
     log_partition: float
 
+    @classmethod
+    def of(cls, p: ParamVector, out: PolyIntegral) -> "Moments":
+        """Gather the statistics from a pass under p of moment order >= 2d."""
+        power = out.moments[tuple(moment_degrees(p.n, p.d).T)]
+        return cls(**vars(family_stats(p.basis, power)), log_partition=out.log_integral)
 
-def moments(p: ParamVector, grid: QuadratureGrid) -> Moments:
+
+def moments(p: ParamVector, grid: QuadratureGrid, check: bool = False) -> Moments:
     """Quadrature statistics under p_theta; mean_T = grad_theta log Z.
 
     One :func:`poly_quadrature` pass of order 2d gives the power moments
     E[x^e], |e| <= 2d, and every :class:`FamilyStats` field is gathered
-    from them (see ``polybasis.family_stats``).
+    from them (see ``polybasis.family_stats``).  With ``check`` that pass is
+    the coarse pass of :func:`gated_quadrature`, so the gate costs only the
+    doubled grid's log Z.
     """
     _check_grid(p, grid)
-    out = poly_quadrature(grid, member_coeffs(p), order=2 * p.d)
-    power = out.moments[tuple(moment_degrees(p.n, p.d).T)]
-    stats = family_stats(p.basis, power)
-    return Moments(**vars(stats), log_partition=out.log_integral)
+    args = (grid, member_coeffs(p), 2 * p.d)
+    return Moments.of(p, gated_quadrature(*args)[0] if check else poly_quadrature(*args))
 
 
 # ---------------------------------------------------------------------------

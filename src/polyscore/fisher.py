@@ -10,28 +10,35 @@ pencil is exactly the variance-to-Dirichlet ratio the constant maximizes.
 verify_bounds audits seven inequalities tying these quantities to explicit
 functions of (n, d, B); the variance lower bound's denominator overflows
 doubles long before the desk scale is left, so that check compares logs.
+
+op-norm(JT)^4 = lambda_max((JT)^t(JT))^2 is not a polynomial, but the entries
+of (JT)^t(JT) are, so on a grid they ride the quadrature pass as slab fields
+and :func:`_lambda_max` reduces them in closed form.  Check (vi)'s <w, T> ride
+as fields too, apart from the ``family_stats`` gather that check audits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy import linalg
 
 from .errors import NumericalError
 from .expfam import (
+    Moments,
     ParamVector,
+    PolyIntegral,
     QuadratureGrid,
-    gated_log_partition,
-    log_unnormalized_density,
+    gated_quadrature,
+    member_coeffs,
     moments,
-    quad_expectation,
+    poly_quadrature,
     tail_radius,
 )
-from .polybasis import FamilyStats, eval_jacobian, eval_suffstats, row_mean, sample_stats
+from .polybasis import FamilyStats, enumerate_basis, eval_jacobian, row_mean, sample_stats
 from .reports import BoundCheck
 from .sampler import SampleSet
 
@@ -93,9 +100,7 @@ def _stats(p: ParamVector, source, check: bool) -> FamilyStats:
         if source.n != p.n:
             raise ValueError("sample dimension mismatch")
         return sample_stats(p.basis, source.data)
-    if check:
-        gated_log_partition(p, source)
-    return moments(p, source)
+    return moments(p, source, check)
 
 
 def fisher_info(p: ParamVector, source, check: bool = True) -> np.ndarray:
@@ -135,37 +140,120 @@ def restricted_poincare(I: np.ndarray, G: np.ndarray, basis=None, return_witness
     return C_P
 
 
+def _lambda_max(n: int, upper) -> np.ndarray:
+    """Largest eigenvalue of PSD symmetric n x n matrices, n <= 3, in closed form.
+
+    ``upper`` stacks the upper-triangle entries, row-major ((0, 0), (0, 1),
+    .., (n-1, n-1)), on its first axis; the other axes broadcast.  n = 2 is
+    the half trace plus a hypot.  n = 3 is O. K. Smith's trigonometric form
+    (CACM 4(4), 1961): with q = tr A / 3, B = A - qI and p^2 = tr B^2 / 6,
+    lambda_max = q + 2p cos(phi), where 3 phi in [0, pi] has cosine
+    det B / (2 p^3).  The angle is taken by atan2 from det B / 2 and
+    sqrt(disc / 108), where disc = prod_{i<j} (lambda_i - lambda_j)^2 is the
+    Gram determinant of I, B and B^2.  That is 3 |u ^ w|^2, with u and w the
+    coordinates of B and B^2 in an orthonormal basis of the traceless
+    symmetric matrices, a sum of squares of 2 x 2 minors.  So the angle stays
+    accurate where the top eigenvalues meet, where an acos of det B / (2 p^3)
+    would lose half the digits.  A is scaled by 1/q first (every entry of a
+    PSD matrix is at most 3q), so the degree-6 discriminant neither underflows
+    nor overflows; both terms of lambda_max are then >= 0, so nothing cancels.
+    """
+    if n == 1:
+        return upper[0]
+    if n == 2:
+        a, b, c = upper
+        return 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+    a11, a12, a13, a22, a23, a33 = upper
+    q = (a11 + a22 + a33) / 3.0
+    inv = np.divide(1.0, q, out=np.zeros(np.shape(q)), where=q > 0.0)  # A = 0 stays 0
+    b11, b22, b33 = (a11 - q) * inv, (a22 - q) * inv, (a33 - q) * inv
+    a12, a13, a23 = a12 * inv, a13 * inv, a23 * inv
+    s12, s13, s23 = a12 * a12, a13 * a13, a23 * a23
+    c11, c22, c33 = b11 * b11 + s12 + s13, b22 * b22 + s12 + s23, b33 * b33 + s13 + s23
+    # coordinates up to the basis norms 1/sqrt(2), 1/sqrt(6), sqrt(2) x 3,
+    # which weight the squared minors below
+    u = (b11 - b22, b11 + b22 - 2.0 * b33, a12, a13, a23)
+    w = (c11 - c22, c11 + c22 - 2.0 * c33, (b11 + b22) * a12 + a13 * a23,
+         (b11 + b33) * a13 + a12 * a23, (b22 + b33) * a23 + a12 * a13)
+
+    def minor2(i, j):
+        m = u[i] * w[j] - u[j] * w[i]
+        return m * m
+
+    wedge = (minor2(0, 1) / 12.0 + minor2(0, 2) + minor2(0, 3) + minor2(0, 4)
+             + (minor2(1, 2) + minor2(1, 3) + minor2(1, 4)) / 3.0
+             + 4.0 * (minor2(2, 3) + minor2(2, 4) + minor2(3, 4)))
+    det = b11 * (b22 * b33 - s23) - a12 * (a12 * b33 - a23 * a13) + a13 * (a12 * a23 - b22 * a13)
+    phi = np.arctan2(np.sqrt(wedge), 3.0 * det) / 3.0
+    return q * (1.0 + 2.0 * np.sqrt((c11 + c22 + c33) / 6.0) * np.cos(phi))
+
+
 def _opnorm4(basis, X: np.ndarray) -> np.ndarray:
     """op-norm(JT)^4 per row: lambda_max((JT)^t JT)^2, not a polynomial for n >= 2."""
     J = eval_jacobian(basis, X)
+    if basis.n <= 3:
+        i, j = np.triu_indices(basis.n)
+        return _lambda_max(basis.n, np.einsum("ski,ski->is", J[:, :, i], J[:, :, j])) ** 2
     return np.linalg.eigvalsh(np.einsum("ski,skj->sij", J, J))[:, -1] ** 2
 
 
-def _grid_means(p: ParamVector, grid: QuadratureGrid, fns) -> list[np.ndarray]:
-    """Expectations under p of per-node integrands, by one quadrature pass."""
-    return quad_expectation(grid, lambda X: log_unnormalized_density(p, X), fns)[1]
+def _dense(n: int, d: int, degrees, coef) -> np.ndarray:
+    """Polynomials sum_r coef[f, r] x^degrees[r] as (2d + 1,)^n tensors, one per row f."""
+    F = np.zeros((len(coef),) + (2 * d + 1,) * n)
+    F[(slice(None),) + tuple(np.asarray(degrees).T)] = coef
+    return F
+
+
+@lru_cache(maxsize=None)
+def _jtj_fields(n: int, d: int) -> np.ndarray:
+    """Entries (i, j), i <= j, of (JT)^t(JT): sum_k a_ki a_kj x^(2 a_k - e_i - e_j)."""
+    A, eye = enumerate_basis(n, d).degrees, np.eye(n, dtype=np.int64)
+    pairs = [(A[:, i] * A[:, j], eye[i] + eye[j]) for i, j in zip(*np.triu_indices(n))]
+    F = np.concatenate([_dense(n, d, (2 * A - e)[c > 0], c[None, c > 0]) for c, e in pairs])
+    F.setflags(write=False)
+    return F
+
+
+def _jt_pass(
+    p: ParamVector, grid: QuadratureGrid, extra=(), order: int = 0, check: bool = False
+) -> tuple[PolyIntegral, float, np.ndarray]:
+    """One slab pass under p, its fields the entries of (JT)^t(JT) and ``extra``.
+
+    Returns the pass, E[op-norm(JT)^4], and E[Y] then E[Y^2] for the extra fields Y.
+    """
+    jtj = _jtj_fields(p.n, p.d)
+    m = len(jtj)
+
+    def reduce(V, E):
+        e = E.ravel()
+        lam = _lambda_max(p.n, V[:m]).ravel()
+        Y = V[m:].reshape(len(V) - m, e.size)
+        return np.concatenate([[lam * lam @ e], Y @ e, Y * Y @ e])
+
+    fields = np.concatenate([jtj, np.reshape(extra, (-1,) + jtj.shape[1:])])
+    args = (grid, member_coeffs(p), order, (), fields, reduce)
+    out = gated_quadrature(*args)[0] if check else poly_quadrature(*args)
+    return out, float(out.field_means[0]), out.field_means[1:]
 
 
 def sm_moment_inputs(p: ParamVector, source, check: bool = False) -> dict:
     """E[op-norm(JT)^4] and E[|Laplacian T|^2] under p (quadrature or samples)."""
-    lap2 = _stats(p, source, check).lap_sq
-    opnorm4 = partial(_opnorm4, p.basis)
     if isinstance(source, SampleSet):
-        m4 = row_mean(opnorm4, source.data, p.basis.size * p.n)
+        lap2 = _stats(p, source, check).lap_sq
+        m4 = row_mean(partial(_opnorm4, p.basis), source.data, p.basis.size * p.n)
     else:
-        (m4,) = _grid_means(p, source, [opnorm4])
+        out, m4, _ = _jt_pass(p, source, order=2 * p.d, check=check)
+        lap2 = Moments.of(p, out).lap_sq
     return {"E_opJT4": float(m4), "E_dT2": lap2}
 
 
 def regularity_preflight(p: ParamVector, grid: QuadratureGrid) -> dict:
-    """The SM covariance claim's moment conditions, evaluated by quadrature."""
-
-    def gradlogh4(X):
-        g2 = (p.d + 1) ** 2 * np.sum(X ** (2 * p.d), axis=1)
-        return g2 * g2
-
-    g4, m4 = _grid_means(p, grid, [gradlogh4, partial(_opnorm4, p.basis)])
-    out = {"E_opJT4": float(m4), "E_dT2": moments(p, grid).lap_sq, "E_gradlogh4": float(g4)}
+    """The SM covariance claim's moment conditions, from one quadrature pass."""
+    n, d = p.n, p.d
+    # |grad log h|^2 = (d + 1)^2 sum_i x_i^{2d}; the reducer squares it
+    g2 = _dense(n, d, 2 * d * np.eye(n, dtype=np.int64), np.full((1, n), (d + 1.0) ** 2))
+    sweep, m4, (_, g4) = _jt_pass(p, grid, g2, order=2 * d)
+    out = {"E_opJT4": m4, "E_dT2": Moments.of(p, sweep).lap_sq, "E_gradlogh4": float(g4)}
     if not all(math.isfinite(v) for v in out.values()):
         raise NumericalError(f"regularity preflight found non-finite moments: {out}")
     return out
@@ -217,10 +305,9 @@ def verify_bounds(
     """
     if corrupt not in (None, "fisher"):
         raise ValueError(f"unknown corruption {corrupt!r}")
-    gated_log_partition(p, grid)
+    mom = moments(p, grid, check=True)
     n, d, B = p.n, p.d, p.B
     M = math.comb(n + d, d)
-    mom = moments(p, grid)
     I = mom.fisher
     w, V = np.linalg.eigh(I)
     notes_iv = []
@@ -273,15 +360,10 @@ def verify_bounds(
                    f"{n_poly} random constant-free polynomials; worst log-margin {worst_margin:.3g}")
     )
 
-    # (vi): Var(<w,T>) equals w^t I w, recomputed by scalar quadrature; the
-    # same pass integrates op-norm(JT)^4 for the gamma bound
+    # (vi): Var(<w,T>) equals w^t I w, recomputed from the fields <w, T>;
+    # the same pass integrates op-norm(JT)^4 for the gamma bound
     W = rng.standard_normal((5, p.basis.size))
-
-    def wt_and_square(X):
-        Y = eval_suffstats(p.basis, X) @ W.T
-        return np.hstack([Y, Y * Y])
-
-    m4, wt_means = _grid_means(p, grid, [partial(_opnorm4, p.basis), wt_and_square])
+    _, m4, wt_means = _jt_pass(p, grid, _dense(n, d, p.basis.degrees, W))
     var = wt_means[5:] - wt_means[:5] ** 2
     worst_diff = float(np.max(np.abs(var - np.einsum("jk,kl,jl->j", W, I, W))))
     checks.append(

@@ -65,22 +65,29 @@ __all__ = [
 # multi-index enumeration
 
 
-def _compositions(total: int, n: int) -> Iterator[MultiIndex]:
-    """All exponent tuples of length n summing to total, leading-heavy first."""
-    if n == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _compositions(total - head, n - 1):
-            yield (head,) + rest
+def _graded_array(n: int, d: int, min_total: int = 0) -> np.ndarray:
+    """Exponent rows with min_total <= |e| <= d in graded-lex order, as an int64 array.
+
+    Degree t in k + 1 variables is, for h = t down to 0, the head h followed
+    by degree t - h in the last k variables: leading-heavy rows first.
+    """
+    rows = np.arange(d + 1, dtype=np.int64)[:, None]  # one variable: x^0 .. x^d
+    for k in range(1, n):
+        # in k variables the rows of degree t are rows[C(t - 1 + k, k) : C(t + k, k)]
+        out, r = np.empty((math.comb(d + k + 1, k + 1), k + 1), dtype=np.int64), 0
+        for t in range(d + 1):
+            for h in range(t, -1, -1):
+                rest = rows[math.comb(t - h - 1 + k, k) : math.comb(t - h + k, k)]
+                out[r : r + len(rest), 0] = h
+                out[r : r + len(rest), 1:] = rest
+                r += len(rest)
+        rows = out
+    return rows[math.comb(min_total - 1 + n, n) :]
 
 
 def graded_indices(n: int, d: int, min_total: int = 0) -> list[MultiIndex]:
     """Multi-indices with min_total <= |idx| <= d in graded-lex order."""
-    out: list[MultiIndex] = []
-    for total in range(min_total, d + 1):
-        out.extend(_compositions(total, n))
-    return out
+    return list(map(tuple, _graded_array(n, d, min_total).tolist()))
 
 
 @dataclass(frozen=True)
@@ -111,7 +118,7 @@ class MonomialBasis:
 
 @lru_cache(maxsize=None)
 def _cached_basis(n: int, d: int) -> MonomialBasis:
-    degrees = np.array(graded_indices(n, d, min_total=1), dtype=np.int64)
+    degrees = _graded_array(n, d, min_total=1)
     degrees.setflags(write=False)
     return MonomialBasis(n=n, d=d, degrees=degrees)
 
@@ -264,7 +271,7 @@ def row_mean(fn, X: np.ndarray, width: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def moment_degrees(n: int, d: int) -> np.ndarray:
     """Exponent rows with |e| <= 2d in graded-lex order; row r has graded rank r."""
-    degrees = np.array(graded_indices(n, 2 * d), dtype=np.int64)
+    degrees = _graded_array(n, 2 * d)
     degrees.setflags(write=False)
     return degrees
 

@@ -521,6 +521,28 @@ class TestPolyQuadrature:
         assert out.orthant_mass == pytest.approx(float(mass), abs=1e-14)
         assert poly_quadrature(grid, member_coeffs(p)).orthant_mass == 0.0
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fields_ride_the_pass(self, n):
+        # fields x^e, e in {0, 1, 2}^n, summed linearly reproduce the power
+        # moments; |x_1| = sqrt(x_1^2) through a nonlinear reducer matches
+        # the pointwise path; the pass's own results do not move
+        p = random_params(n, 3, 1.0, seed=10 + n)
+        grid = build_grid(n, *SMALL_GRIDS[n][::-1])
+        F = np.eye(3**n).reshape((3**n,) + (3,) * n)
+
+        def reduce(V, E):
+            V = V.reshape(len(V), -1)
+            return np.concatenate([V @ E.ravel(), [np.sqrt(np.abs(V[3 ** (n - 1) * 2])) @ E.ravel()]])
+
+        plain = poly_quadrature(grid, member_coeffs(p), order=2)
+        out = poly_quadrature(grid, member_coeffs(p), order=2, fields=F, reduce=reduce)
+        assert plain.field_means is None
+        assert out.log_integral == plain.log_integral
+        assert np.array_equal(out.moments, plain.moments)
+        np.testing.assert_allclose(out.field_means[:-1], plain.moments.ravel(), rtol=1e-13, atol=1e-15)
+        _, (abs_x1,) = pointwise(p, grid, [lambda X: np.abs(X[:, 0])])
+        assert out.field_means[-1] == pytest.approx(float(abs_x1), rel=1e-13)
+
     def test_overflow_everywhere_raises_like_pointwise(self):
         # on a box this wide every node's powers overflow: zero density at
         # every node, which both paths report as underflow
@@ -538,6 +560,8 @@ class TestPolyQuadrature:
             poly_quadrature(grid, np.zeros((3, 3, 3)))
         with pytest.raises(ValueError, match="order"):
             poly_quadrature(grid, np.zeros((3, 3)), order=-1)
+        with pytest.raises(ValueError, match="field tensors"):
+            poly_quadrature(grid, np.zeros((3, 3)), fields=np.zeros((3, 3)), reduce=np.sum)
         with pytest.raises(ValueError, match="exponents"):
             log_density_tensor(2, [[5, 0]], [1.0], 4)
 

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from polyscore import expfam
 from polyscore.errors import NumericalError
 from polyscore.expfam import (
     GridConvergenceError,
@@ -17,6 +20,9 @@ from polyscore.expfam import (
 )
 from polyscore.fisher import (
     SpectralReport,
+    _dense,
+    _jt_pass,
+    _lambda_max,
     clip_spectrum,
     fisher_info,
     gamma_bound,
@@ -26,8 +32,8 @@ from polyscore.fisher import (
     sm_moment_inputs,
     verify_bounds,
 )
-from polyscore.polybasis import enumerate_basis, eval_jacobian, eval_laplacian
-from polyscore.sampler import sample_exact_separable
+from polyscore.polybasis import enumerate_basis, eval_jacobian, eval_laplacian, eval_suffstats
+from polyscore.sampler import SampleSet, sample_exact_separable
 
 
 class TestFisherInfo:
@@ -81,6 +87,99 @@ class TestGridGathers:
         got = gram_matrix(p, grid)
         assert np.max(np.abs(got - G)) <= 1e-12 * np.max(np.abs(G))
         assert sm_moment_inputs(p, grid)["E_dT2"] == pytest.approx(float(l2), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, grid", [(1, build_grid(1, 5.0, 240)), (2, build_grid(2, 4.0, 80)), (3, build_grid(3, 4.5, 20))]
+    )
+    def test_field_pass_matches_per_node_quadrature(self, n, grid):
+        # op-norm(JT)^4 node by node with eigvalsh, |grad log h|^4 and check
+        # (vi)'s <w, T> moments, against the slab fields and their reducer
+        p = random_params(n, 3, 1.0, seed=70 + n)
+        W = np.random.default_rng(n).standard_normal((5, p.basis.size))
+
+        def opnorm4(X):
+            J = eval_jacobian(p.basis, X)
+            return np.linalg.eigvalsh(np.einsum("ski,skj->sij", J, J))[:, -1] ** 2
+
+        def gradlogh4(X):
+            return (16.0 * np.sum(X**6, axis=1)) ** 2
+
+        def wt_and_square(X):
+            Y = eval_suffstats(p.basis, X) @ W.T
+            return np.hstack([Y, Y * Y])
+
+        _, (m4, g4, wt) = quad_expectation(
+            grid, lambda X: log_unnormalized_density(p, X), [opnorm4, gradlogh4, wt_and_square]
+        )
+        pre = regularity_preflight(p, grid)
+        assert pre["E_opJT4"] == pytest.approx(float(m4), rel=1e-12)
+        assert pre["E_gradlogh4"] == pytest.approx(float(g4), rel=1e-12)
+        assert sm_moment_inputs(p, grid)["E_opJT4"] == pytest.approx(float(m4), rel=1e-12)
+        _, got_m4, got_wt = _jt_pass(p, grid, _dense(n, 3, p.basis.degrees, W))
+        assert got_m4 == pytest.approx(float(m4), rel=1e-12)
+        assert np.max(np.abs(got_wt - wt)) <= 1e-12 * np.max(np.abs(wt))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sample_opnorm_matches_eigvalsh(self, n):
+        # closed forms up to n = 3, eigvalsh past them
+        p = random_params(n, 3, 1.0, seed=80 + n)
+        X = np.random.default_rng(n).normal(size=(300, n))
+        J = eval_jacobian(p.basis, X)
+        want = np.mean(np.linalg.eigvalsh(np.einsum("ski,skj->sij", J, J))[:, -1] ** 2)
+        got = sm_moment_inputs(p, SampleSet(n=n, N=len(X), seed=0, data=X))["E_opJT4"]
+        assert got == pytest.approx(float(want), rel=1e-12)
+
+    def test_no_per_node_pass(self, monkeypatch):
+        # the audit and the preflight integrate on slabs only
+        def per_node(*args, **kwargs):
+            raise AssertionError("per-node quadrature called")
+
+        monkeypatch.setattr(expfam, "quad_expectation", per_node)
+        monkeypatch.setattr(expfam.QuadratureGrid, "iter_chunks", per_node)
+        p = random_params(3, 3, 1.0, seed=0)
+        assert verify_bounds(p, build_grid(3, 4.5, 64)).all_hold
+        out = regularity_preflight(p, build_grid(3, 4.5, 32))
+        assert all(math.isfinite(v) for v in out.values())
+
+
+def _psd(n: int, eigenvalues, rotation) -> np.ndarray:
+    Q, _ = np.linalg.qr(np.asarray(rotation, dtype=float).reshape(n, n))
+    A = (Q * np.asarray(eigenvalues, dtype=float)) @ Q.T
+    return 0.5 * (A + A.T)
+
+
+class TestLambdaMax:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 3),
+        eigenvalues=st.lists(st.floats(0.0, 1e3), min_size=3, max_size=3),
+        rotation=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+        shape=st.sampled_from(["generic", "zero", "identity", "rank1", "top_pair", "bottom_pair"]),
+    )
+    @example(n=3, eigenvalues=[2.0, 2.0, 1.0], rotation=[0.3, -0.7, 0.2, 0.9, 0.1, -0.4, 0.5, 0.6, 0.8],
+             shape="top_pair")
+    def test_matches_eigvalsh(self, n, eigenvalues, rotation, shape):
+        lam = np.sort(eigenvalues)[3 - n:]
+        if shape == "zero":
+            lam[:] = 0.0
+        elif shape == "identity":
+            lam[:] = lam[-1]
+        elif shape == "rank1":
+            lam[:-1] = 0.0
+        elif shape == "top_pair":
+            lam[-2:] = lam[-1]
+        elif shape == "bottom_pair":
+            lam[:2] = lam[0]
+        A = _psd(n, lam, rotation[: n * n])
+        got = _lambda_max(n, A[np.triu_indices(n)])
+        assert abs(got - np.linalg.eigvalsh(A)[-1]) <= 1e-13 * np.linalg.norm(A, 2)
+
+    def test_broadcasts_over_trailing_axes(self):
+        rng = np.random.default_rng(4)
+        mats = [_psd(3, rng.random(3), rng.standard_normal(9)) for _ in range(6)]
+        upper = np.stack([A[np.triu_indices(3)] for A in mats], axis=-1).reshape(6, 2, 3)
+        want = np.array([np.linalg.eigvalsh(A)[-1] for A in mats]).reshape(2, 3)
+        assert np.allclose(_lambda_max(3, upper), want, rtol=1e-13, atol=0.0)
 
 
 class TestRestrictedPoincare:
@@ -221,6 +320,14 @@ class TestVerifyBounds:
         assert not by_name["iv_lambda_min_pos"].holds
         assert "fault injection" in by_name["iv_lambda_min_pos"].note
         assert report.lambda_min < 0
+
+    def test_corrupt_fisher_fails_vi_too(self):
+        # (vi) integrates Var(<w, T>) apart from the Fisher matrix it checks
+        p = random_params(2, 3, 1.0, seed=61)
+        report = verify_bounds(p, build_grid(2, 4.0, 160), seed=2, n_poly=25, corrupt="fisher")
+        by_name = {c.name: c for c in report.checks}
+        assert not by_name["iv_lambda_min_pos"].holds
+        assert not by_name["vi_variance_identity"].holds
 
     def test_unknown_corruption_rejected(self):
         with pytest.raises(ValueError, match="corruption"):

@@ -1,5 +1,6 @@
 """Tests for the monomial basis, sparse polynomials, norms, and Legendre basis."""
 
+import itertools
 import math
 
 import numpy as np
@@ -86,6 +87,24 @@ class TestGradedRank:
         full = graded_indices(3, 6)
         assert graded_rank(rows).tolist() == [full.index(tuple(r)) for r in rows.tolist()]
         assert graded_rank(np.zeros((0, 3), dtype=int)).shape == (0,)
+
+
+class TestGradedIndices:
+    def test_matches_multiset_reference_up_to_n12_d7(self):
+        # a degree-t monomial is a multiset of t variables; combinations with
+        # replacement list them leading-heavy first, the graded-lex order
+        for n in range(1, 13):
+            want = []
+            for t in range(8):
+                picks = np.array(list(itertools.combinations_with_replacement(range(n), t)))
+                want += map(tuple, (picks[:, :, None] == np.arange(n)).sum(axis=1).tolist())
+            for d in range(8):
+                assert graded_indices(n, d) == want[: math.comb(n + d, d)]
+            assert graded_indices(n, 7, min_total=1) == want[1:]
+            assert np.array_equal(graded_rank(np.array(want)), np.arange(len(want)))
+
+    def test_empty_range(self):
+        assert graded_indices(3, 2, min_total=3) == []
 
 
 class TestEvaluation:
