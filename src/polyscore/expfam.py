@@ -473,9 +473,7 @@ def _split_separable(grid: QuadratureGrid, C: np.ndarray) -> tuple[float, list[n
 
 # powers that overflow far out are zero density, handled below without warnings
 @np.errstate(over="ignore", invalid="ignore")
-def poly_quadrature(
-    grid: QuadratureGrid, coeffs, order: int = 0, orthants=(), fields=None, reduce=None
-) -> PolyIntegral:
+def poly_quadrature(grid: QuadratureGrid, coeffs, order: int = 0, orthants=(), fields=None) -> PolyIntegral:
     """Quadrature of exp(polynomial) over the grid, one slab at a time.
 
     ``coeffs`` is a dense tensor of shape (D + 1,) * n whose entry e is the
@@ -492,11 +490,11 @@ def poly_quadrature(
     ``orthants`` lists sign vectors v; a node counts towards
     ``orthant_mass`` once if v_i x_i >= 0 for all i holds for any of them.
 
-    ``fields`` stacks k more tensors laid out like ``coeffs``, shape
-    (k,) + (D' + 1,) * n.  On each slab their values P_2 F(t_a) P_3^t,
-    V (k, K, K), and the slab's weights E (K, K) go to ``reduce(V, E)``,
-    whose weighted sums (an array of fixed shape) stream through the same
-    log-sum-exp into ``field_means``.
+    ``fields`` is a pair (F, reduce): F stacks k more tensors laid out like
+    ``coeffs``, shape (k,) + (D' + 1,) * n.  On each slab their values
+    P_2 F(t_a) P_3^t, V (k, K, K), and the slab's weights E (K, K) go to
+    ``reduce(V, E)``, whose weighted sums (an array of fixed shape) stream
+    through the same log-sum-exp into ``field_means``.
     """
     n = grid.n
     C = np.asarray(coeffs, dtype=float)
@@ -520,15 +518,16 @@ def poly_quadrature(
     slab_parts = np.add.outer(parts[1], parts[2])
     # S sums w f x^e over all nodes, mass sums w f over the orthants' nodes
     acc = _LogSum([q.shape[1] for q in Q], ())
-    if reduce is not None:  # a third sum, of the reducer's output
-        F = np.asarray(fields, dtype=float)
+    S, mass = acc.sums
+    if fields is not None:
+        F, reduce = fields
+        F = np.asarray(F, dtype=float)
         if F.ndim != n + 1 or len(set(F.shape[1:])) != 1:
             raise ValueError(f"field tensors of shape {F.shape} do not fit an n={n} grid")
         F = F.reshape(F.shape[:1] + (1,) * pad + F.shape[1:])
         PF = [np.vander(t, k, increasing=True) for t, k in zip(nodes, F.shape[1:])]
         slab_fields = np.tensordot(PF[0], F, axes=(1, 1))  # F(t_a) for every slab a
-        acc.sums.append(np.zeros(np.shape(reduce(np.zeros((len(F), 1, 1)), np.zeros((1, 1))))))
-    S, mass = acc.sums[:2]
+        acc.sums.append(np.zeros(()))  # the reducer's sums, shaped by its first output
     for a, part in enumerate(parts[0]):
         L = P[1] @ slab_mixed[a] @ P[2].T
         L += slab_parts
@@ -539,8 +538,8 @@ def poly_quadrature(
         active = hit[0][:, a] > 0.0
         if active.any():
             mass += float(E[hit[1][active].T @ hit[2][active] > 0.0].sum())
-        if reduce is not None:
-            acc.sums[2] += reduce(PF[1] @ slab_fields[a] @ PF[2].T, E)
+        if fields is not None:
+            acc.sums[2] = acc.sums[2] + reduce(PF[1] @ slab_fields[a] @ PF[2].T, E)
     z = acc.total()
     if not const > -math.inf:
         raise NumericalError("integrand underflowed to zero at every grid node")
@@ -548,12 +547,12 @@ def poly_quadrature(
         log_integral=const + acc.m + math.log(z),
         moments=(S / z)[(0,) * pad],
         orthant_mass=float(mass / z),
-        field_means=acc.sums[2] / z if reduce is not None else None,
+        field_means=acc.sums[2] / z if fields is not None else None,
     )
 
 
 def gated_quadrature(
-    grid: QuadratureGrid, coeffs, order: int = 0, orthants=(), fields=None, reduce=None
+    grid: QuadratureGrid, coeffs, order: int = 0, orthants=(), fields=None
 ) -> tuple[PolyIntegral, float]:
     """:func:`poly_quadrature` behind the grid-doubling gate.
 
@@ -561,7 +560,7 @@ def gated_quadrature(
     :class:`GridConvergenceError` when doubling points_per_axis moves log Z
     by GATE_TOL or more.  Fields ride the pass on ``grid`` only.
     """
-    coarse = poly_quadrature(grid, coeffs, order, orthants, fields, reduce)
+    coarse = poly_quadrature(grid, coeffs, order, orthants, fields)
     delta = abs(poly_quadrature(grid.doubled(), coeffs).log_integral - coarse.log_integral)
     if not delta < GATE_TOL:
         raise GridConvergenceError(

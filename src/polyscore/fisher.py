@@ -30,8 +30,8 @@ from .errors import NumericalError
 from .expfam import (
     Moments,
     ParamVector,
-    PolyIntegral,
     QuadratureGrid,
+    _check_grid,
     gated_quadrature,
     member_coeffs,
     moments,
@@ -191,9 +191,6 @@ def _lambda_max(n: int, upper) -> np.ndarray:
 def _opnorm4(basis, X: np.ndarray) -> np.ndarray:
     """op-norm(JT)^4 per row: lambda_max((JT)^t JT)^2, not a polynomial for n >= 2."""
     J = eval_jacobian(basis, X)
-    if basis.n <= 3:
-        i, j = np.triu_indices(basis.n)
-        return _lambda_max(basis.n, np.einsum("ski,ski->is", J[:, :, i], J[:, :, j])) ** 2
     return np.linalg.eigvalsh(np.einsum("ski,skj->sij", J, J))[:, -1] ** 2
 
 
@@ -214,13 +211,12 @@ def _jtj_fields(n: int, d: int) -> np.ndarray:
     return F
 
 
-def _jt_pass(
-    p: ParamVector, grid: QuadratureGrid, extra=(), order: int = 0, check: bool = False
-) -> tuple[PolyIntegral, float, np.ndarray]:
+def _jt_pass(p: ParamVector, grid: QuadratureGrid, extra=(), order: int = 0, check: bool = False):
     """One slab pass under p, its fields the entries of (JT)^t(JT) and ``extra``.
 
     Returns the pass, E[op-norm(JT)^4], and E[Y] then E[Y^2] for the extra fields Y.
     """
+    _check_grid(p, grid)
     jtj = _jtj_fields(p.n, p.d)
     m = len(jtj)
 
@@ -230,8 +226,8 @@ def _jt_pass(
         Y = V[m:].reshape(len(V) - m, e.size)
         return np.concatenate([[lam * lam @ e], Y @ e, Y * Y @ e])
 
-    fields = np.concatenate([jtj, np.reshape(extra, (-1,) + jtj.shape[1:])])
-    args = (grid, member_coeffs(p), order, (), fields, reduce)
+    fields = np.concatenate([jtj, np.reshape(extra, (-1,) + jtj.shape[1:])]), reduce
+    args = (grid, member_coeffs(p), order, (), fields)
     out = gated_quadrature(*args)[0] if check else poly_quadrature(*args)
     return out, float(out.field_means[0]), out.field_means[1:]
 
@@ -249,8 +245,8 @@ def sm_moment_inputs(p: ParamVector, source, check: bool = False) -> dict:
 
 def regularity_preflight(p: ParamVector, grid: QuadratureGrid) -> dict:
     """The SM covariance claim's moment conditions, from one quadrature pass."""
-    n, d = p.n, p.d
     # |grad log h|^2 = (d + 1)^2 sum_i x_i^{2d}; the reducer squares it
+    n, d = p.n, p.d
     g2 = _dense(n, d, 2 * d * np.eye(n, dtype=np.int64), np.full((1, n), (d + 1.0) ** 2))
     sweep, m4, (_, g4) = _jt_pass(p, grid, g2, order=2 * d)
     out = {"E_opJT4": m4, "E_dT2": Moments.of(p, sweep).lap_sq, "E_gradlogh4": float(g4)}

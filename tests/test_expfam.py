@@ -535,7 +535,7 @@ class TestPolyQuadrature:
             return np.concatenate([V @ E.ravel(), [np.sqrt(np.abs(V[3 ** (n - 1) * 2])) @ E.ravel()]])
 
         plain = poly_quadrature(grid, member_coeffs(p), order=2)
-        out = poly_quadrature(grid, member_coeffs(p), order=2, fields=F, reduce=reduce)
+        out = poly_quadrature(grid, member_coeffs(p), order=2, fields=(F, reduce))
         assert plain.field_means is None
         assert out.log_integral == plain.log_integral
         assert np.array_equal(out.moments, plain.moments)
@@ -561,7 +561,7 @@ class TestPolyQuadrature:
         with pytest.raises(ValueError, match="order"):
             poly_quadrature(grid, np.zeros((3, 3)), order=-1)
         with pytest.raises(ValueError, match="field tensors"):
-            poly_quadrature(grid, np.zeros((3, 3)), fields=np.zeros((3, 3)), reduce=np.sum)
+            poly_quadrature(grid, np.zeros((3, 3)), fields=(np.zeros((3, 3)), np.sum))
         with pytest.raises(ValueError, match="exponents"):
             log_density_tensor(2, [[5, 0]], [1.0], 4)
 

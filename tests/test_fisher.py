@@ -120,14 +120,19 @@ class TestGridGathers:
         assert np.max(np.abs(got_wt - wt)) <= 1e-12 * np.max(np.abs(wt))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_sample_opnorm_matches_eigvalsh(self, n):
-        # closed forms up to n = 3, eigvalsh past them
+    def test_sample_opnorm_matches_spectral_norm(self, n):
+        # the row mean of op-norm(JT)^4, the largest singular value of JT
         p = random_params(n, 3, 1.0, seed=80 + n)
         X = np.random.default_rng(n).normal(size=(300, n))
-        J = eval_jacobian(p.basis, X)
-        want = np.mean(np.linalg.eigvalsh(np.einsum("ski,skj->sij", J, J))[:, -1] ** 2)
+        want = np.mean(np.linalg.norm(eval_jacobian(p.basis, X), ord=2, axis=(1, 2)) ** 4)
         got = sm_moment_inputs(p, SampleSet(n=n, N=len(X), seed=0, data=X))["E_opJT4"]
         assert got == pytest.approx(float(want), rel=1e-12)
+
+    def test_grid_dimension_mismatch(self):
+        p = random_params(2, 3, 1.0, seed=0)
+        for fn in (sm_moment_inputs, regularity_preflight):
+            with pytest.raises(ValueError, match="grid dimension 3 != family dimension 2"):
+                fn(p, build_grid(3, 4.5, 12))
 
     def test_no_per_node_pass(self, monkeypatch):
         # the audit and the preflight integrate on slabs only
