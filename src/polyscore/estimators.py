@@ -31,12 +31,13 @@ from .errors import NonConvergenceError, SingularGramError
 from .expfam import (
     ParamVector,
     QuadratureGrid,
+    doubling_gate,
     family_grid,
-    gated_log_partition,
+    member_coeffs,
     moments,
 )
-from .polybasis import FamilyStats, MonomialBasis, sample_stats
-from .sampler import McmcConfig, SampleSet, sample_exact_separable, sample_mala
+from .polybasis import FamilyStats, MonomialBasis
+from .sampler import McmcConfig, SampleSet, sample_exact_separable, sample_mala_ensemble
 
 __all__ = [
     "FitReport",
@@ -93,7 +94,7 @@ def fit_score_matching(s: SampleSet, basis: MonomialBasis) -> FitReport:
         raise ValueError("need at least one sample")
     _check_dims(s, basis)
     t0 = time.perf_counter()
-    st = sample_stats(basis, s.data)
+    st = s.stats(basis)
     G, b = st.gram, st.sm_linear
     notes = []
     theta = None
@@ -137,7 +138,7 @@ def _quadratic_loss(st: FamilyStats, theta: np.ndarray) -> float:
 def sm_loss(p: ParamVector, s: SampleSet) -> float:
     """Empirical E[trace Hessian log p + 1/2 |grad log p|^2]; Z-free."""
     _check_dims(s, p.basis)
-    return _quadratic_loss(sample_stats(p.basis, s.data), p.theta)
+    return _quadratic_loss(s.stats(p.basis), p.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +146,10 @@ def sm_loss(p: ParamVector, s: SampleSet) -> float:
 
 
 def _mle_objective(p: ParamVector, emp: FamilyStats, grid: QuadratureGrid, check: bool = False):
-    """Average log-likelihood, its gradient and minus its Hessian, the Fisher matrix."""
+    """Average log-likelihood, its gradient, and the moments: mom.fisher is minus its Hessian."""
     mom = moments(p, grid, check)
     loss = emp.mean_log_h + float(p.theta @ emp.mean_T) - mom.log_partition
-    return loss, emp.mean_T - mom.mean_T, mom.fisher
+    return loss, emp.mean_T - mom.mean_T, mom
 
 
 def mle_loss_and_grad(
@@ -156,7 +157,7 @@ def mle_loss_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Average log-likelihood and its theta-gradient E_hat[T] - E_theta[T]."""
     _check_dims(s, p.basis)
-    return _mle_objective(p, sample_stats(p.basis, s.data), grid, check)[:2]
+    return _mle_objective(p, s.stats(p.basis), grid, check)[:2]
 
 
 def _as_member(basis: MonomialBasis, theta: np.ndarray) -> ParamVector:
@@ -181,28 +182,29 @@ def fit_mle(
     gradient's rounding bound eps (N + nodes) max(1, max|E_hat[T]|) cannot
     be certified and is refused up front.  The quadrature gate is checked at
     the start and at the returned optimum, so an under-resolved grid fails
-    loudly rather than silently biasing the fit.
+    loudly rather than silently biasing the fit; the start's check rides its
+    objective pass, and the optimum's reuses that iterate's log Z, so each
+    adds only the doubled grid's pass.
     """
     if s.N < 1:
         raise ValueError("need at least one sample")
     _check_dims(s, basis)
     t0 = time.perf_counter()
     theta = np.zeros(basis.size) if init is None else np.asarray(init, dtype=float).copy()
-    gated_log_partition(_as_member(basis, theta), grid)
-    emp = sample_stats(basis, s.data)
+    emp = s.stats(basis)
+    loss, grad, mom = _mle_objective(_as_member(basis, theta), emp, grid, check=True)
     floor = np.finfo(float).eps * (s.N + grid.total_nodes) * max(1.0, float(np.max(np.abs(emp.mean_T))))
     if tol < floor:
         raise NonConvergenceError(
             f"tol {tol:.1e} is below the gradient's rounding bound {floor:.1e}; it cannot be certified"
         )
-    loss, grad, info = _mle_objective(_as_member(basis, theta), emp, grid)
     notes = []
     for it in range(1, _MLE_MAX_ITER + 1):
         if np.max(np.abs(grad)) <= tol:
             notes.append(f"iterations={it - 1}")
             break
         try:
-            direction = linalg.cho_solve(linalg.cho_factor(info), grad)
+            direction = linalg.cho_solve(linalg.cho_factor(mom.fisher), grad)
         except linalg.LinAlgError:
             direction = grad
         step = 1.0
@@ -212,16 +214,17 @@ def fit_mle(
                 raise NonConvergenceError(
                     f"line search stalled at iteration {it} with gradient {np.max(np.abs(grad)):.3e} > tol {tol:.1e}"
                 )
-            cand_loss, cand_grad, cand_info = _mle_objective(_as_member(basis, cand), emp, grid)
+            cand_loss, cand_grad, cand_mom = _mle_objective(_as_member(basis, cand), emp, grid)
             if cand_loss >= loss + 1e-4 * step * float(grad @ direction):
-                theta, loss, grad, info = cand, cand_loss, cand_grad, cand_info
+                theta, loss, grad, mom = cand, cand_loss, cand_grad, cand_mom
                 break
             step *= 0.5
     else:
         raise NonConvergenceError(
             f"no convergence in {_MLE_MAX_ITER} iterations; gradient still {np.max(np.abs(grad)):.3e}"
         )
-    gated_log_partition(_as_member(basis, theta), grid)
+    if it > 1:  # the start point passed the gate with its first pass
+        doubling_gate(grid, member_coeffs(_as_member(basis, theta)), mom.log_partition)
     return FitReport(
         theta_hat=theta,
         loss=loss,
@@ -261,17 +264,28 @@ def study_csv(result: StudyResult) -> str:
     return buf.getvalue()
 
 
-def _draw(theta_star: ParamVector, N: int, seed: int) -> SampleSet:
-    try:
-        return sample_exact_separable(theta_star, N, seed)
-    except ValueError:
-        cfg = McmcConfig(burn_in=2000)
-        return sample_mala(theta_star, N, cfg, seed)
+def _trial_samples(theta_star: ParamVector, Ns: list[int], seeds: list[int]):
+    """(sample, draw seconds) per trial.
 
-
-def _one_trial(theta_star, N, trial, seed, estimator, grid):
+    A separable member's exact draws are made one trial at a time; a coupled
+    member's trials are one MALA ensemble, whose time they share equally.
+    """
     t0 = time.perf_counter()
-    s = _draw(theta_star, N, seed)
+    try:
+        first = sample_exact_separable(theta_star, Ns[0], seeds[0])
+    except ValueError:
+        samples = sample_mala_ensemble(theta_star, Ns, seeds, McmcConfig(burn_in=2000))
+        share = (time.perf_counter() - t0) / len(samples)
+        yield from ((s, share) for s in samples)
+        return
+    yield first, time.perf_counter() - t0
+    for N, seed in zip(Ns[1:], seeds[1:]):
+        t0 = time.perf_counter()
+        yield sample_exact_separable(theta_star, N, seed), time.perf_counter() - t0
+
+
+def _one_trial(theta_star, s, trial, estimator, grid, draw_s):
+    t0 = time.perf_counter()
     if estimator == "SM":
         report = fit_score_matching(s, theta_star.basis)
     else:
@@ -282,10 +296,10 @@ def _one_trial(theta_star, N, trial, seed, estimator, grid):
         "n": theta_star.n,
         "d": theta_star.d,
         "B": theta_star.B,
-        "N": N,
+        "N": s.N,
         "trial": trial,
         "error_sq": err,
-        "wall_time_s": time.perf_counter() - t0,
+        "wall_time_s": draw_s + time.perf_counter() - t0,
     }
 
 
@@ -300,7 +314,9 @@ def convergence_study(
     """Median squared error against N, with the log-log rate slope.
 
     Per-trial seeds are spawned from one seed sequence, so results do not
-    depend on the order the trials run in.
+    depend on the order the trials run in.  A row's wall_time_s is its fit
+    time plus its draw time; a coupled member's trials are drawn first, as
+    one MALA ensemble, and each row gets an equal share of its time.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -310,12 +326,10 @@ def convergence_study(
         raise ValueError(f"unknown estimator {estimator!r}")
     if estimator == "MLE" and grid is None:
         grid = family_grid(theta_star.basis, theta_star.B)
-    children = iter(np.random.SeedSequence(seed).spawn(len(Ns) * trials))
-    rows = []
-    for N in Ns:
-        for t in range(trials):
-            child_seed = int(next(children).generate_state(1, dtype=np.uint64)[0] >> 1)
-            rows.append(_one_trial(theta_star, N, t, child_seed, estimator, grid))
+    seeds = [int(c.generate_state(1, dtype=np.uint64)[0] >> 1)
+             for c in np.random.SeedSequence(seed).spawn(len(Ns) * trials)]
+    samples = _trial_samples(theta_star, [N for N in Ns for _ in range(trials)], seeds)
+    rows = [_one_trial(theta_star, s, k % trials, estimator, grid, draw_s) for k, (s, draw_s) in enumerate(samples)]
     medians = {
         N: float(np.median([r["error_sq"] for r in rows if r["N"] == N])) for N in Ns
     }

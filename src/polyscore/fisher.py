@@ -38,7 +38,7 @@ from .expfam import (
     poly_quadrature,
     tail_radius,
 )
-from .polybasis import FamilyStats, enumerate_basis, eval_jacobian, row_mean, sample_stats
+from .polybasis import FamilyStats, enumerate_basis, eval_jacobian, row_mean
 from .reports import BoundCheck
 from .sampler import SampleSet
 
@@ -99,7 +99,7 @@ def _stats(p: ParamVector, source, check: bool) -> FamilyStats:
     if isinstance(source, SampleSet):
         if source.n != p.n:
             raise ValueError("sample dimension mismatch")
-        return sample_stats(p.basis, source.data)
+        return source.stats(p.basis)
     return moments(p, source, check)
 
 

@@ -347,6 +347,7 @@ def family_stats(basis: MonomialBasis, power) -> FamilyStats:
     out, rank, coef = _stats_plan(basis.n, basis.d)
     M1, q = basis.size, basis.size**2
     v = np.bincount(out, weights=coef * power[rank], minlength=2 * M1 + 2 * q + 3)
+    v.setflags(write=False)  # the fields are views of v; a SampleSet hands its cached stats to every caller
     return FamilyStats(
         v[:M1], v[M1 : M1 + q].reshape(M1, M1), v[M1 + q : M1 + 2 * q].reshape(M1, M1),
         v[M1 + 2 * q : -3], *map(float, v[-3:]),
@@ -485,32 +486,29 @@ class PolyCoeffs:
         return dmax, tuple(i * (dmax + 1) + self.degrees[:, i] for i in range(self.n))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Values at one float point (n,) or a batch (N, n), unchecked.
+        """Values at a batch (N, n) of float points, unchecked.
 
-        One power table, one gather per axis and one matvec.  A single point
-        builds its power table with one cumprod, a batch with the
-        repeated-multiply :func:`_power_table`; both multiply the same factors
-        in the same order.
+        One power table, a cumulative product over (N, n, dmax + 1) of the
+        same factors, in the same order, as :func:`_power_table`; then one
+        flat gather per axis and one matvec.
         """
         dmax, cols = self._gather
-        if x.ndim == 1:
-            P = x.repeat(dmax + 1)
-            P[:: dmax + 1] = 1.0  # row i of P.reshape(n, -1) is 1, x_i, .., x_i
-            np.cumprod(P.reshape(len(x), -1), axis=1, out=P.reshape(len(x), -1))
-            mono = P[cols[0]]
-            for c in cols[1:]:
-                mono = mono * P[c]
-        else:
-            mono = _monomials_from_table(_power_table(x, dmax), self.degrees)
+        P = x.repeat(dmax + 1, axis=1)
+        P[:, :: dmax + 1] = 1.0
+        table = P.reshape(len(x), self.n, dmax + 1)  # table[s, i] is 1, x_si, .., x_si
+        np.multiply.accumulate(table, axis=2, out=table)
+        mono = P.take(cols[0], axis=1)
+        for c in cols[1:]:
+            mono *= P.take(c, axis=1)
         return mono @ self.coeffs
 
     def evaluate(self, x) -> np.ndarray | float:
         """Evaluate at a point (n,) or batch (N, n)."""
         xb, single = _as_batch(x, self.n)
+        vals = self(xb)
         if single:
-            vals = self(xb[0])
-            return float(vals) if vals.ndim == 0 else vals
-        return self(xb)
+            return float(vals[0]) if vals.ndim == 1 else vals[0]
+        return vals
 
 
 def poly_to_json(f: PolyCoeffs) -> dict:

@@ -2,12 +2,15 @@
 
 Two routes.  When theta has no cross-coordinate monomials the density is a
 product of one-dimensional densities and we sample each coordinate exactly by
-inverse CDF on a dense grid.  Otherwise we run a Metropolis-adjusted Langevin
-chain whose drift is the score, which never needs the partition function.
+inverse CDF on a dense grid.  Otherwise we run Metropolis-adjusted Langevin
+chains whose drift is the score, which never needs the partition function.
+The chains of one call (``sample_mala``'s, or a study's trials through
+``sample_mala_ensemble``) advance in lock-step as one (C, n) array, so a
+step evaluates the density and score of all live chains in one batch.
 
 All randomness flows through counter-based Philox generators keyed by
 (seed, stream index), so output is bit-identical across runs; coordinate i
-of the exact sampler and chain j of MALA each own their stream.
+of the exact sampler and each MALA chain own their stream.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .errors import DivergenceError, InputError
 from .expfam import ParamVector, auto_radius, log_unnormalized_density, moments, score
-from .polybasis import enumerate_basis, eval_suffstats, format_monomial, row_mean
+from .polybasis import FamilyStats, MonomialBasis, enumerate_basis, eval_suffstats, format_monomial, row_mean, sample_stats
 
 __all__ = [
     "SampleSet",
@@ -29,6 +32,7 @@ __all__ = [
     "DivergenceError",
     "sample_exact_separable",
     "sample_mala",
+    "sample_mala_ensemble",
     "diagnostics",
     "save_samples",
     "load_samples",
@@ -44,6 +48,7 @@ class SampleSet:
     data: np.ndarray
     seed: int
     provenance: dict = field(default_factory=dict)
+    _stats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
@@ -54,6 +59,13 @@ class SampleSet:
         data = data.copy()
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
+
+    def stats(self, basis: MonomialBasis) -> FamilyStats:
+        """``sample_stats(basis, data)``, computed once per (n, d) and kept."""
+        key = (basis.n, basis.d)
+        if key not in self._stats:
+            self._stats[key] = sample_stats(basis, self.data)
+        return self._stats[key]
 
 
 @dataclass(frozen=True)
@@ -140,6 +152,7 @@ def sample_exact_separable(p: ParamVector, N: int, seed: int) -> SampleSet:
 _PILOT_STEPS = 1000
 _MAX_THIN = 64
 _TARGET_ACCEPT = 0.574  # the acceptance rate optimal for MALA (Roberts and Rosenthal 1998)
+_BLOCK = 1024  # steps of noise a chain draws from its stream at a time
 
 
 def _autocorr(x: np.ndarray) -> np.ndarray:
@@ -181,41 +194,102 @@ def _decorrelation_lag(x: np.ndarray) -> int:
     return int(below[0]) + 1 if below.size else _MAX_THIN
 
 
-class _Chain:
-    """One MALA chain; all its randomness comes from its own stream."""
+def _tuning(log_eps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """eps = exp(log_eps) clipped to [1e-12, 1e3], h = eps^2 / 2, and 1 / (4h) from column 0."""
+    e = np.minimum(np.maximum(np.exp(log_eps), 1e-12), 1e3)
+    h = 0.5 * e * e
+    return e, h, 0.25 / h[:, 0]
 
-    def __init__(self, p: ParamVector, rng: np.random.Generator, step: float, x0: np.ndarray):
-        self.p = p
-        self.rng = rng
-        self.step = step
-        self.x = np.asarray(x0, dtype=float)
-        self.logp = float(log_unnormalized_density(p, self.x))
-        if not math.isfinite(self.logp):
-            raise DivergenceError(f"chain energy is not finite at the starting point {x0}")
-        self.grad = score(p, self.x)
-        self.accepted = 0
-        self.proposed = 0
 
-    def advance(self) -> float:
-        """One MALA step; returns the acceptance probability of the proposal."""
-        eps = self.step
-        h = 0.5 * eps * eps
-        noise = self.rng.standard_normal(self.p.n)
-        y = self.x + h * self.grad + eps * noise
-        logp_y = log_unnormalized_density(self.p, y)
-        if math.isfinite(logp_y):
-            grad_y = score(self.p, y)
-            # log q(x | y) - log q(y | x); the forward residual y - x - h grad is eps * noise
-            bwd = self.x - y - h * grad_y
-            log_alpha = logp_y - self.logp + 0.5 * (noise @ noise) - (bwd @ bwd) / (4.0 * h)
-        else:
-            log_alpha = -math.inf
-        self.proposed += 1
-        u = self.rng.random()
-        if math.log(u if u > 0 else 5e-324) < log_alpha:
-            self.x, self.logp, self.grad = y, logp_y, grad_y
-            self.accepted += 1
-        return math.exp(min(log_alpha, 0.0))
+def _lockstep(p: ParamVector, counts, streams, config: McmcConfig, x0=None) -> list[tuple]:
+    """MALA chains advanced in lock-step as one (C, n) state; chain c draws counts[c] points.
+
+    Chain c owns _stream(*streams[c]): it starts at x0, or at half a
+    standard normal from it, and takes its noise from it alone, _BLOCK steps
+    at a time (normals, then uniforms).  All chains run burn-in and pilot;
+    then chain c takes counts[c] * thin_c steps and leaves the batch, so a
+    step makes one log_unnormalized_density and one score call on the live
+    rows.  Returns per chain (draws, step size, acceptance rate, thinning).
+    """
+    C, n, rngs = len(streams), p.n, [_stream(*key) for key in streams]
+    x = np.array([np.asarray(x0, dtype=float) if x0 is not None else 0.5 * r.standard_normal(n) for r in rngs])
+    logp = log_unnormalized_density(p, x)
+    if not np.isfinite(logp).all():
+        raise DivergenceError(f"chain energy is not finite at the starting point {x[np.isfinite(logp).argmin()]}")
+    state = np.column_stack([x, logp, score(p, x), x])  # x | log p | score | proposal mean; one copy accepts
+    chain, log_eps, accepted = np.arange(C), np.full(C, math.log(config.step_size)), np.zeros(C)  # chain per row
+    block, at = (), _BLOCK  # the live rows' noise, and its next unused step
+
+    def run(left, adapt=False):
+        """Take left[c] more steps on chain c; yields (steps before, rows' chains, states) per segment."""
+        nonlocal state, chain, block, at
+        done = 0
+        while done < left[chain].max(initial=0):
+            live = left[chain] > done  # a chain with all its steps leaves the batch
+            state, chain, block = state[live], chain[live], tuple(b[:, live] for b in block)
+            if at == _BLOCK:
+                z = np.stack([rngs[c].standard_normal((_BLOCK, n)) for c in chain], axis=1)
+                u = np.stack([rngs[c].random(_BLOCK) for c in chain], axis=1)
+                half_zz = 0.5 * np.vecdot(z, z)
+                block, at = (z, half_zz, np.log1p(-u) - half_zz), 0
+            seg = min(_BLOCK - at, int(left[chain].min()) - done)
+            z, half_zz, w = (b[at : at + seg] for b in block)
+            le = log_eps[chain, None].repeat(n, axis=1)  # full rows multiply faster than broadcast columns
+            e, h, q = _tuning(le)
+            ez, prop = e * z, np.empty_like(state)
+            states, oks = np.empty((seg, len(chain), n)), np.empty((seg, len(chain)), dtype=bool)
+            (x, logp, grad, mu), (y, logp_y, grad_y, mu_y) = (
+                (a[:, :n], a[:, n], a[:, n + 1 : 2 * n + 1], a[:, 2 * n + 1 :]) for a in (state, prop))
+            np.add(x, h * grad, out=mu)
+            with np.errstate(over="ignore", invalid="ignore"):  # a far-out proposal's score may overflow
+                for i in range(seg):
+                    np.add(mu, e * z[i] if adapt else ez[i], out=y)
+                    logp_y[:] = log_unnormalized_density(p, y)
+                    grad_y[:] = score(p, y)
+                    np.multiply(h, grad_y, out=mu_y)
+                    mu_y += y
+                    # log q(x | y) - log q(y | x) = |z|^2 / 2 - |x - mu_y|^2 / (4h); w holds log u - |z|^2 / 2
+                    r = x - mu_y
+                    log_alpha = logp_y - logp
+                    log_alpha -= q * np.vecdot(r, r)
+                    ok = oks[i] = w[i] < log_alpha
+                    np.copyto(state, prop, where=ok[:, None])
+                    if adapt:  # Robbins-Monro toward _TARGET_ACCEPT; a nan log_alpha counts as 0
+                        alpha = np.fmax(np.exp(np.minimum(log_alpha + half_zz[i], 0.0)), 0.0)
+                        le += (done + i + 1) ** -0.6 * (alpha - _TARGET_ACCEPT)[:, None]
+                        e, h, q = _tuning(le)
+                        np.add(x, h * grad, out=mu)
+                    else:
+                        states[i] = x
+            log_eps[chain] = le[:, 0]
+            accepted[chain] += oks.sum(axis=0)
+            yield done, chain, states
+            at, done = at + seg, done + seg
+
+    list(run(np.full(C, config.burn_in), adapt=True))  # burn-in tunes the step sizes and keeps no states
+    thin = np.full(C, config.thinning or 1)
+    if config.thinning is None:
+        pilot = np.concatenate([states for _, _, states in run(np.full(C, _PILOT_STEPS))])
+        thin = np.array([max(_decorrelation_lag(pilot[:, c, i]) for i in range(n)) for c in range(C)])
+    accepted[:] = 0
+    draws = [[np.empty((0, n))] for _ in range(C)]
+    for before, rows, states in run(np.asarray(counts) * thin):
+        for r, c in enumerate(rows):  # chain c keeps the states after each multiple of thin_c steps
+            draws[c].append(states[(-before - 1) % thin[c] :: thin[c], r])
+    eps = _tuning(log_eps[:, None])[0][:, 0]
+    return [(np.concatenate(draws[c]), float(eps[c]), accepted[c] / max(counts[c] * thin[c], 1), int(thin[c]))
+            for c in range(C)]
+
+
+def _mcmc_set(p: ParamVector, config: McmcConfig, seed: int, chains: list[tuple]) -> SampleSet:
+    """One SampleSet from chains of :func:`_lockstep`, with their tuning and the ESS summed over chains."""
+    data = np.vstack([c[0] for c in chains])
+    ess = [sum(_geyer_ess(c[0][:, i]) for c in chains if len(c[0])) for i in range(p.n)]
+    steps, rates, thins = ([c[k] for c in chains] for k in (1, 2, 3))
+    return SampleSet(n=p.n, N=len(data), data=data, seed=seed, provenance={"kind": "mcmc", "parameters": {
+        "step_size": steps, "burn_in": config.burn_in, "thinning": thins, "target_accept": _TARGET_ACCEPT,
+        "chains": len(chains), "acceptance_rate": [float(r) for r in rates], "ess": [float(e) for e in ess],
+    }})
 
 
 def sample_mala(
@@ -232,59 +306,19 @@ def sample_mala(
     segment sets the thinning from the slowest coordinate: the largest, over
     coordinates, of the first lag at which the pilot autocorrelation is below
     0.5 by two standard errors, so every coordinate's lag-1 autocorrelation
-    of the draws is below 0.5.
+    of the draws is below 0.5.  The config.chains chains, chain j on stream
+    (seed, j), advance in lock-step (:func:`_lockstep`).
     """
     per_chain = [N // config.chains + (1 if j < N % config.chains else 0) for j in range(config.chains)]
-    blocks = []
-    steps, rates, thins = [], [], []
-    ess = np.zeros(p.n)
-    for j, N_j in enumerate(per_chain):
-        rng = _stream(seed, j)
-        start = np.asarray(x0, dtype=float) if x0 is not None else 0.5 * rng.standard_normal(p.n)
-        chain = _Chain(p, rng, config.step_size, start)
-        log_step = math.log(config.step_size)
-        for t in range(1, config.burn_in + 1):
-            alpha = chain.advance()
-            log_step += t**-0.6 * (alpha - _TARGET_ACCEPT)
-            chain.step = min(max(math.exp(log_step), 1e-12), 1e3)
-        thin = config.thinning
-        if thin is None:
-            pilot = np.empty((_PILOT_STEPS, p.n))
-            for t in range(_PILOT_STEPS):
-                chain.advance()
-                pilot[t] = chain.x
-            thin = max(_decorrelation_lag(pilot[:, i]) for i in range(p.n))
-        chain.accepted = chain.proposed = 0
-        draws = np.empty((N_j, p.n))
-        for k in range(N_j):
-            for _ in range(thin):
-                chain.advance()
-            draws[k] = chain.x
-        blocks.append(draws)
-        steps.append(chain.step)
-        rates.append(chain.accepted / max(chain.proposed, 1))
-        thins.append(thin)
-        if N_j:
-            ess += np.array([_geyer_ess(draws[:, i]) for i in range(p.n)])
-    data = np.vstack(blocks)
-    return SampleSet(
-        n=p.n,
-        N=N,
-        data=data,
-        seed=seed,
-        provenance={
-            "kind": "mcmc",
-            "parameters": {
-                "step_size": steps,
-                "burn_in": config.burn_in,
-                "thinning": thins,
-                "target_accept": _TARGET_ACCEPT,
-                "chains": config.chains,
-                "acceptance_rate": rates,
-                "ess": [float(e) for e in ess],
-            },
-        },
-    )
+    return _mcmc_set(p, config, seed, _lockstep(p, per_chain, [(seed, j) for j in range(config.chains)], config, x0))
+
+
+def sample_mala_ensemble(p: ParamVector, Ns, seeds, config: McmcConfig) -> list[SampleSet]:
+    """One one-chain sample per (N, seed), all the chains in lock-step; chain j on stream (seeds[j], 0)."""
+    if len(Ns) != len(seeds):
+        raise ValueError(f"{len(Ns)} sample sizes but {len(seeds)} seeds")
+    chains = _lockstep(p, list(Ns), [(s, 0) for s in seeds], config)
+    return [_mcmc_set(p, config, s, [c]) for s, c in zip(seeds, chains)]
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,13 @@ from polyscore.estimators import (
     sm_loss,
     study_csv,
 )
+from polyscore import estimators, expfam
 from polyscore.expfam import (
     GridConvergenceError,
     ParamVector,
     build_grid,
     family_grid,
+    random_params,
     zero_params,
 )
 from polyscore.polybasis import enumerate_basis, sample_stats
@@ -253,6 +255,21 @@ class TestFitMle:
         with pytest.raises(GridConvergenceError):
             fit_mle(_samples([0.1, -0.2]), basis, build_grid(1, 6.0, 10))
 
+    def test_one_coarse_pass_per_objective_and_two_doubled(self, monkeypatch):
+        # the start's gate rides its objective pass, the optimum's reuses that
+        # iterate's log Z: only the two doubled-grid passes are extra
+        passes, evals = [], []
+        quad, mom = expfam.poly_quadrature, estimators.moments
+        monkeypatch.setattr(expfam, "poly_quadrature", lambda grid, *a, **k: passes.append(grid) or quad(grid, *a, **k))
+        monkeypatch.setattr(estimators, "moments", lambda *a, **k: evals.append(1) or mom(*a, **k))
+        s = sample_exact_separable(_gaussian_theta_star(), 2000, seed=404)
+        grid = family_grid(enumerate_basis(1, 1), 1.0)
+        passes.clear()
+        report = fit_mle(s, enumerate_basis(1, 1), grid, tol=1e-6)
+        assert int(report.notes[0].split("=")[1]) >= 1
+        assert sum(g is grid for g in passes) == len(evals)
+        assert len(passes) - len(evals) == 2
+
 
 class TestFitReport:
     def test_invariants_enforced(self):
@@ -307,3 +324,16 @@ class TestConvergenceStudy:
         a = convergence_study(p_star, [50, 100], trials=3, estimator="SM", seed=9)
         b = convergence_study(p_star, [50, 100], trials=3, estimator="SM", seed=9)
         assert [r["error_sq"] for r in a.rows] == [r["error_sq"] for r in b.rows]
+
+    def test_coupled_member_ensemble_deterministic(self):
+        # a coupled member's trials are one MALA ensemble: rows repeat exactly,
+        # wall times aside, and no two trials share draws
+        p_star = random_params(2, 3, 1.0, 0)
+        a, b = (convergence_study(p_star, [100, 200], trials=2, estimator="SM", seed=4) for _ in range(2))
+
+        def strip(rows):
+            return [{k: v for k, v in r.items() if k != "wall_time_s"} for r in rows]
+
+        assert strip(a.rows) == strip(b.rows) and a.slope == b.slope
+        assert len({r["error_sq"] for r in a.rows}) == 4
+        assert all(r["wall_time_s"] > 0 for r in a.rows)

@@ -1,12 +1,14 @@
 """Tests for the exact and MALA samplers and their diagnostics."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
+from polyscore import sampler
 from polyscore.expfam import ParamVector, auto_radius, build_grid, moments, random_params, zero_params
-from polyscore.polybasis import enumerate_basis
+from polyscore.polybasis import enumerate_basis, sample_stats
 from polyscore.sampler import (
     DivergenceError,
     McmcConfig,
@@ -15,6 +17,7 @@ from polyscore.sampler import (
     load_samples,
     sample_exact_separable,
     sample_mala,
+    sample_mala_ensemble,
     save_samples,
 )
 
@@ -41,6 +44,18 @@ class TestSampleSet:
         s = SampleSet(n=1, N=2, data=np.zeros((2, 1)), seed=0)
         with pytest.raises(ValueError):
             s.data[0, 0] = 1.0
+
+    def test_stats_cached_per_basis_outside_equality(self):
+        data = np.random.default_rng(4).normal(size=(50, 2))
+        s = SampleSet(n=2, N=50, data=data, seed=0)
+        bare, shown = copy.copy(s), repr(s)
+        object.__setattr__(bare, "_stats", {})
+        basis = enumerate_basis(2, 3)
+        st = s.stats(basis)
+        assert s.stats(basis) is st and s.stats(enumerate_basis(2, 1)) is not st
+        fresh = sample_stats(basis, data)
+        assert all(np.array_equal(getattr(st, f), getattr(fresh, f)) for f in vars(fresh))
+        assert s == bare and repr(s) == shown
 
 
 class TestMcmcConfig:
@@ -196,6 +211,43 @@ class TestMala:
         cfg = McmcConfig(burn_in=10, thinning=1)
         with pytest.raises(DivergenceError, match="not finite"):
             sample_mala(p, 10, cfg, seed=0, x0=np.array([1e200]))
+        with pytest.raises(DivergenceError, match="not finite"):
+            sample_mala(p, 10, McmcConfig(burn_in=10, thinning=1, chains=3), seed=0, x0=np.array([1e200]))
+
+
+class TestLockstep:
+    def test_finished_chains_leave_the_batch(self, monkeypatch):
+        # one density call per step on the live rows, plus one on the starts:
+        # 3 + 3 burn_in + sum_j N_j thin rows exactly
+        rows = []
+        density = sampler.log_unnormalized_density
+
+        def counted(p, x):
+            rows.append(len(x))
+            return density(p, x)
+
+        monkeypatch.setattr(sampler, "log_unnormalized_density", counted)
+        burn_in, thin = 40, 3
+        s = sample_mala(random_params(2, 3, 1.0, 0), 10, McmcConfig(burn_in=burn_in, thinning=thin, chains=3), 5)
+        assert s.N == 10  # per chain 4, 3, 3
+        assert sum(rows) == 3 + 3 * burn_in + 10 * thin
+        assert rows[0] == 3 and rows[-1] == 1 and rows == sorted(rows, reverse=True)
+
+    def test_coupled_chains_pass_diagnostics(self):
+        # the z bound of the exact sampler's diagnostics test
+        p = random_params(2, 3, 1.0, 0)
+        s = sample_mala(p, 20_000, McmcConfig(burn_in=2000, chains=4), seed=0)
+        assert len(s.provenance["parameters"]["thinning"]) == 4
+        assert diagnostics(s, p, build_grid(2, auto_radius(p), 200))["max_z"] < 4.0
+
+    def test_ensemble_deterministic_with_distinct_chains(self):
+        p = random_params(2, 3, 1.0, 0)
+        cfg = McmcConfig(burn_in=200, thinning=2)
+        a = sample_mala_ensemble(p, [30, 60, 60], [11, 12, 13], cfg)
+        b = sample_mala_ensemble(p, [30, 60, 60], [11, 12, 13], cfg)
+        assert [s.N for s in a] == [30, 60, 60] and [s.seed for s in a] == [11, 12, 13]
+        assert all(np.array_equal(x.data, y.data) and x.provenance == y.provenance for x, y in zip(a, b))
+        assert not np.array_equal(a[1].data, a[2].data)
 
 
 class TestDiagnostics:
