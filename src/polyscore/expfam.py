@@ -17,10 +17,12 @@ Polynomial log densities go through one sum-factorised oracle,
 :func:`poly_quadrature` (Orszag 1980): on the slab x_1 = t_a of the tensor
 grid the log density is the matrix product P_2 C(t_a) P_3^t of per-axis power
 tables and the slab's coefficient matrix, so no grid point is ever formed and
-the working set is one K x K slab.  The same pass returns the power moments
-E[x^e] up to a requested order; :func:`moments` takes them to order 2d, which
-determines E[T], E[T T^t], the Jacobian Gram matrix, the score-matching terms
-and E|Lap T|^2 (``polybasis.family_stats``).  Functions of polynomials,
+the working set is one K x K slab; a certified separable bound first drops
+the axis indices whose nodes together carry under e^-50 of the integral.
+The same pass returns the power moments E[x^e] up to a requested order;
+:func:`moments` takes them to order 2d, which determines E[T], E[T T^t], the
+Jacobian Gram matrix, the score-matching terms and E|Lap T|^2
+(``polybasis.family_stats``).  Functions of polynomials,
 such as ``fisher``'s largest eigenvalue of (JT)^t(JT), ride the same pass as
 fields: their polynomials' slab values come from the same GEMM chain and go
 to a reducer.  :func:`quad_expectation` streams node chunks of any integrand.
@@ -93,6 +95,11 @@ DEFAULT_POINTS_PER_AXIS = {1: 400, 2: 200, 3: 120}
 # Quadrature convergence gate: doubling points_per_axis may move log Z by
 # less than this.
 GATE_TOL = 1e-8
+
+# Node screening: a pass skips the axis indices whose separable bound puts
+# every node through them this far (in log) below the largest node term,
+# less log N, so the N or fewer skipped nodes hold under e^-50 of the sum.
+SCREEN_MARGIN = 50.0
 
 
 @dataclass(frozen=True)
@@ -422,11 +429,13 @@ class PolyIntegral:
     tuple e in {0..order}^n, so ``moments[0, ..., 0] == 1``; ``orthant_mass``
     is the probability of the union of the requested closed orthants;
     ``field_means`` the reducer's sums normalized, None without fields.
+    ``nodes`` counts the grid nodes the pass evaluated after screening.
     """
 
     log_integral: float
     moments: np.ndarray
     orthant_mass: float
+    nodes: int
     field_means: np.ndarray | None = None
 
 
@@ -476,6 +485,40 @@ def _split_separable(grid: QuadratureGrid, C: np.ndarray) -> tuple[float, list[n
     return float(const), parts, mixed
 
 
+def _screen(grid: QuadratureGrid, parts: list[np.ndarray], mixed: np.ndarray) -> list[np.ndarray]:
+    """The indices each axis keeps under the certified separable bound.
+
+    Weighted AM-GM bounds each mixed term, |c x^a| <= |c| sum_i (a_i/|a|)
+    |x_i|^|a|, so |mixed(x)| <= sum_i m_i(x_i) with 1-D polynomials m_i.  A
+    node's log value less the constant of :func:`_split_separable` then lies
+    between sum_i V_i and sum_i U_i, with U_i = l_i + m_i and V_i = l_i - m_i
+    at its indices.  L = sum_i max V_i is at most the log of the largest node
+    term.  Index j of axis i is kept iff U_i[j] plus the other axes' largest
+    U reaches L - SCREEN_MARGIN - log N, so each of the N or fewer skipped
+    nodes is below e^(L - SCREEN_MARGIN - log N) and together they hold under
+    e^-SCREEN_MARGIN of the sum.  An index whose l_i is not finite has
+    zero weight at every node (the pass's rule for non-finite log values)
+    and goes; an m_i that overflowed keeps its index.
+    """
+    n = grid.n
+    A = np.indices(mixed.shape).reshape(n, -1)
+    c = np.abs(mixed).ravel()
+    A, c = A[:, c > 0], c[c > 0]
+    s = A.sum(axis=0)  # >= 2: the constant and the pure powers are split off
+    deg = np.unique(s)
+    g = (A * (c / s)) @ (s[:, None] == deg)  # g[i, k]: the coefficient of |x_i|^deg[k] in m_i
+    m = (np.abs(grid.axis_nodes)[:, None] ** deg @ g.T).T
+    m[np.isnan(m)] = math.inf  # a power that overflowed times a zero coefficient
+    l = np.array(parts)
+    finite = np.isfinite(l)
+    upper = np.where(finite, l + m, -math.inf)
+    lower = np.where(finite, l - m, -math.inf)
+    top = upper.max(axis=1)
+    rest = np.where(np.eye(n, dtype=bool), 0.0, top).sum(axis=1)  # the other axes' largest U
+    floor = lower.max(axis=1).sum() - SCREEN_MARGIN - n * math.log(grid.points_per_axis)
+    return [np.flatnonzero(k) for k in (upper > -math.inf) & (upper + rest[:, None] >= floor)]
+
+
 # powers that overflow far out are zero density, handled below without warnings
 @np.errstate(over="ignore", invalid="ignore")
 def poly_quadrature(grid: QuadratureGrid, coeffs, order: int = 0, orthants=(), fields=None) -> PolyIntegral:
@@ -490,7 +533,9 @@ def poly_quadrature(grid: QuadratureGrid, coeffs, order: int = 0, orthants=(), f
     tables; the log weights and pure powers are added per axis (see
     :func:`_split_separable`), and a log-sum-exp streams over the slabs in a
     fixed order, which makes the result bitwise deterministic.  The working
-    set is O(K^2) whatever n is.
+    set is O(K^2) whatever n is.  The sweep covers only the axis indices
+    that :func:`_screen` keeps, which changes the sums by under e^-50 of
+    their size; ``nodes`` reports how many nodes that leaves.
 
     ``orthants`` lists sign vectors v; a node counts towards
     ``orthant_mass`` once if v_i x_i >= 0 for all i holds for any of them.
@@ -509,10 +554,13 @@ def poly_quadrature(grid: QuadratureGrid, coeffs, order: int = 0, orthants=(), f
         raise ValueError(f"moment order must be >= 0, got {order}")
     signs = np.asarray(orthants, dtype=float).reshape(-1, n)
     const, parts, mixed = _split_separable(grid, C)
+    keep = _screen(grid, parts, mixed)
+    if not all(len(k) for k in keep):
+        raise NumericalError("integrand underflowed to zero at every grid node")
     pad = 3 - n
     origin = np.zeros(1)
-    nodes = [origin] * pad + [grid.axis_nodes] * n
-    parts = [origin] * pad + parts
+    nodes = [origin] * pad + [grid.axis_nodes[k] for k in keep]
+    parts = [origin] * pad + [part[k] for part, k in zip(parts, keep)]
     mixed = mixed.reshape((1,) * pad + mixed.shape)
     P = [np.vander(t, k, increasing=True) for t, k in zip(nodes, mixed.shape)]
     Q = [np.vander(t, 1 if i < pad else order + 1, increasing=True) for i, t in enumerate(nodes)]
@@ -552,6 +600,7 @@ def poly_quadrature(grid: QuadratureGrid, coeffs, order: int = 0, orthants=(), f
         log_integral=const + acc.m + math.log(z),
         moments=(S / z)[(0,) * pad],
         orthant_mass=float(mass / z),
+        nodes=math.prod(len(k) for k in keep),
         field_means=acc.sums[2] / z if fields is not None else None,
     )
 
@@ -723,13 +772,15 @@ def _well_integral(beta: float, lo: float, hi: float, k: int = 0) -> float:
     return val
 
 
+@lru_cache(maxsize=None)
 def verify_int_concentration(beta: float, r: float, m: int) -> BoundCheck:
     """Check that the positive-axis mass concentrates in [1-r, 1+r].
 
     Compares I = integral over (0, inf) of exp(-x^8 - beta(1-x^2)^2) against
     (1 + 1/m) times the same integral restricted to [1-r, 1+r].  Valid only
     in the parameter regime beta > 150, 6/beta < r < 0.04, and
-    beta >= 40 r^-2 log(4m/r), where the inequality is a theorem.
+    beta >= 40 r^-2 log(4m/r), where the inequality is a theorem.  The
+    check does not depend on any member, so it is computed once per process.
     """
     if beta <= 150:
         raise ValueError(f"need beta > 150, got {beta}")
@@ -754,8 +805,13 @@ def verify_int_concentration(beta: float, r: float, m: int) -> BoundCheck:
     )
 
 
-def verify_1d_moment_bound(beta: float, k_max: int = 8) -> list[BoundCheck]:
-    """Check integral x^k e^{-f} <= 2^k integral e^{-f} on (0, inf), k <= k_max."""
+@lru_cache(maxsize=None)
+def verify_1d_moment_bound(beta: float, k_max: int = 8) -> tuple[BoundCheck, ...]:
+    """Check integral x^k e^{-f} <= 2^k integral e^{-f} on (0, inf), k <= k_max.
+
+    Computed once per process for each (beta, k_max), like
+    :func:`verify_int_concentration`.
+    """
     if beta < 160.0 * math.log(8.0):
         raise ValueError(f"need beta >= 160 log 8 = {160.0 * math.log(8.0):.6g}, got {beta}")
     if not 1 <= k_max <= 8:
@@ -782,4 +838,4 @@ def verify_1d_moment_bound(beta: float, k_max: int = 8) -> list[BoundCheck]:
                 note=f"beta={beta:.6g}",
             )
         )
-    return checks
+    return tuple(checks)

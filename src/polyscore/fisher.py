@@ -244,11 +244,11 @@ def sm_moment_inputs(p: ParamVector, source, check: bool = False) -> dict:
 
 
 def regularity_preflight(p: ParamVector, grid: QuadratureGrid) -> dict:
-    """The SM covariance claim's moment conditions, from one quadrature pass."""
+    """The SM covariance claim's moment conditions, from one gated quadrature pass."""
     # |grad log h|^2 = (d + 1)^2 sum_i x_i^{2d}; the reducer squares it
     n, d = p.n, p.d
     g2 = _dense(n, d, 2 * d * np.eye(n, dtype=np.int64), np.full((1, n), (d + 1.0) ** 2))
-    sweep, m4, (_, g4) = _jt_pass(p, grid, g2, order=2 * d)
+    sweep, m4, (_, g4) = _jt_pass(p, grid, g2, order=2 * d, check=True)
     out = {"E_opJT4": m4, "E_dT2": Moments.of(p, sweep).lap_sq, "E_gradlogh4": float(g4)}
     if not all(math.isfinite(v) for v in out.values()):
         raise NumericalError(f"regularity preflight found non-finite moments: {out}")

@@ -1,5 +1,6 @@
 """Tests for the density family and the tensor quadrature oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -37,6 +38,15 @@ from polyscore.expfam import (
     verify_1d_moment_bound,
     verify_int_concentration,
     zero_params,
+)
+from polyscore.expfam import _split_separable
+from polyscore.hardness import (
+    _log_density_coeffs,
+    default_params,
+    encode,
+    hardness_grid,
+    load_fixture,
+    satisfying_assignments,
 )
 from polyscore.polybasis import enumerate_basis, eval_jacobian, eval_suffstats
 
@@ -564,6 +574,114 @@ class TestPolyQuadrature:
             poly_quadrature(grid, np.zeros((3, 3)), fields=(np.zeros((3, 3)), np.sum))
         with pytest.raises(ValueError, match="exponents"):
             log_density_tensor(2, [[5, 0]], [1.0], 4)
+
+
+def split_reference(grid, coeffs, fns=()):
+    """Per-node quadrature of every grid node, the log density split as the slab pass splits it.
+
+    The constant and the per-axis parts come from ``_split_separable`` and
+    the mixed terms are evaluated node by node, so this path and
+    :func:`poly_quadrature` differ only in the nodes screening skips and in
+    rounding.  (Hardness couplings cancel to 1e-10 in a plain per-node
+    evaluation of the energy.)
+    """
+    const, parts, mixed = _split_separable(grid, coeffs)
+    n, k = grid.n, mixed.shape[0]
+    axis_parts = [part - grid.axis_logw for part in parts]  # iter_chunks adds the weights
+    sub = "abc"[:n]
+    spec = f"{sub}," + ",".join("z" + a for a in sub) + "->z"
+
+    def logf(X):
+        idx = [np.searchsorted(grid.axis_nodes, X[:, i]) for i in range(n)]
+        V = [np.vander(X[:, i], k, increasing=True) for i in range(n)]
+        return sum(a[j] for a, j in zip(axis_parts, idx)) + np.einsum(spec, mixed, *V)
+
+    logz, means = quad_expectation(grid, logf, list(fns))
+    return const + logz, means
+
+
+def power_table(n: int, order: int):
+    """x -> x^e for every e in {0..order}^n, the layout of ``PolyIntegral.moments``."""
+    def f(X):
+        out = np.ones((len(X),) + (order + 1,) * n)
+        for i in range(n):
+            shape = (len(X),) + (1,) * i + (order + 1,) + (1,) * (n - 1 - i)
+            out = out * np.vander(X[:, i], order + 1, increasing=True).reshape(shape)
+        return out
+    return f
+
+
+def assert_close_to(got, want):
+    """Within 1e-14 (1 + |want|) entrywise."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.all(np.abs(got - want) <= 1e-14 * (1.0 + np.abs(want)))
+
+
+class TestScreening:
+    """Screened slab passes against the per-node sum over every node."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("B", [1.0, 2.0])
+    def test_members_agree_with_every_node(self, n, B):
+        p = random_params(n, 3, B, seed=20 + n)
+        points, radius = {1: (48, 5.0), 2: (24, 4.5), 3: (16, 4.0)}[n]
+        grid = build_grid(n, radius, points)
+        T = np.zeros((p.basis.size,) + (p.d + 1,) * n)
+        T[(np.arange(p.basis.size),) + tuple(p.basis.degrees.T)] = 1.0
+
+        def reduce(V, E):
+            Y = V.reshape(len(V), -1)
+            return np.concatenate([Y @ E.ravel(), Y * Y @ E.ravel()])
+
+        def t_and_square(X):
+            Y = eval_suffstats(p.basis, X)
+            return np.hstack([Y, Y * Y])
+
+        out = poly_quadrature(grid, member_coeffs(p), order=2 * p.d, fields=(T, reduce))
+        logz, (mom, fields) = split_reference(grid, member_coeffs(p), [power_table(n, 2 * p.d), t_and_square])
+        assert out.nodes < grid.total_nodes
+        assert out.log_integral == pytest.approx(logz, rel=1e-14)
+        assert_close_to(out.moments, mom)
+        assert_close_to(out.field_means, fields)
+
+    @pytest.mark.parametrize("name, mode", [("clause1", "sampling"), ("uniq3", "first"), ("unsat8", "zeroth")])
+    def test_fixtures_agree_with_every_node(self, name, mode):
+        # the orthants of the satisfying vertices and of the falsifying ones
+        C = load_fixture(name)
+        pp = default_params(3, C.m, mode, scale=0.01)
+        coeffs = _log_density_coeffs(encode(C, pp.alpha, pp.beta))
+        grid = hardness_grid(3, pp.beta, points_per_axis=60)
+        sat = satisfying_assignments(C)
+        for orthants in (sat, [v for v in itertools.product((-1, 1), repeat=3) if v not in sat]):
+            V = np.asarray(orthants, dtype=float).reshape(-1, 3)
+
+            def union(X):
+                return np.any(np.all(X[:, None, :] * V[None] >= 0.0, axis=2), axis=1).astype(float)
+
+            out = poly_quadrature(grid, coeffs, order=2, orthants=orthants)
+            logz, (mom, mass) = split_reference(grid, coeffs, [power_table(3, 2), union])
+            assert out.nodes < 0.1 * grid.total_nodes
+            assert out.log_integral == pytest.approx(logz, rel=1e-14)
+            assert out.orthant_mass == pytest.approx(float(mass), rel=1e-14)
+            assert_close_to(out.moments, mom)
+
+    def test_suite_pass_evaluates_few_nodes(self):
+        # the clause1 orthant pass of `verify --suite hardness` at 165 points,
+        # and the gate's doubled pass
+        C = load_fixture("clause1")
+        pp = default_params(3, C.m, "sampling", scale=0.01)
+        coeffs = _log_density_coeffs(encode(C, pp.alpha, pp.beta))
+        grid = hardness_grid(3, pp.beta, points_per_axis=165)
+        for g in (grid, grid.doubled()):
+            out = poly_quadrature(g, coeffs, orthants=satisfying_assignments(C))
+            assert out.nodes < 0.15 * g.total_nodes
+
+    def test_unscreened_members_count_every_node(self):
+        # a d = 1 member is a Gaussian with no mixed term; at the box's edge
+        # it is down by about e^-49, inside the margin, so every node stays
+        p = random_params(2, 1, 1.0, seed=0)
+        grid = build_grid(2, 7.0, 40)
+        assert poly_quadrature(grid, member_coeffs(p)).nodes == grid.total_nodes
 
 
 class TestRadiusSelection:

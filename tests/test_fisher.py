@@ -93,7 +93,9 @@ class TestGridGathers:
     )
     def test_field_pass_matches_per_node_quadrature(self, n, grid):
         # op-norm(JT)^4 node by node with eigvalsh, |grad log h|^4 and check
-        # (vi)'s <w, T> moments, against the slab fields and their reducer
+        # (vi)'s <w, T> moments, against the slab fields and their reducer;
+        # the n = 3 grid fails the gate, so the gated preflight reads the
+        # same fields on one that passes it
         p = random_params(n, 3, 1.0, seed=70 + n)
         W = np.random.default_rng(n).standard_normal((5, p.basis.size))
 
@@ -111,13 +113,18 @@ class TestGridGathers:
         _, (m4, g4, wt) = quad_expectation(
             grid, lambda X: log_unnormalized_density(p, X), [opnorm4, gradlogh4, wt_and_square]
         )
-        pre = regularity_preflight(p, grid)
-        assert pre["E_opJT4"] == pytest.approx(float(m4), rel=1e-12)
-        assert pre["E_gradlogh4"] == pytest.approx(float(g4), rel=1e-12)
-        assert sm_moment_inputs(p, grid)["E_opJT4"] == pytest.approx(float(m4), rel=1e-12)
-        _, got_m4, got_wt = _jt_pass(p, grid, _dense(n, 3, p.basis.degrees, W))
+        g2 = _dense(n, 3, 6 * np.eye(n, dtype=np.int64), np.full((1, n), 16.0))
+        _, got_m4, got = _jt_pass(p, grid, np.concatenate([g2, _dense(n, 3, p.basis.degrees, W)]))
         assert got_m4 == pytest.approx(float(m4), rel=1e-12)
+        assert got[6] == pytest.approx(float(g4), rel=1e-12)
+        got_wt = np.delete(got, [0, 6])
         assert np.max(np.abs(got_wt - wt)) <= 1e-12 * np.max(np.abs(wt))
+        assert sm_moment_inputs(p, grid)["E_opJT4"] == pytest.approx(float(m4), rel=1e-12)
+        fine = build_grid(3, 4.5, 80) if n == 3 else grid
+        pre = regularity_preflight(p, fine)
+        _, fine_m4, (_, fine_g4) = _jt_pass(p, fine, g2)
+        assert pre["E_opJT4"] == pytest.approx(fine_m4, rel=1e-12)
+        assert pre["E_gradlogh4"] == pytest.approx(float(fine_g4), rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_sample_opnorm_matches_spectral_norm(self, n):
@@ -143,7 +150,7 @@ class TestGridGathers:
         monkeypatch.setattr(expfam.QuadratureGrid, "iter_chunks", per_node)
         p = random_params(3, 3, 1.0, seed=0)
         assert verify_bounds(p, build_grid(3, 4.5, 64)).all_hold
-        out = regularity_preflight(p, build_grid(3, 4.5, 32))
+        out = regularity_preflight(p, build_grid(3, 4.5, 64))
         assert all(math.isfinite(v) for v in out.values())
 
 
@@ -355,6 +362,15 @@ class TestRegularityPreflight:
         out = regularity_preflight(p, build_grid(1, 5.0, 240))
         assert set(out) == {"E_opJT4", "E_dT2", "E_gradlogh4"}
         assert all(math.isfinite(v) and v >= 0 for v in out.values())
+
+    def test_coarse_grid_fails_the_gate(self):
+        # on 10 points E_gradlogh4 reads 17.1 against 2197 on 240; the
+        # doubling gate refuses it, as it does for fisher_info
+        p = random_params(1, 3, 1.0, seed=63)
+        with pytest.raises(GridConvergenceError, match="gate"):
+            regularity_preflight(p, build_grid(1, 5.0, 10))
+        with pytest.raises(GridConvergenceError, match="gate"):
+            fisher_info(p, build_grid(1, 5.0, 10))
 
 
 class TestSpectralReport:
