@@ -137,8 +137,8 @@ class ParamVector:
         return self.basis.d
 
     @cached_property
-    def _terms(self) -> tuple[PolyCoeffs, PolyCoeffs]:
-        """The log density and the score as sparse polynomials, built on first use."""
+    def _terms(self) -> PolyCoeffs:
+        """The [log density | score] term table, built on first use."""
         return _term_table(self)
 
 
@@ -175,22 +175,23 @@ def load_param(path) -> ParamVector:
 # density and score
 
 
-def _term_table(p: ParamVector) -> tuple[PolyCoeffs, PolyCoeffs]:
-    """(log h + <theta, T>, its gradient in x) as sparse polynomials.
+def _term_table(p: ParamVector) -> PolyCoeffs:
+    """log h + <theta, T> and its gradient in x as one sparse table of n + 1 columns.
 
-    The value terms are theta's entries and the n base terms -x_i^{d+1}.  A
-    term c x^a contributes a_i c x^(a - e_i) to gradient component i, one row
-    of the (K, n) gradient table; :meth:`PolyCoeffs.from_arrays` merges rows
-    that share an exponent and drops theta's zeros.  No (row, component) pair
-    is hit twice, so every gradient coefficient is exact.
+    Column 0 holds the value terms, theta's entries and the n base terms
+    -x_i^{d+1}.  A term c x^a contributes a_i c x^(a - e_i) to column 1 + i.
+    :meth:`PolyCoeffs.from_arrays` merges rows that share an exponent and
+    drops theta's zeros; no (row, column) pair is hit twice, so every
+    coefficient is exact.
     """
     n, eye = p.n, np.eye(p.n, dtype=np.int64)
     deg = np.vstack([p.basis.degrees, (p.d + 1) * eye])
     coef = np.concatenate([p.theta, -np.ones(n)])
     k, i = np.nonzero(deg)
-    grad_coef = np.zeros((len(k), n))
-    grad_coef[np.arange(len(k)), i] = deg[k, i] * coef[k]
-    return PolyCoeffs.from_arrays(n, deg, coef), PolyCoeffs.from_arrays(n, deg[k] - eye[i], grad_coef)
+    table = np.zeros((len(deg) + len(k), n + 1))
+    table[: len(deg), 0] = coef
+    table[len(deg) + np.arange(len(k)), 1 + i] = deg[k, i] * coef[k]
+    return PolyCoeffs.from_arrays(n, np.vstack([deg, deg[k] - eye[i]]), table)
 
 
 def _check_points(p: ParamVector, x, finite: bool = True) -> np.ndarray:
@@ -205,11 +206,16 @@ def _check_points(p: ParamVector, x, finite: bool = True) -> np.ndarray:
     return arr
 
 
-def log_unnormalized_density(p: ParamVector, x) -> np.ndarray | float:
-    """log h(x) + <theta, T(x)>; the log partition is deliberately excluded."""
+def log_unnormalized_density(p: ParamVector, x, with_score: bool = False) -> np.ndarray | float | tuple:
+    """log h(x) + <theta, T(x)>; the log partition is deliberately excluded.
+
+    With ``with_score`` returns (values, score(p, x)), both read from one
+    evaluation of the member's term table.
+    """
     arr = _check_points(p, x, finite=False)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = p._terms[0](arr.reshape(-1, p.n))
+        table = p._terms(arr.reshape(-1, p.n))
+    vals = table[:, 0]
     # The base measure's -x_i^{d+1} makes every value at a non-finite point
     # non-finite, so the points need checking only then.  Finite points far
     # enough out to overflow x^{d+1} have zero density: the base measure's
@@ -218,13 +224,14 @@ def log_unnormalized_density(p: ParamVector, x) -> np.ndarray | float:
     if np.count_nonzero(finite) < vals.size:
         _check_points(p, arr)
         vals[~finite] = -np.inf
-    return float(vals[0]) if arr.ndim == 1 else vals
+    vals = float(vals[0]) if arr.ndim == 1 else vals
+    return (vals, table[:, 1:].reshape(arr.shape)) if with_score else vals
 
 
 def score(p: ParamVector, x) -> np.ndarray:
     """Gradient in x of the log density; free of the partition function."""
     arr = _check_points(p, x)
-    return p._terms[1](arr.reshape(-1, p.n)).reshape(arr.shape)
+    return p._terms(arr.reshape(-1, p.n))[:, 1:].reshape(arr.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +492,22 @@ def _split_separable(grid: QuadratureGrid, C: np.ndarray) -> tuple[float, list[n
     return float(const), parts, mixed
 
 
+@lru_cache(maxsize=None)
+def _mixed_layout(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """(flat, A, s, deg, sel) over the entries of a ``shape`` tensor with two or
+    more nonzero exponents, the only ones mixed terms fill: flat positions,
+    exponent columns, totals, distinct totals, and sel[j, k] = (s[j] == deg[k]).
+    """
+    A = np.indices(shape).reshape(len(shape), -1)
+    flat = np.flatnonzero(np.count_nonzero(A, axis=0) >= 2)
+    s = A[:, flat].sum(axis=0)
+    deg = np.unique(s)
+    out = flat, A[:, flat], s, deg, (s[:, None] == deg).astype(float)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def _screen(grid: QuadratureGrid, parts: list[np.ndarray], mixed: np.ndarray) -> list[np.ndarray]:
     """The indices each axis keeps under the certified separable bound.
 
@@ -501,12 +524,10 @@ def _screen(grid: QuadratureGrid, parts: list[np.ndarray], mixed: np.ndarray) ->
     and goes; an m_i that overflowed keeps its index.
     """
     n = grid.n
-    A = np.indices(mixed.shape).reshape(n, -1)
-    c = np.abs(mixed).ravel()
-    A, c = A[:, c > 0], c[c > 0]
-    s = A.sum(axis=0)  # >= 2: the constant and the pure powers are split off
-    deg = np.unique(s)
-    g = (A * (c / s)) @ (s[:, None] == deg)  # g[i, k]: the coefficient of |x_i|^deg[k] in m_i
+    flat, A, s, deg, sel = _mixed_layout(mixed.shape)
+    g = (A * (np.abs(mixed.ravel()[flat]) / s)) @ sel  # g[i, k]: the coefficient of |x_i|^deg[k] in m_i
+    used = g.any(axis=0)  # an unused degree's overflowing |x|^deg times 0 would keep every index
+    g, deg = g[:, used], deg[used]
     m = (np.abs(grid.axis_nodes)[:, None] ** deg @ g.T).T
     m[np.isnan(m)] = math.inf  # a power that overflowed times a zero coefficient
     l = np.array(parts)

@@ -377,11 +377,26 @@ def satisfying_assignments(C: CnfFormula) -> list[tuple[int, ...]]:
     return out
 
 
-def _vertex_values(degrees: np.ndarray, ints: np.ndarray, verts: np.ndarray) -> np.ndarray:
-    # exact: at a vertex a monomial is (-1)^(number of odd exponents on -1 coords);
-    # works on a (vertices, terms) matrix, so callers pass row blocks sized by the terms
-    parity = ((verts < 0).astype(np.int64) @ (degrees % 2).T) & 1
-    return (1 - 2 * parity) @ ints
+def _vertex_values(degrees: np.ndarray, ints: np.ndarray, n: int) -> np.ndarray:
+    """Exact int64 values at the 2^n vertices, in the binary-counter order of :func:`_iter_vertices`.
+
+    At a vertex a monomial is (-1)^(number of its odd exponents on -1
+    coordinates), so the values are the Walsh-Hadamard transform of the
+    coefficients summed by odd-exponent mask (variable 1 the top bit): n
+    butterfly passes, every partial sum bounded by sum |c|.  The -1
+    coordinates of code c are its zero bits, so vertex c reads entry
+    2^n - 1 - c.
+    """
+    mask = (degrees % 2) @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
+    f = np.zeros(1 << n, dtype=np.int64)
+    np.add.at(f, mask, ints)
+    for i in range(n):
+        pairs = f.reshape(-1, 2, 1 << i)  # entries differing in bit i
+        a, b = pairs[:, 0], pairs[:, 1]
+        a += b
+        b *= -2
+        b += a  # (a, b) -> (a + b, a - b)
+    return f[::-1]
 
 
 def verify_roots(inst: EncodedInstance, n_random: int = 1000, seed: int = 0) -> dict:
@@ -399,23 +414,12 @@ def verify_roots(inst: EncodedInstance, n_random: int = 1000, seed: int = 0) -> 
     h_ints, g_ints = (np.rint(f.coeffs).astype(np.int64) for f in (H, G))
     if not (np.array_equal(h_ints, H.coeffs) and np.array_equal(g_ints, G.coeffs)):
         raise ValueError("expected integer coefficients")
-    n_sat = 0
-    min_unsat_k = None
-    vertex_identity = True
-    roots_match = True
-    # the (vertices, terms) matrices of _vertex_values and the (vertices, m, 3)
-    # clause gather set the block size
-    width = max(len(h_ints), len(g_ints), 3 * C.m)
-    for verts in _iter_vertices(C.n, width):
-        k = _falsified_counts(C, verts)
-        hv = _vertex_values(H.degrees, h_ints, verts)
-        gv = _vertex_values(G.degrees, g_ints, verts)
-        vertex_identity &= bool(np.all(gv == 0) and np.all(hv == 64 * k))
-        roots_match &= bool(np.all((hv == 0) == (k == 0)))
-        n_sat += int(np.sum(k == 0))
-        if np.any(k > 0):
-            kmin = int(k[k > 0].min())
-            min_unsat_k = kmin if min_unsat_k is None else min(min_unsat_k, kmin)
+    k = np.concatenate([_falsified_counts(C, verts) for verts in _iter_vertices(C.n, max(3 * C.m, 1))])
+    hv = _vertex_values(H.degrees, h_ints, C.n)
+    vertex_identity = bool(not _vertex_values(G.degrees, g_ints, C.n).any() and np.array_equal(hv, 64 * k))
+    roots_match = bool(np.array_equal(hv == 0, k == 0))
+    n_sat = int(np.count_nonzero(k == 0))
+    min_unsat_k = int(k[k > 0].min()) if n_sat < len(k) else None
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     X = rng.uniform(-2.0, 2.0, size=(int(n_random), C.n))
     vals = inst.energy.evaluate(X)

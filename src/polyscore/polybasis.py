@@ -132,21 +132,32 @@ def graded_rank(degrees) -> np.ndarray:
     them, and after the rows of its own degree that agree with it before
     some position i and carry more there; with t_i the total of positions
     i.., there are C(t_i - e_i - 1 + k_i, k_i) of those, k_i = n - 1 - i.
+    The binomials come from a cached int64 Pascal table.
     """
     deg = np.asarray(degrees, dtype=np.int64)
     N, n = deg.shape
     if N == 0:
         return np.zeros(0, dtype=np.int64)
     tails = np.cumsum(deg[:, ::-1], axis=1)[:, ::-1]
+    # with t_(i+1) = t_i - e_i the terms are C(t_j + k_j - 1, k_j), k_j = n - j,
+    # for j = 0 .. n - 1; j = 0 counts the rows of lower degree
+    k = np.arange(n, 0, -1)
+    a = tails + (k - 1)
+    binoms = _pascal(1 << int(a.max()).bit_length(), n + 1).take(a * (n + 1) + k)  # table[a, k]
+    if (binoms < 0).any():
+        r, i = np.argwhere(binoms < 0)[0]
+        raise OverflowError(f"C({a[r, i]}, {k[i]}) does not fit in int64")
+    return binoms.sum(axis=1)
 
-    def binom(a: np.ndarray, k: int) -> np.ndarray:
-        return np.array([math.comb(v, k) for v in range(int(a.max()) + 1)], dtype=np.int64)[a]
 
-    rank = binom(tails[:, 0] + n - 1, n)
-    for i in range(n - 1):
-        k = n - 1 - i
-        rank += binom(tails[:, i] - deg[:, i] - 1 + k, k)
-    return rank
+@lru_cache(maxsize=None)
+def _pascal(rows: int, cols: int) -> np.ndarray:
+    """C(v, k) for v < rows, k < cols as read-only int64, -1 where it exceeds int64."""
+    big = np.iinfo(np.int64).max
+    table = np.array([[c if c <= big else -1 for c in map(math.comb, [v] * cols, range(cols))]
+                      for v in range(rows)], dtype=np.int64)
+    table.setflags(write=False)
+    return table
 
 
 def enumerate_basis(n: int, d: int) -> MonomialBasis:
@@ -480,17 +491,25 @@ class PolyCoeffs:
         return out
 
     @cached_property
-    def _gather(self) -> tuple[int, tuple[np.ndarray, ...]]:
-        """(dmax, per axis i the flat power-table index i (dmax + 1) + degrees[:, i])."""
+    def _gather(self) -> tuple[int, np.ndarray]:
+        """(dmax, cols), cols[j, k] the flat power-table index i (dmax + 1) + degrees[k, i]
+        of row k's j-th nonzero axis i; past the row's last, 0, an entry 1.0."""
         dmax = int(self.degrees.max(initial=0))
-        return dmax, tuple(i * (dmax + 1) + self.degrees[:, i] for i in range(self.n))
+        nonzero = self.degrees > 0
+        k, i = np.nonzero(nonzero)  # row by row, axes ascending
+        slot = np.cumsum(nonzero, axis=1)[k, i] - 1
+        cols = np.zeros((max(int(slot.max(initial=0)) + 1, 1), len(self.degrees)), dtype=np.int64)
+        cols[slot, k] = i * (dmax + 1) + self.degrees[k, i]
+        return dmax, cols
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Values at a batch (N, n) of float points, unchecked.
 
         One power table, a cumulative product over (N, n, dmax + 1) of the
         same factors, in the same order, as :func:`_power_table`; then one
-        flat gather per axis and one matvec.
+        flat gather per nonzero exponent of the fullest row, and one matvec.
+        A row's nonzero factors multiply in axis order, as in
+        :func:`_monomials_from_table`; its other factors there are exact 1.0s.
         """
         dmax, cols = self._gather
         P = x.repeat(dmax + 1, axis=1)

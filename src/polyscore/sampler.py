@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DivergenceError, InputError
-from .expfam import ParamVector, auto_radius, log_unnormalized_density, moments, score
+from .expfam import ParamVector, auto_radius, log_unnormalized_density, moments
 from .polybasis import FamilyStats, MonomialBasis, enumerate_basis, eval_suffstats, format_monomial, row_mean, sample_stats
 
 __all__ = [
@@ -208,15 +208,16 @@ def _lockstep(p: ParamVector, counts, streams, config: McmcConfig, x0=None) -> l
     standard normal from it, and takes its noise from it alone, _BLOCK steps
     at a time (normals, then uniforms).  All chains run burn-in and pilot;
     then chain c takes counts[c] * thin_c steps and leaves the batch, so a
-    step makes one log_unnormalized_density and one score call on the live
-    rows.  Returns per chain (draws, step size, acceptance rate, thinning).
+    step makes one log_unnormalized_density call, density and score from one
+    term-table evaluation, on the live rows.  Returns per chain (draws, step
+    size, acceptance rate, thinning).
     """
     C, n, rngs = len(streams), p.n, [_stream(*key) for key in streams]
     x = np.array([np.asarray(x0, dtype=float) if x0 is not None else 0.5 * r.standard_normal(n) for r in rngs])
-    logp = log_unnormalized_density(p, x)
+    logp, grad = log_unnormalized_density(p, x, with_score=True)
     if not np.isfinite(logp).all():
         raise DivergenceError(f"chain energy is not finite at the starting point {x[np.isfinite(logp).argmin()]}")
-    state = np.column_stack([x, logp, score(p, x), x])  # x | log p | score | proposal mean; one copy accepts
+    state = np.column_stack([x, logp, grad, x])  # x | log p | score | proposal mean; one copy accepts
     chain, log_eps, accepted = np.arange(C), np.full(C, math.log(config.step_size)), np.zeros(C)  # chain per row
     block, at = (), _BLOCK  # the live rows' noise, and its next unused step
 
@@ -244,8 +245,7 @@ def _lockstep(p: ParamVector, counts, streams, config: McmcConfig, x0=None) -> l
             with np.errstate(over="ignore", invalid="ignore"):  # a far-out proposal's score may overflow
                 for i in range(seg):
                     np.add(mu, e * z[i] if adapt else ez[i], out=y)
-                    logp_y[:] = log_unnormalized_density(p, y)
-                    grad_y[:] = score(p, y)
+                    logp_y[:], grad_y[:] = log_unnormalized_density(p, y, with_score=True)
                     np.multiply(h, grad_y, out=mu_y)
                     mu_y += y
                     # log q(x | y) - log q(y | x) = |z|^2 / 2 - |x - mu_y|^2 / (4h); w holds log u - |z|^2 / 2

@@ -215,6 +215,23 @@ class TestSparseTermTable:
                        rng.uniform(-1.5, 1.5, (3, 10))])
         _check_against_definitions(p, X)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_with_score_reads_the_same_evaluation(self, n):
+        p = random_params(n, 3, 1.0, seed=n)
+        X = np.random.default_rng(n).normal(size=(6, n))
+        X[2, 0] = 1e200  # far out: the value overflows and becomes -inf
+        vals, grad = log_unnormalized_density(p, X, with_score=True)
+        assert vals[2] == -np.inf and np.isfinite(vals[[0, 1, 3, 4, 5]]).all()
+        assert np.array_equal(vals, log_unnormalized_density(p, X))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(grad, score(p, X), equal_nan=True)
+        one, one_grad = log_unnormalized_density(p, X[0], with_score=True)
+        assert isinstance(one, float) and one == log_unnormalized_density(p, X[0])
+        assert one_grad.shape == (n,) and np.array_equal(one_grad, score(p, X[0]))
+        X[4, -1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            log_unnormalized_density(p, X, with_score=True)
+
     def test_table_is_cached_on_the_member(self):
         p = random_params(2, 3, 1.0, seed=1)
         score(p, [0.1, 0.2])

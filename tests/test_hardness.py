@@ -422,18 +422,28 @@ class TestVerifyRoots:
         rep = verify_roots(broken, seed=7)
         assert not rep["vertex_identity"] and not rep["holds"]
 
-    def test_vertex_values_in_row_blocks(self):
-        # about a thousand terms of H put the 4096 vertices of n = 12 into
-        # several row blocks; every value must stay the exact integer H(v)
+    def test_vertex_values_by_walsh_hadamard(self):
+        # about a thousand terms of H at n = 12: the transform's value at
+        # each of the 4096 vertices must be the exact integer H(v)
         inst = encode(random_formula(12, 120, seed=9), 1.0, 2.0)
-        degrees, ints = inst.H.degrees, np.rint(inst.H.coeffs).astype(np.int64)
-        blocks = list(_iter_vertices(12, len(ints)))
-        assert len(blocks) > 1
-        verts = np.vstack(blocks)
-        assert len(verts) == 1 << 12
-        got = np.concatenate([_vertex_values(degrees, ints, v) for v in blocks])
+        got = _vertex_values(inst.H.degrees, np.rint(inst.H.coeffs).astype(np.int64), 12)
+        verts = np.vstack(list(_iter_vertices(12, 1)))
+        assert got.dtype == np.int64 and len(got) == len(verts) == 1 << 12
         want = formula_poly(inst.formula).evaluate(verts.astype(float))
         assert np.array_equal(got, np.rint(want).astype(np.int64))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 10))
+    def test_vertex_values_match_parity_matmul(self, data, n):
+        # sparse integer polynomials with any exponents, repeated rows and
+        # coefficients past 2^53 against the (vertices x terms) parity product
+        K = data.draw(st.integers(0, 16))
+        rows = data.draw(st.lists(st.lists(st.integers(0, 7), min_size=n, max_size=n), min_size=K, max_size=K))
+        ints = np.array(data.draw(st.lists(st.integers(-(2**56), 2**56), min_size=K, max_size=K)), dtype=np.int64)
+        degrees = np.array(rows, dtype=np.int64).reshape(K, n)
+        verts = np.vstack(list(_iter_vertices(n, 1)))
+        parity = ((verts < 0).astype(np.int64) @ (degrees % 2).T) & 1
+        assert np.array_equal(_vertex_values(degrees, ints, n), (1 - 2 * parity) @ ints)
 
 
 class TestHardnessGrid:

@@ -13,6 +13,8 @@ from polyscore.expfam import ParamVector, score
 from polyscore.fisher import fisher_info, gram_matrix, sm_moment_inputs
 from polyscore.polybasis import (
     PolyCoeffs,
+    _monomials_from_table,
+    _power_table,
     check_mon_l2_bound,
     enumerate_basis,
     eval_jacobian,
@@ -243,6 +245,20 @@ class TestPolyCoeffs:
                 f.power(3).evaluate(X), f.evaluate(X) ** 3, rtol=1e-11, atol=1e-11
             )
             np.testing.assert_allclose((-2.5 * f).evaluate(X), -2.5 * f.evaluate(X))
+
+    @pytest.mark.parametrize("N", [1, 4, 12, 1000])
+    def test_gathers_only_the_support(self, N):
+        # the n = 12 CNF energy's terms touch at most 3 variables: 3 gathers
+        # instead of 12, with the bits of the full power-table product
+        from polyscore.hardness import encode, random_formula
+
+        f = encode(random_formula(12, 60, seed=3), 1.0, 2.0).energy
+        dmax, cols = f._gather
+        assert len(cols) == 3 and dmax == 4
+        X = np.random.default_rng(N).uniform(-2.0, 2.0, (N, 12))
+        # row-major like the gathers' product: the matvec's rounding follows the layout
+        want = np.ascontiguousarray(_monomials_from_table(_power_table(X, dmax), f.degrees)) @ f.coeffs
+        assert np.array_equal(f(X), want)
 
     def test_json_round_trip(self):
         f = PolyCoeffs.make(3, {(2, 0, 1): -0.75, (0, 0, 0): 3.0, (1, 1, 1): 1e-3})

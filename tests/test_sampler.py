@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from polyscore import sampler
+from polyscore import expfam, sampler
 from polyscore.expfam import ParamVector, auto_radius, build_grid, moments, random_params, zero_params
-from polyscore.polybasis import enumerate_basis, sample_stats
+from polyscore.polybasis import PolyCoeffs, enumerate_basis, sample_stats
 from polyscore.sampler import (
     DivergenceError,
     McmcConfig,
@@ -222,9 +222,9 @@ class TestLockstep:
         rows = []
         density = sampler.log_unnormalized_density
 
-        def counted(p, x):
+        def counted(p, x, **kw):
             rows.append(len(x))
-            return density(p, x)
+            return density(p, x, **kw)
 
         monkeypatch.setattr(sampler, "log_unnormalized_density", counted)
         burn_in, thin = 40, 3
@@ -232,6 +232,32 @@ class TestLockstep:
         assert s.N == 10  # per chain 4, 3, 3
         assert sum(rows) == 3 + 3 * burn_in + 10 * thin
         assert rows[0] == 3 and rows[-1] == 1 and rows == sorted(rows, reverse=True)
+
+    def test_one_table_evaluation_per_step(self, monkeypatch):
+        # density and score of a step come from one evaluation of the member's
+        # term table: no score call, no second table evaluation
+        calls = {"density": 0, "table": 0}
+        density, table = sampler.log_unnormalized_density, PolyCoeffs.__call__
+
+        def counted_density(p, x, **kw):
+            calls["density"] += 1
+            return density(p, x, **kw)
+
+        def counted_table(f, x):
+            calls["table"] += 1
+            return table(f, x)
+
+        def no_score(p, x):
+            raise AssertionError("score called by the chains")
+
+        monkeypatch.setattr(sampler, "log_unnormalized_density", counted_density)
+        monkeypatch.setattr(PolyCoeffs, "__call__", counted_table)
+        monkeypatch.setattr(expfam, "score", no_score)
+        monkeypatch.setattr(sampler, "score", no_score, raising=False)
+        burn_in, thin = 40, 3
+        s = sample_mala(random_params(2, 3, 1.0, 0), 10, McmcConfig(burn_in=burn_in, thinning=thin, chains=2), 5)
+        assert s.N == 10  # 5 per chain
+        assert calls["density"] == 1 + burn_in + 5 * thin and calls["table"] == calls["density"]
 
     def test_coupled_chains_pass_diagnostics(self):
         # the z bound of the exact sampler's diagnostics test
