@@ -25,7 +25,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
 
 from .errors import NonConvergenceError, SingularGramError
 from .expfam import (
@@ -77,6 +76,12 @@ class FitReport:
         object.__setattr__(self, "theta_hat", theta)
 
 
+def _cho_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^-1 b by Cholesky; np.linalg.LinAlgError when A is not positive definite."""
+    L = np.linalg.cholesky(A)
+    return np.linalg.solve(L.T, np.linalg.solve(L, b))
+
+
 def _check_dims(s: SampleSet, basis: MonomialBasis):
     if s.n != basis.n:
         raise ValueError(f"sample dimension {s.n} != basis dimension {basis.n}")
@@ -99,9 +104,9 @@ def fit_score_matching(s: SampleSet, basis: MonomialBasis) -> FitReport:
     notes = []
     theta = None
     try:
-        theta = -linalg.cho_solve(linalg.cho_factor(G), b)
+        theta = -_cho_solve(G, b)
         cond = float(np.linalg.cond(G))
-    except linalg.LinAlgError:
+    except np.linalg.LinAlgError:
         w, V = np.linalg.eigh(G)
         null = w <= max(float(w[-1]), 0.0) * 1e-12
         if np.linalg.norm(V[:, null].T @ b) > _RESIDUAL_TOL * (1.0 + np.linalg.norm(b)):
@@ -112,7 +117,7 @@ def fit_score_matching(s: SampleSet, basis: MonomialBasis) -> FitReport:
                 f"the data leave these monomial directions unidentified: {', '.join(loud)}"
             ) from None
         lam = 1e-10 * float(np.trace(G)) / basis.size
-        theta = -linalg.cho_solve(linalg.cho_factor(G + lam * np.eye(basis.size)), b)
+        theta = -_cho_solve(G + lam * np.eye(basis.size), b)
         cond = float(np.linalg.cond(G + lam * np.eye(basis.size)))
         notes.append(f"ridge rescue applied, lambda={lam:.3e}")
     resid = np.linalg.norm(G @ theta + b)
@@ -204,8 +209,8 @@ def fit_mle(
             notes.append(f"iterations={it - 1}")
             break
         try:
-            direction = linalg.cho_solve(linalg.cho_factor(mom.fisher), grad)
-        except linalg.LinAlgError:
+            direction = _cho_solve(mom.fisher, grad)
+        except np.linalg.LinAlgError:
             direction = grad
         step = 1.0
         while True:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy import linalg
 
 from .errors import NumericalError
 from .expfam import (
@@ -117,26 +116,26 @@ def gram_matrix(p: ParamVector, source, check: bool = False) -> np.ndarray:
 def restricted_poincare(I: np.ndarray, G: np.ndarray, basis=None, return_witness: bool = False):
     """Largest generalized eigenvalue of the SPD pencil (I, G).
 
-    Solved by Cholesky of G followed by a symmetric eigendecomposition (what
-    LAPACK's sygvd does), which ties directly to the Rayleigh quotient
-    max_w (w^t I w)/(w^t G w).
+    With G = V diag(w) V^t, S = V diag(w)^-1/2 whitens G (S^t G S = 1), so
+    the top eigenpair (C_P, u) of S^t I S gives the largest Rayleigh quotient
+    max_v (v^t I v)/(v^t G v), attained at the witness v = S u, v^t G v = 1.
     """
     I = 0.5 * (np.asarray(I, float) + np.asarray(I, float).T)
     G = 0.5 * (np.asarray(G, float) + np.asarray(G, float).T)
-    w = np.linalg.eigvalsh(G)
-    if w[0] <= w[-1] * 1e-12:
-        _, V = np.linalg.eigh(G)
-        null = w <= max(w[-1], 0.0) * 1e-12
+    w, V = np.linalg.eigh(G)
+    null = w <= max(w[-1], 0.0) * 1e-12
+    if null.any():
         if basis is not None:
             names = np.array(basis.monomial_names())
             dirs = ", ".join(sorted(set(names[np.any(np.abs(V[:, null]) > 1e-8, axis=1)])))
         else:
             dirs = ", ".join(str(i) for i in np.nonzero(np.any(np.abs(V[:, null]) > 1e-8, axis=1))[0])
         raise NumericalError(f"gradient Gram matrix is singular along directions {dirs}")
-    vals, vecs = linalg.eigh(I, G)
+    S = V / np.sqrt(w)
+    vals, U = np.linalg.eigh(S.T @ I @ S)
     C_P = float(vals[-1])
     if return_witness:
-        return C_P, vecs[:, -1]
+        return C_P, S @ U[:, -1]
     return C_P
 
 

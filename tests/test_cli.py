@@ -417,3 +417,21 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 2
+
+
+class TestImportsNumpyOnly:
+    def test_no_module_imports_scipy(self):
+        # numpy is the package's one runtime dependency; scipy is a test oracle
+        src = str(Path(polyscore.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = (
+            "import importlib, pkgutil, sys, polyscore\n"
+            "mods = [m.name for m in pkgutil.iter_modules(polyscore.__path__, 'polyscore.') "
+            "if m.name != 'polyscore.__main__']\n"
+            "for m in mods: importlib.import_module(m)\n"
+            "assert 'polyscore.cli' in sys.modules, mods\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]

@@ -1,7 +1,9 @@
 """Tests for the density family and the tensor quadrature oracle."""
 
+import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +41,7 @@ from polyscore.expfam import (
     verify_int_concentration,
     zero_params,
 )
-from polyscore.expfam import _split_separable
+from polyscore.expfam import _split_separable, _well_moments
 from polyscore.hardness import (
     _log_density_coeffs,
     default_params,
@@ -48,7 +50,7 @@ from polyscore.hardness import (
     load_fixture,
     satisfying_assignments,
 )
-from polyscore.polybasis import enumerate_basis, eval_jacobian, eval_suffstats
+from polyscore.polybasis import PolyCoeffs, enumerate_basis, eval_jacobian, eval_suffstats
 
 LOG_SQRT_PI = 0.5 * math.log(math.pi)
 
@@ -175,6 +177,12 @@ def _check_against_definitions(p, X):
         assert np.all(np.abs(score(p, x) - got_score[j]) <= 1e-12 * score_scale[j])
 
 
+def _score_scale(p, X):
+    """sum_k |c_k x^a_k| per score column, the scale at which the tables round."""
+    st = p._score_terms
+    return PolyCoeffs.from_arrays(p.n, st.degrees, np.abs(st.coeffs))(np.abs(X))
+
+
 class TestSparseTermTable:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -223,19 +231,34 @@ class TestSparseTermTable:
         vals, grad = log_unnormalized_density(p, X, with_score=True)
         assert vals[2] == -np.inf and np.isfinite(vals[[0, 1, 3, 4, 5]]).all()
         assert np.array_equal(vals, log_unnormalized_density(p, X))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert np.array_equal(grad, score(p, X), equal_nan=True)
+        # score reads the score-only table; where the value is finite the two
+        # tables agree to rounding, 1e-15 of the score terms' magnitudes
+        rows = [0, 1, 3, 4, 5]
+        assert np.all(np.abs(score(p, X[rows]) - grad[rows]) <= 1e-15 * _score_scale(p, X[rows]))
         one, one_grad = log_unnormalized_density(p, X[0], with_score=True)
         assert isinstance(one, float) and one == log_unnormalized_density(p, X[0])
-        assert one_grad.shape == (n,) and np.array_equal(one_grad, score(p, X[0]))
+        assert one_grad.shape == (n,)
+        assert np.all(np.abs(score(p, X[0]) - one_grad) <= 1e-15 * _score_scale(p, X[:1])[0])
         X[4, -1] = np.nan
         with pytest.raises(ValueError, match="finite"):
             log_unnormalized_density(p, X, with_score=True)
 
+    def test_score_is_finite_in_the_overflow_band(self):
+        # x1^4 overflows at 1e80 while the score's -4 x1^3 does not; the joint
+        # [log p | score] table would multiply that infinite power by 0
+        p = random_params(2, 3, 1.0, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = score(p, [1e80, 0.5])
+            batch = score(p, np.array([[1e80, 0.5], [0.5, -2e90]]))
+        assert np.isfinite(g).all() and np.isfinite(batch).all()
+        assert g[0] == pytest.approx(-4e240, rel=1e-12) and batch[0] == pytest.approx(g, rel=1e-15)
+        assert batch[1, 1] == pytest.approx(-4 * (-2e90) ** 3, rel=1e-12)
+
     def test_table_is_cached_on_the_member(self):
         p = random_params(2, 3, 1.0, seed=1)
         score(p, [0.1, 0.2])
-        assert p._terms is p._terms
+        assert p._terms is p._terms and p._score_terms is p._score_terms
 
 
 class TestBuildGrid:
@@ -758,6 +781,24 @@ class TestTailAndMomentBounds:
         assert float(m2) < moment_bound(2, 1, 3, 1.0)
 
 
+def _quadpack_well(beta, lo, hi, k):
+    val, _ = integrate.quad(
+        lambda x: x**k * math.exp(-(x**8) - beta * (1.0 - x * x) ** 2),
+        lo, hi, points=[1.0] if lo < 1.0 < hi else None, limit=500, epsabs=0.0, epsrel=1e-13,
+    )
+    return val
+
+
+def _jittered(build):
+    """build_grid with log weights off by 1e-9 log2(points): each doubling moves the rule."""
+
+    def build_jittered(n, radius, points_per_axis, **kw):
+        grid = build(n, radius, points_per_axis, **kw)
+        return dataclasses.replace(grid, axis_logw=grid.axis_logw + 1e-9 * math.log2(points_per_axis))
+
+    return build_jittered
+
+
 class TestWellConcentration:
     def test_valid_triples_hold(self):
         for beta, r, m in ((2.2e5, 0.03, 1), (2.0e5, 0.035, 2), (6.5e5, 0.02, 3)):
@@ -787,6 +828,27 @@ class TestWellConcentration:
             assert chk.holds
             assert 0 < chk.lhs <= chk.rhs
             assert chk.name == f"well_moment_k{k}"
+
+    @pytest.mark.parametrize("beta,r", [(2.2e5, 0.03), (2.0e5, 0.035), (6.5e5, 0.02)])
+    def test_well_moments_match_quadpack(self, beta, r):
+        # criterion 8's windows and totals, against QUADPACK told where the well is
+        for lo, hi in ((1.0 - r, 1.0 + r), (0.0, 3.0)):
+            got = _well_moments(beta, lo, hi)
+            assert got.shape == (1,)
+            assert got[0] == pytest.approx(_quadpack_well(beta, lo, hi, 0), rel=1e-10)
+
+    def test_well_moments_match_quadpack_k_le_8(self):
+        got = _well_moments(350.0, 0.0, 3.0, 8)
+        want = [_quadpack_well(350.0, 0.0, 3.0, k) for k in range(9)]
+        assert got == pytest.approx(want, rel=1e-10)
+
+    def test_well_moments_cap_the_doubling(self, monkeypatch):
+        # a rule that never settles reaches the node cap and fails the gate
+        import polyscore.expfam as expfam
+
+        monkeypatch.setattr(expfam, "build_grid", _jittered(expfam.build_grid))
+        with pytest.raises(GridConvergenceError, match="2\\^12"):
+            _well_moments(350.0, 0.0, 3.0)
 
     def test_moment_lemma_precondition(self):
         with pytest.raises(ValueError, match="160 log 8"):

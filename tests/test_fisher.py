@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
 from polyscore import expfam
 from polyscore.errors import NumericalError
@@ -237,6 +238,17 @@ class TestRestrictedPoincare:
         for _ in range(100):
             w = rng.standard_normal(len(I))
             assert float(w @ I @ w) <= c * float(w @ G @ w) * (1 + 1e-10)
+
+    @pytest.mark.parametrize("i,n,d,B", [(3, 2, 3, 1.0), (7, 2, 3, 2.0)])
+    def test_matches_scipy_pencil_on_criterion_5_members(self, i, n, d, B):
+        # criterion 5's members 3 and 7; LAPACK's generalized sygvd is the reference
+        p = random_params(n, d, B, seed=505 + i)
+        grid = expfam.family_grid(p.basis, B)
+        I, G = fisher_info(p, grid), gram_matrix(p, grid)
+        c, w = restricted_poincare(I, G, return_witness=True)
+        assert c == pytest.approx(linalg.eigh(I, G)[0][-1], rel=1e-10)
+        assert float(w @ G @ w) == pytest.approx(1.0, rel=1e-10)
+        assert float(w @ I @ w) == pytest.approx(c, rel=1e-10)
 
     def test_singular_gram_error_names_directions(self):
         basis = enumerate_basis(1, 3)
