@@ -32,7 +32,6 @@ from .expfam import (
     QuadratureGrid,
     doubling_gate,
     family_grid,
-    member_coeffs,
     moments,
 )
 from .polybasis import FamilyStats, MonomialBasis
@@ -229,7 +228,7 @@ def fit_mle(
             f"no convergence in {_MLE_MAX_ITER} iterations; gradient still {np.max(np.abs(grad)):.3e}"
         )
     if it > 1:  # the start point passed the gate with its first pass
-        doubling_gate(grid, member_coeffs(_as_member(basis, theta)), mom.log_partition)
+        doubling_gate(grid, _as_member(basis, theta).log_density, mom.log_partition)
     return FitReport(
         theta_hat=theta,
         loss=loss,

@@ -13,10 +13,11 @@ auditable ground truth.  All density work is done in log space; integrals are
 accumulated with a streaming log-sum-exp so that inverse temperatures up to
 1e7 in the hardness experiments stay inside double range.
 
-Polynomial log densities go through one sum-factorised oracle,
-:func:`poly_quadrature` (Orszag 1980): on the slab x_1 = t_a of the tensor
-grid the log density is the matrix product P_2 C(t_a) P_3^t of per-axis power
-tables and the slab's coefficient matrix, so no grid point is ever formed and
+Polynomial log densities, ``PolyCoeffs`` such as :attr:`ParamVector.log_density`,
+go through one sum-factorised oracle, :func:`poly_quadrature` (Orszag 1980):
+on the slab x_1 = t_a of the tensor grid the log density is the matrix
+product P_2 C(t_a) P_3^t of per-axis power tables and the slab's coefficient
+matrix (laid out by :func:`_dense`), so no grid point is ever formed and
 the working set is one K x K slab; a certified separable bound first drops
 the axis indices whose nodes together carry under e^-50 of the integral.
 The same pass returns the power moments E[x^e] up to a requested order;
@@ -24,8 +25,9 @@ The same pass returns the power moments E[x^e] up to a requested order;
 Jacobian Gram matrix, the score-matching terms and E|Lap T|^2
 (``polybasis.family_stats``).  Functions of polynomials,
 such as ``fisher``'s largest eigenvalue of (JT)^t(JT), ride the same pass as
-fields: their polynomials' slab values come from the same GEMM chain and go
-to a reducer.  :func:`quad_expectation` streams node chunks of any integrand.
+fields, the columns of one ``PolyCoeffs``: their slab values come from the
+same GEMM chain and go to a reducer.  :func:`quad_expectation` streams node
+chunks of any integrand.
 """
 
 from __future__ import annotations
@@ -65,8 +67,6 @@ __all__ = [
     "GATE_TOL",
     "GridConvergenceError",
     "PolyIntegral",
-    "log_density_tensor",
-    "member_coeffs",
     "poly_quadrature",
     "gated_quadrature",
     "doubling_gate",
@@ -136,14 +136,24 @@ class ParamVector:
         return self.basis.d
 
     @cached_property
-    def _terms(self) -> PolyCoeffs:
-        """The [log density | score] term table, built on first use."""
-        return _term_table(self)
+    def log_density(self) -> PolyCoeffs:
+        """log h + <theta, T>: theta's nonzero rows, then -x_i^{d+1}, already in graded-lex order."""
+        keep = np.append(self.theta != 0.0, np.ones(self.n, dtype=bool))
+        deg = np.vstack([self.basis.degrees, (self.d + 1) * np.eye(self.n, dtype=np.int64)])[keep]
+        coef = np.append(self.theta, -np.ones(self.n))[keep]
+        deg.setflags(write=False)
+        coef.setflags(write=False)
+        return PolyCoeffs(self.n, deg, coef)
 
     @cached_property
     def _score_terms(self) -> PolyCoeffs:
-        """The score columns of :attr:`_terms` alone, without the x_i^{d+1} value rows."""
-        return PolyCoeffs.from_arrays(self.n, self._terms.degrees, self._terms.coeffs[:, 1:])
+        """The score, a column per coordinate: the partials of :attr:`log_density`."""
+        return PolyCoeffs.stack([self.log_density.partial(i) for i in range(self.n)])
+
+    @cached_property
+    def _terms(self) -> PolyCoeffs:
+        """The [log density | score] table of n + 1 columns, for one evaluation of both."""
+        return PolyCoeffs.stack([self.log_density, self._score_terms])
 
 
 def zero_params(n: int, d: int, B: float = 1.0) -> ParamVector:
@@ -177,25 +187,6 @@ def load_param(path) -> ParamVector:
 
 # ---------------------------------------------------------------------------
 # density and score
-
-
-def _term_table(p: ParamVector) -> PolyCoeffs:
-    """log h + <theta, T> and its gradient in x as one sparse table of n + 1 columns.
-
-    Column 0 holds the value terms, theta's entries and the n base terms
-    -x_i^{d+1}.  A term c x^a contributes a_i c x^(a - e_i) to column 1 + i.
-    :meth:`PolyCoeffs.from_arrays` merges rows that share an exponent and
-    drops theta's zeros; no (row, column) pair is hit twice, so every
-    coefficient is exact.
-    """
-    n, eye = p.n, np.eye(p.n, dtype=np.int64)
-    deg = np.vstack([p.basis.degrees, (p.d + 1) * eye])
-    coef = np.concatenate([p.theta, -np.ones(n)])
-    k, i = np.nonzero(deg)
-    table = np.zeros((len(deg) + len(k), n + 1))
-    table[: len(deg), 0] = coef
-    table[len(deg) + np.arange(len(k)), 1 + i] = deg[k, i] * coef[k]
-    return PolyCoeffs.from_arrays(n, np.vstack([deg, deg[k] - eye[i]]), table)
 
 
 def _check_points(p: ParamVector, x, finite: bool = True) -> np.ndarray:
@@ -454,24 +445,15 @@ class PolyIntegral:
     field_means: np.ndarray | None = None
 
 
-def log_density_tensor(n: int, exponents, coeffs, base_degree: int) -> np.ndarray:
-    """Dense coefficients of sum_k c_k x^{a_k} - sum_i x_i^base_degree.
+def _dense(f: PolyCoeffs) -> np.ndarray:
+    """f's coefficients as the dense tensor the slab GEMMs read.
 
-    Entry e of the (base_degree + 1,) * n result is the coefficient of x^e;
-    repeated exponent rows add up.
+    Entry e of the (D + 1,) * n result, D the largest exponent of f, is the
+    coefficient of x^e; a multi-column f gets its columns on a leading axis.
     """
-    exponents = np.asarray(exponents, dtype=np.int64).reshape(-1, n)
-    if exponents.size and (exponents.min() < 0 or exponents.max() > base_degree):
-        raise ValueError(f"exponents must lie in 0..{base_degree}")
-    C = np.zeros((base_degree + 1,) * n)
-    np.add.at(C, tuple(exponents.T), np.asarray(coeffs, dtype=float))
-    C[tuple(base_degree * np.eye(n, dtype=np.int64))] -= 1.0
+    C = np.zeros(f.coeffs.shape[1:] + (int(f.degrees.max(initial=0)) + 1,) * f.n)
+    C[(Ellipsis, *f.degrees.T)] = f.coeffs.T
     return C
-
-
-def member_coeffs(p: ParamVector) -> np.ndarray:
-    """log h + <theta, T> as a dense (d + 2,)^n coefficient tensor."""
-    return log_density_tensor(p.n, p.basis.degrees, p.theta, p.d + 1)
 
 
 def _split_separable(grid: QuadratureGrid, C: np.ndarray) -> tuple[float, list[np.ndarray], np.ndarray]:
@@ -550,11 +532,10 @@ def _screen(grid: QuadratureGrid, parts: list[np.ndarray], mixed: np.ndarray) ->
 
 # powers that overflow far out are zero density, handled below without warnings
 @np.errstate(over="ignore", invalid="ignore")
-def poly_quadrature(grid: QuadratureGrid, coeffs, order: int = 0, orthants=(), fields=None) -> PolyIntegral:
-    """Quadrature of exp(polynomial) over the grid, one slab at a time.
+def poly_quadrature(grid: QuadratureGrid, f: PolyCoeffs, order: int = 0, orthants=(), fields=None) -> PolyIntegral:
+    """Quadrature of exp(f) over the grid, one slab at a time, for a polynomial f.
 
-    ``coeffs`` is a dense tensor of shape (D + 1,) * n whose entry e is the
-    coefficient of x^e in the log density (see :func:`log_density_tensor`).
+    The pass reads f's coefficients as a dense tensor C (:func:`_dense`).
     Grids with n < 3 get leading single-node axes at x = 0, so every grid is
     swept in slabs along its first axis: K slabs of K x K nodes at n = 3, one
     slab holding the whole grid at n <= 2.  On the slab x_1 = t_a the mixed
@@ -569,20 +550,19 @@ def poly_quadrature(grid: QuadratureGrid, coeffs, order: int = 0, orthants=(), f
     ``orthants`` lists sign vectors v; a node counts towards
     ``orthant_mass`` once if v_i x_i >= 0 for all i holds for any of them.
 
-    ``fields`` is a pair (F, reduce): F stacks k more tensors laid out like
-    ``coeffs``, shape (k,) + (D' + 1,) * n.  On each slab their values
-    P_2 F(t_a) P_3^t, V (k, K, K), and the slab's weights E (K, K) go to
-    ``reduce(V, E)``, whose weighted sums (an array of fixed shape) stream
-    through the same log-sum-exp into ``field_means``.
+    ``fields`` is a pair (F, reduce): F is a PolyCoeffs of k columns, k more
+    polynomials.  On each slab their values P_2 F(t_a) P_3^t, V (k, K, K),
+    and the slab's weights E (K, K) go to ``reduce(V, E)``, whose weighted
+    sums (an array of fixed shape) stream through the same log-sum-exp into
+    ``field_means``.
     """
     n = grid.n
-    C = np.asarray(coeffs, dtype=float)
-    if C.ndim != n or len(set(C.shape)) != 1:
-        raise ValueError(f"coefficient tensor of shape {C.shape} does not fit an n={n} grid")
+    if f.n != n or f.coeffs.ndim != 1:
+        raise ValueError(f"need one polynomial in n={n} variables, got n={f.n}, coefficients {f.coeffs.shape}")
     if order < 0:
         raise ValueError(f"moment order must be >= 0, got {order}")
     signs = np.asarray(orthants, dtype=float).reshape(-1, n)
-    const, parts, mixed = _split_separable(grid, C)
+    const, parts, mixed = _split_separable(grid, _dense(f))
     keep = _screen(grid, parts, mixed)
     if not all(len(k) for k in keep):
         raise NumericalError("integrand underflowed to zero at every grid node")
@@ -603,9 +583,9 @@ def poly_quadrature(grid: QuadratureGrid, coeffs, order: int = 0, orthants=(), f
     S, mass = acc.sums
     if fields is not None:
         F, reduce = fields
-        F = np.asarray(F, dtype=float)
-        if F.ndim != n + 1 or len(set(F.shape[1:])) != 1:
-            raise ValueError(f"field tensors of shape {F.shape} do not fit an n={n} grid")
+        if F.n != n or F.coeffs.ndim != 2:
+            raise ValueError(f"fields must be the columns of one PolyCoeffs in {n} variables, got n={F.n}")
+        F = _dense(F)
         F = F.reshape(F.shape[:1] + (1,) * pad + F.shape[1:])
         PF = [np.vander(t, k, increasing=True) for t, k in zip(nodes, F.shape[1:])]
         slab_fields = np.tensordot(PF[0], F, axes=(1, 1))  # F(t_a) for every slab a
@@ -635,7 +615,7 @@ def poly_quadrature(grid: QuadratureGrid, coeffs, order: int = 0, orthants=(), f
 
 
 def gated_quadrature(
-    grid: QuadratureGrid, coeffs, order: int = 0, orthants=(), fields=None
+    grid: QuadratureGrid, f: PolyCoeffs, order: int = 0, orthants=(), fields=None
 ) -> tuple[PolyIntegral, float]:
     """:func:`poly_quadrature` behind the grid-doubling gate.
 
@@ -643,17 +623,17 @@ def gated_quadrature(
     :class:`GridConvergenceError` when doubling points_per_axis moves log Z
     by GATE_TOL or more.  Fields ride the pass on ``grid`` only.
     """
-    coarse = poly_quadrature(grid, coeffs, order, orthants, fields)
-    return coarse, doubling_gate(grid, coeffs, coarse.log_integral)
+    coarse = poly_quadrature(grid, f, order, orthants, fields)
+    return coarse, doubling_gate(grid, f, coarse.log_integral)
 
 
-def doubling_gate(grid: QuadratureGrid, coeffs, log_integral: float) -> float:
+def doubling_gate(grid: QuadratureGrid, f: PolyCoeffs, log_integral: float) -> float:
     """The gate for a pass on ``grid`` that gave ``log_integral``; integrates only the doubled grid.
 
     Returns the doubling delta; raises :class:`GridConvergenceError` when it
     is GATE_TOL or more.
     """
-    delta = abs(poly_quadrature(grid.doubled(), coeffs).log_integral - log_integral)
+    delta = abs(poly_quadrature(grid.doubled(), f).log_integral - log_integral)
     if not delta < GATE_TOL:
         raise GridConvergenceError(
             f"quadrature gate failed: doubling the grid moves log Z by {delta:.3e} "
@@ -670,14 +650,14 @@ def _check_grid(p: ParamVector, grid: QuadratureGrid):
 def gated_log_partition(p: ParamVector, grid: QuadratureGrid) -> tuple[float, float]:
     """(log Z_theta, doubling delta); raises GridConvergenceError past the gate."""
     _check_grid(p, grid)
-    out, delta = gated_quadrature(grid, member_coeffs(p))
+    out, delta = gated_quadrature(grid, p.log_density)
     return out.log_integral, delta
 
 
 def log_partition(p: ParamVector, grid: QuadratureGrid) -> float:
     """log Z_theta by composite Gauss-Legendre quadrature."""
     _check_grid(p, grid)
-    return poly_quadrature(grid, member_coeffs(p)).log_integral
+    return poly_quadrature(grid, p.log_density).log_integral
 
 
 @dataclass(frozen=True)
@@ -703,7 +683,7 @@ def moments(p: ParamVector, grid: QuadratureGrid, check: bool = False) -> Moment
     doubled grid's log Z.
     """
     _check_grid(p, grid)
-    args = (grid, member_coeffs(p), 2 * p.d)
+    args = (grid, p.log_density, 2 * p.d)
     return Moments.of(p, gated_quadrature(*args)[0] if check else poly_quadrature(*args))
 
 

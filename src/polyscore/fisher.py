@@ -12,9 +12,10 @@ functions of (n, d, B); the variance lower bound's denominator overflows
 doubles long before the desk scale is left, so that check compares logs.
 
 op-norm(JT)^4 = lambda_max((JT)^t(JT))^2 is not a polynomial, but the entries
-of (JT)^t(JT) are, so on a grid they ride the quadrature pass as slab fields
-and :func:`_lambda_max` reduces them in closed form.  Check (vi)'s <w, T> ride
-as fields too, apart from the ``family_stats`` gather that check audits.
+of (JT)^t(JT) are, so on a grid they ride the quadrature pass as slab fields,
+the columns of one ``PolyCoeffs``, and :func:`_lambda_max` reduces them in
+closed form.  Check (vi)'s <w, T> and the preflight's |grad log h|^2 ride as
+more columns, apart from the ``family_stats`` gather that check audits.
 """
 
 from __future__ import annotations
@@ -32,12 +33,11 @@ from .expfam import (
     QuadratureGrid,
     _check_grid,
     gated_quadrature,
-    member_coeffs,
     moments,
     poly_quadrature,
     tail_radius,
 )
-from .polybasis import FamilyStats, enumerate_basis, eval_jacobian, row_mean
+from .polybasis import FamilyStats, PolyCoeffs, enumerate_basis, eval_jacobian, row_mean
 from .reports import BoundCheck
 from .sampler import SampleSet
 
@@ -193,31 +193,22 @@ def _opnorm4(basis, X: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(np.einsum("ski,skj->sij", J, J))[:, -1] ** 2
 
 
-def _dense(n: int, d: int, degrees, coef) -> np.ndarray:
-    """Polynomials sum_r coef[f, r] x^degrees[r] as (2d + 1,)^n tensors, one per row f."""
-    F = np.zeros((len(coef),) + (2 * d + 1,) * n)
-    F[(slice(None),) + tuple(np.asarray(degrees).T)] = coef
-    return F
-
-
 @lru_cache(maxsize=None)
-def _jtj_fields(n: int, d: int) -> np.ndarray:
-    """Entries (i, j), i <= j, of (JT)^t(JT): sum_k a_ki a_kj x^(2 a_k - e_i - e_j)."""
+def _jtj_fields(n: int, d: int) -> PolyCoeffs:
+    """Entries (i, j), i <= j, of (JT)^t(JT), a column each: sum_k a_ki a_kj x^(2 a_k - e_i - e_j)."""
     A, eye = enumerate_basis(n, d).degrees, np.eye(n, dtype=np.int64)
     pairs = [(A[:, i] * A[:, j], eye[i] + eye[j]) for i, j in zip(*np.triu_indices(n))]
-    F = np.concatenate([_dense(n, d, (2 * A - e)[c > 0], c[None, c > 0]) for c, e in pairs])
-    F.setflags(write=False)
-    return F
+    return PolyCoeffs.stack([PolyCoeffs.from_arrays(n, (2 * A - e)[c > 0], c[c > 0]) for c, e in pairs])
 
 
-def _jt_pass(p: ParamVector, grid: QuadratureGrid, extra=(), order: int = 0, check: bool = False):
-    """One slab pass under p, its fields the entries of (JT)^t(JT) and ``extra``.
+def _jt_pass(p: ParamVector, grid: QuadratureGrid, extra=None, order: int = 0, check: bool = False):
+    """One slab pass under p, its fields the entries of (JT)^t(JT) and the columns of ``extra``.
 
     Returns the pass, E[op-norm(JT)^4], and E[Y] then E[Y^2] for the extra fields Y.
     """
     _check_grid(p, grid)
     jtj = _jtj_fields(p.n, p.d)
-    m = len(jtj)
+    m = jtj.coeffs.shape[1]
 
     def reduce(V, E):
         e = E.ravel()
@@ -225,8 +216,8 @@ def _jt_pass(p: ParamVector, grid: QuadratureGrid, extra=(), order: int = 0, che
         Y = V[m:].reshape(len(V) - m, e.size)
         return np.concatenate([[lam * lam @ e], Y @ e, Y * Y @ e])
 
-    fields = np.concatenate([jtj, np.reshape(extra, (-1,) + jtj.shape[1:])]), reduce
-    args = (grid, member_coeffs(p), order, (), fields)
+    fields = (jtj if extra is None else PolyCoeffs.stack([jtj, extra])), reduce
+    args = (grid, p.log_density, order, (), fields)
     out = gated_quadrature(*args)[0] if check else poly_quadrature(*args)
     return out, float(out.field_means[0]), out.field_means[1:]
 
@@ -246,7 +237,7 @@ def regularity_preflight(p: ParamVector, grid: QuadratureGrid) -> dict:
     """The SM covariance claim's moment conditions, from one gated quadrature pass."""
     # |grad log h|^2 = (d + 1)^2 sum_i x_i^{2d}; the reducer squares it
     n, d = p.n, p.d
-    g2 = _dense(n, d, 2 * d * np.eye(n, dtype=np.int64), np.full((1, n), (d + 1.0) ** 2))
+    g2 = PolyCoeffs.from_arrays(n, 2 * d * np.eye(n, dtype=np.int64), np.full(n, (d + 1.0) ** 2))
     sweep, m4, (_, g4) = _jt_pass(p, grid, g2, order=2 * d, check=True)
     out = {"E_opJT4": m4, "E_dT2": Moments.of(p, sweep).lap_sq, "E_gradlogh4": float(g4)}
     if not all(math.isfinite(v) for v in out.values()):
@@ -358,7 +349,7 @@ def verify_bounds(
     # (vi): Var(<w,T>) equals w^t I w, recomputed from the fields <w, T>;
     # the same pass integrates op-norm(JT)^4 for the gamma bound
     W = rng.standard_normal((5, p.basis.size))
-    _, m4, wt_means = _jt_pass(p, grid, _dense(n, d, p.basis.degrees, W))
+    _, m4, wt_means = _jt_pass(p, grid, PolyCoeffs.from_arrays(n, p.basis.degrees, W.T))
     var = wt_means[5:] - wt_means[:5] ** 2
     worst_diff = float(np.max(np.abs(var - np.einsum("jk,kl,jl->j", W, I, W))))
     checks.append(

@@ -29,10 +29,9 @@ from .expfam import (
     QuadratureGrid,
     build_grid,
     gated_quadrature,
-    log_density_tensor,
     quad_log_integral,  # noqa: F401  re-exported; bench/test_bench.py checks its tracer patches it here
 )
-from .polybasis import MultiIndex, PolyCoeffs, enumerate_basis, graded_rank, poly_to_json, row_blocks
+from .polybasis import PolyCoeffs, enumerate_basis, graded_rank, poly_to_json, row_blocks
 from .reports import BoundCheck
 
 __all__ = [
@@ -185,16 +184,10 @@ def clause_poly(clause: Clause, n: int) -> PolyCoeffs:
 
     A positive literal on ``x_i`` contributes a factor ``(x_i - 1)^2``, a
     negative one ``(x_i + 1)^2``, so on the vertices the product is 64 at the
-    single falsifying sign pattern and 0 everywhere else.
+    single falsifying sign pattern and 0 everywhere else: the one-clause
+    :func:`formula_poly`.
     """
-    CnfFormula(n, (tuple(clause),))  # type: ignore[arg-type]  # reuse the literal checks
-    out = PolyCoeffs.constant(n, 1.0)
-    zero: MultiIndex = (0,) * n
-    for lit in clause:
-        e = tuple(1 if k == abs(lit) - 1 else 0 for k in range(n))
-        factor = PolyCoeffs.make(n, {e: 1.0, zero: -1.0 if lit > 0 else 1.0})
-        out = out * factor * factor
-    return out
+    return formula_poly(CnfFormula(n, (tuple(clause),)))  # type: ignore[arg-type]
 
 
 # exponents (e_1, e_2, e_3) of the 27 terms of a clause's product of three
@@ -263,6 +256,12 @@ class EncodedInstance:
     @property
     def B(self) -> float:
         return self.theta.B
+
+    @property
+    def log_density(self) -> PolyCoeffs:
+        """-energy - sum_i x_i^8, the energy's constant kept: near 0 at the wells, with the
+        formula density's own log Z."""
+        return self.theta.log_density - PolyCoeffs.constant(self.n, self.dropped_constant)
 
 
 def encode(C: CnfFormula, alpha: float, beta: float) -> EncodedInstance:
@@ -463,15 +462,6 @@ def hardness_grid(
     return build_grid(n, radius, points_per_axis, refine_near=[-1.0, 1.0], refine_width=width)
 
 
-def _log_density_coeffs(inst: EncodedInstance) -> np.ndarray:
-    """-energy - sum_i x_i^8 as a dense coefficient tensor.
-
-    The energy's constant term stays in, so the log density is near 0 at
-    the wells and log Z is the formula density's own.
-    """
-    return log_density_tensor(inst.n, inst.energy.degrees, -inst.energy.coeffs, inst.theta.d + 1)
-
-
 def zgap_experiment(
     C_sat: CnfFormula,
     C_unsat: CnfFormula,
@@ -498,8 +488,8 @@ def zgap_experiment(
     inst_unsat = encode(C_unsat, alpha, beta)
     if grid is None:
         grid = hardness_grid(n, beta)
-    sat, delta_sat = gated_quadrature(grid, _log_density_coeffs(inst_sat))
-    unsat, delta_unsat = gated_quadrature(grid, _log_density_coeffs(inst_unsat))
+    sat, delta_sat = gated_quadrature(grid, inst_sat.log_density)
+    unsat, delta_unsat = gated_quadrature(grid, inst_unsat.log_density)
     logz_sat, logz_unsat = sat.log_integral, unsat.log_integral
     gap = logz_sat - logz_unsat
     threshold = 2.0 * n * math.log(1.16)
@@ -540,7 +530,7 @@ def mean_sign_experiment(
     inst = encode(C, alpha, beta)
     if grid is None:
         grid = hardness_grid(C.n, beta)
-    out, _ = gated_quadrature(grid, _log_density_coeffs(inst), order=1)
+    out, _ = gated_quadrature(grid, inst.log_density, order=1)
     mean_x = out.moments[tuple(np.eye(C.n, dtype=np.int64))]
     recovered = tuple(1 if t > 0 else -1 for t in mean_x)
     margins = np.asarray(v_star, dtype=float) * mean_x
@@ -584,7 +574,7 @@ def orthant_mass(
     inst = encode(C, alpha, beta)
     if grid is None:
         grid = hardness_grid(C.n, beta)
-    out, _ = gated_quadrature(grid, _log_density_coeffs(inst), orthants=sols)
+    out, _ = gated_quadrature(grid, inst.log_density, orthants=sols)
     mass = out.orthant_mass
     if sols:
         holds = mass >= 0.5

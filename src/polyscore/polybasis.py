@@ -5,12 +5,14 @@ monomials of total degree 1..d in n variables.  This module owns that
 coordinate system: deterministic enumeration of the multi-indices, batched
 evaluation of the monomial vector T(x) together with its Jacobian and
 Laplacian, the map from power moments to every expectation the estimators
-and audits use (:class:`FamilyStats`), the package's one sparse polynomial
-type :class:`PolyCoeffs` (graded-lex exponent rows plus coefficient arrays,
-behind the member's log density and score, the CNF energies and the Legendre
-code), and the two polynomial norms (Euclidean norm of the coefficient
-vector, L2 norm under the uniform measure on [-1,1]^n) together with the
-comparison inequality between them.
+and audits use (:class:`FamilyStats`), the package's one polynomial type
+:class:`PolyCoeffs` (graded-lex exponent rows plus coefficient arrays,
+behind the member's log density and score, the quadrature's integrands and
+fields, the CNF energies and the Legendre code; its one evaluator gathers
+monomials from a power table, and its partial derivatives give the score,
+JT and Lap T), and the two polynomial norms (Euclidean norm of the
+coefficient vector, L2 norm under the uniform measure on [-1,1]^n) together
+with the comparison inequality between them.
 
 Multi-indices are plain tuples of nonnegative ints.  The basis order is
 graded lexicographic: ascending total degree, and within a degree block the
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -115,6 +117,21 @@ class MonomialBasis:
     def monomial_names(self) -> list[str]:
         return [format_monomial(tuple(row)) for row in self.degrees]
 
+    @cached_property
+    def _T(self) -> "PolyCoeffs":
+        """The sum of the monomials: at unit coefficients, its term k is T_k."""
+        return PolyCoeffs.from_arrays(self.n, self.degrees, np.ones(self.size))
+
+    @cached_property
+    def _partials(self) -> tuple["PolyCoeffs", ...]:
+        """d/dx_i of :attr:`_T`: terms d T_k / d x_i, a_ki > 0, in the order of k (lowering by e_i keeps it)."""
+        return tuple(self._T.partial(i) for i in range(self.n))
+
+    @cached_property
+    def _second_partials(self) -> tuple["PolyCoeffs", ...]:
+        """d^2/dx_i^2 of :attr:`_T`: terms d^2 T_k / d x_i^2, a_ki > 1, in the order of k."""
+        return tuple(f.partial(i) for i, f in enumerate(self._partials))
+
 
 @lru_cache(maxsize=None)
 def _cached_basis(n: int, d: int) -> MonomialBasis:
@@ -193,24 +210,6 @@ def _as_batch(x, n: int) -> tuple[np.ndarray, bool]:
     raise ValueError(f"expected a point or a batch of points, got shape {arr.shape}")
 
 
-def _power_table(xb: np.ndarray, dmax: int) -> np.ndarray:
-    """P[s, i, e] = x_s[i]**e for e = 0..dmax."""
-    N, n = xb.shape
-    P = np.empty((N, n, dmax + 1))
-    P[:, :, 0] = 1.0
-    for e in range(1, dmax + 1):
-        P[:, :, e] = P[:, :, e - 1] * xb
-    return P
-
-
-def _monomials_from_table(P: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """Evaluate x^deg for each degree row; P is a power table."""
-    vals = P[:, 0, degrees[:, 0]]
-    for i in range(1, degrees.shape[1]):
-        vals = vals * P[:, i, degrees[:, i]]
-    return vals
-
-
 def eval_suffstats(basis: MonomialBasis, x) -> np.ndarray:
     """T(x): component for index idx equals prod_i x_i^{idx(i)}.
 
@@ -218,38 +217,25 @@ def eval_suffstats(basis: MonomialBasis, x) -> np.ndarray:
     has a matching leading shape.
     """
     xb, single = _as_batch(x, basis.n)
-    T = _monomials_from_table(_power_table(xb, basis.d), basis.degrees)
+    T = np.asfortranarray(basis._T._monomials(xb))  # column-major: sums over the rows run pairwise
     return T[0] if single else T
 
 
 def eval_jacobian(basis: MonomialBasis, x) -> np.ndarray:
     """JT(x), shape (M-1, n): entry (k, i) is d T_k / d x_i."""
     xb, single = _as_batch(x, basis.n)
-    P = _power_table(xb, basis.d)
-    N = xb.shape[0]
-    J = np.empty((N, basis.size, basis.n))
-    for i in range(basis.n):
-        expo = basis.degrees.copy()
-        ci = expo[:, i].copy()
-        expo[:, i] = np.maximum(ci - 1, 0)
-        J[:, :, i] = ci * _monomials_from_table(P, expo)
+    J = np.zeros((len(xb), basis.size, basis.n))
+    for i, f in enumerate(basis._partials):
+        J[:, basis.degrees[:, i] > 0, i] = f._monomials(xb) * f.coeffs
     return J[0] if single else J
 
 
 def eval_laplacian(basis: MonomialBasis, x) -> np.ndarray:
-    """Laplacian of each T_k: sum_i idx(i)(idx(i)-1) x^{idx - 2 e_i}."""
+    """Laplacian of each T_k: sum_i idx(i)(idx(i)-1) x^{idx - 2 e_i}, added up in axis order."""
     xb, single = _as_batch(x, basis.n)
-    P = _power_table(xb, basis.d)
-    N = xb.shape[0]
-    L = np.zeros((N, basis.size))
-    for i in range(basis.n):
-        ci = basis.degrees[:, i]
-        mask = ci >= 2
-        if not mask.any():
-            continue
-        expo = basis.degrees[mask].copy()
-        expo[:, i] -= 2
-        L[:, mask] += (ci[mask] * (ci[mask] - 1)) * _monomials_from_table(P, expo)
+    L = np.zeros((len(xb), basis.size))
+    for i, f in enumerate(basis._second_partials):
+        L[:, basis.degrees[:, i] > 1] += f._monomials(xb) * f.coeffs
     return L[0] if single else L
 
 
@@ -369,8 +355,16 @@ def sample_stats(basis: MonomialBasis, x) -> FamilyStats:
     """:class:`FamilyStats` of the empirical measure of the rows of x."""
     xb, _ = _as_batch(x, basis.n)
     deg = moment_degrees(basis.n, basis.d)
-    power = row_mean(lambda X: _monomials_from_table(_power_table(X, 2 * basis.d), deg), xb, len(deg))
+    mono = _moment_monomials(basis.n, basis.d)._monomials
+    # column-major blocks, so that row_mean's sums over the rows run pairwise down each column
+    power = row_mean(lambda X: np.asfortranarray(mono(X)), xb, len(deg))
     return family_stats(basis, power)
+
+
+@lru_cache(maxsize=None)
+def _moment_monomials(n: int, d: int) -> "PolyCoeffs":
+    """The rows of :func:`moment_degrees` at unit coefficients, for :func:`sample_stats`."""
+    return PolyCoeffs.from_arrays(n, moment_degrees(n, d), np.ones(len(moment_degrees(n, d))))
 
 
 def format_monomial(degrees: Iterable[int]) -> str:
@@ -393,8 +387,8 @@ class PolyCoeffs:
 
     ``degrees`` holds distinct (K, n) exponent rows in graded-lex order
     (:func:`graded_rank` strictly increasing) and ``coeffs`` their nonzero
-    coefficients, shape (K,), or (K, k) for k polynomials sharing rows (the
-    score's gradient table), where a row is kept while any column is nonzero.
+    coefficients, shape (K,), or (K, k) for k polynomials sharing rows (made
+    by :meth:`stack`), where a row is kept while any column is nonzero.
     Both arrays are read-only; build instances through :meth:`from_arrays`
     or :meth:`make`, which canonicalise.  Arithmetic returns new objects.
     """
@@ -439,6 +433,19 @@ class PolyCoeffs:
     @classmethod
     def constant(cls, n: int, c: float) -> "PolyCoeffs":
         return cls.from_arrays(n, np.zeros((1, n)), [c])
+
+    @classmethod
+    def stack(cls, polys: Sequence["PolyCoeffs"]) -> "PolyCoeffs":
+        """The polynomials' coefficient columns side by side, in order, on the union of their rows.
+
+        A column's entries come from one polynomial's distinct rows, so each is copied exactly.
+        """
+        cols = [f.coeffs if f.coeffs.ndim == 2 else f.coeffs[:, None] for f in polys]
+        rows, edges = np.cumsum([0] + [len(c) for c in cols]), np.cumsum([0] + [c.shape[1] for c in cols])
+        table = np.zeros((rows[-1], edges[-1]))
+        for c, r, k in zip(cols, rows, edges):
+            table[r : r + len(c), k : k + c.shape[1]] = c
+        return cls.from_arrays(polys[0].n, np.vstack([f.degrees for f in polys]), table)
 
     @property
     def terms(self) -> dict[MultiIndex, float]:
@@ -490,6 +497,12 @@ class PolyCoeffs:
             out = out * self
         return out
 
+    def partial(self, i: int) -> "PolyCoeffs":
+        """The partial derivative in x_i (0-based): c x^a becomes a_i c x^(a - e_i), column by column."""
+        a = self.degrees[:, i]
+        deg = self.degrees[a > 0] - np.eye(self.n, dtype=np.int64)[i]
+        return PolyCoeffs.from_arrays(self.n, deg, (a[a > 0] * self.coeffs[a > 0].T).T)
+
     @cached_property
     def _gather(self) -> tuple[int, np.ndarray]:
         """(dmax, cols), cols[j, k] the flat power-table index i (dmax + 1) + degrees[k, i]
@@ -502,14 +515,12 @@ class PolyCoeffs:
         cols[slot, k] = i * (dmax + 1) + self.degrees[k, i]
         return dmax, cols
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Values at a batch (N, n) of float points, unchecked.
+    def _monomials(self, x: np.ndarray) -> np.ndarray:
+        """The values x^degrees[k], shape (N, K), at a batch (N, n) of float points, unchecked.
 
-        One power table, a cumulative product over (N, n, dmax + 1) of the
-        same factors, in the same order, as :func:`_power_table`; then one
-        flat gather per nonzero exponent of the fullest row, and one matvec.
-        A row's nonzero factors multiply in axis order, as in
-        :func:`_monomials_from_table`; its other factors there are exact 1.0s.
+        One power table, a cumulative product over (N, n, dmax + 1), then
+        one flat gather per nonzero exponent of the fullest row; a row's
+        nonzero factors multiply in axis order.
         """
         dmax, cols = self._gather
         P = x.repeat(dmax + 1, axis=1)
@@ -519,7 +530,11 @@ class PolyCoeffs:
         mono = P.take(cols[0], axis=1)
         for c in cols[1:]:
             mono *= P.take(c, axis=1)
-        return mono @ self.coeffs
+        return mono
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Values at a batch (N, n) of float points, unchecked: the monomials times the coefficients."""
+        return self._monomials(x) @ self.coeffs
 
     def evaluate(self, x) -> np.ndarray | float:
         """Evaluate at a point (n,) or batch (N, n)."""

@@ -1,9 +1,11 @@
 """Samplers for the density family.
 
 Two routes.  When theta has no cross-coordinate monomials the density is a
-product of one-dimensional densities and we sample each coordinate exactly by
-inverse CDF on a dense grid.  Otherwise we run Metropolis-adjusted Langevin
-chains whose drift is the score, which never needs the partition function.
+product of one-dimensional densities and we sample each coordinate by
+inverse CDF: a trapezoid-rule CDF on 8,192 equispaced nodes, inverted by
+linear interpolation, so the draws are exact up to that rule's error.
+Otherwise we run Metropolis-adjusted Langevin chains whose drift is the
+score, which never needs the partition function.
 The chains of one call (``sample_mala``'s, or a study's trials through
 ``sample_mala_ensemble``) advance in lock-step as one (C, n) array, so a
 step evaluates the density and score of all live chains in one batch.
@@ -98,31 +100,34 @@ def _stream(seed: int, stream: int) -> np.random.Generator:
 _EXACT_GRID_NODES = 8192
 
 
-def _split_separable(p: ParamVector) -> list[np.ndarray]:
-    """Per-coordinate 1-D coefficient vectors (length d), or raise."""
-    out = [np.zeros(p.d) for _ in range(p.n)]
-    bad = [
-        format_monomial(row)
-        for row, v in zip(p.basis.degrees, p.theta)
-        if v != 0.0 and np.count_nonzero(row) > 1
-    ]
-    if bad:
-        raise ValueError(f"theta couples coordinates via {', '.join(bad)}; exact sampler needs a separable theta")
-    for row, v in zip(p.basis.degrees, p.theta):
-        if v == 0.0:
-            continue
-        i = int(np.nonzero(row)[0][0])
-        out[i][int(row[i]) - 1] += v
+def _coordinate_thetas(p: ParamVector) -> np.ndarray:
+    """Row i: coordinate i's 1-D theta (length d), for a separable member.
+
+    A row of the member's log density with two or more nonzero exponents
+    couples coordinates, and raises.
+    """
+    f = p.log_density
+    coupled = np.count_nonzero(f.degrees, axis=1) > 1
+    if coupled.any():
+        bad = ", ".join(map(format_monomial, f.degrees[coupled]))
+        raise ValueError(f"theta couples coordinates via {bad}; exact sampler needs a separable theta")
+    power = f.degrees.max(axis=1)
+    own = power <= p.d  # the 1-D members add their base terms x_i^{d+1} themselves
+    out = np.zeros((p.n, p.d))
+    out[f.degrees.argmax(axis=1)[own], power[own] - 1] = f.coeffs[own]
     return out
 
 
 def sample_exact_separable(p: ParamVector, N: int, seed: int) -> SampleSet:
-    """Inverse-CDF draws, coordinate by coordinate, for product-form theta."""
-    coord_thetas = _split_separable(p)
+    """Inverse-CDF draws, coordinate by coordinate, for product-form theta.
+
+    Not exact: each coordinate's CDF is the trapezoid rule on 8,192 equispaced
+    nodes of [-R, R], R = ``auto_radius``, inverted by linear interpolation.
+    """
     basis1 = enumerate_basis(1, p.d)
     cols = []
     radii = []
-    for i, theta1 in enumerate(coord_thetas):
+    for i, theta1 in enumerate(_coordinate_thetas(p)):
         p1 = ParamVector(basis1, theta1, p.B)
         R = auto_radius(p1)
         radii.append(R)
@@ -141,7 +146,8 @@ def sample_exact_separable(p: ParamVector, N: int, seed: int) -> SampleSet:
         seed=seed,
         provenance={
             "kind": "exact",
-            "parameters": {"grid_nodes": _EXACT_GRID_NODES, "radius": [float(r) for r in radii]},
+            "parameters": {"grid_nodes": _EXACT_GRID_NODES, "radius": [float(r) for r in radii], "cdf":
+                           "trapezoid rule on grid_nodes equispaced nodes, inverted by linear interpolation"},
         },
     )
 
@@ -329,7 +335,9 @@ def diagnostics(s: SampleSet, p: ParamVector, grid) -> dict:
     """Max standardized discrepancy between sample and quadrature moments.
 
     Z-scores use the sample standard error, so a clean sampler should stay
-    within a few units regardless of the statistic's scale.
+    within a few units regardless of the statistic's scale.  MALA draws are
+    autocorrelated: their errors are taken at the provenance's smallest
+    per-coordinate ESS, not at N, the plain ones times sqrt(N / min ESS).
     """
     if s.N < 2:
         kind = "an empty sample set" if s.N == 0 else "a single draw"
@@ -340,8 +348,10 @@ def diagnostics(s: SampleSet, p: ParamVector, grid) -> dict:
     T = eval_suffstats(p.basis, s.data)
     names = p.basis.monomial_names()
 
+    n_eff = min(s.provenance["parameters"]["ess"]) if s.provenance.get("kind") == "mcmc" else s.N
+
     emp_mean = T.mean(axis=0)
-    se_mean = np.maximum(T.std(axis=0, ddof=1) / math.sqrt(s.N), 1e-15)
+    se_mean = np.maximum(T.std(axis=0, ddof=1) / math.sqrt(n_eff), 1e-15)
     z_mean = np.abs(emp_mean - mom.mean_T) / se_mean
 
     def products(Tb):
@@ -350,7 +360,7 @@ def diagnostics(s: SampleSet, p: ParamVector, grid) -> dict:
 
     emp_second, mean_sq = row_mean(products, T, 2 * p.basis.size**2)
     var_second = np.maximum(mean_sq - emp_second**2, 0.0) * s.N / (s.N - 1)
-    se_second = np.maximum(np.sqrt(var_second / s.N), 1e-15)
+    se_second = np.maximum(np.sqrt(var_second / n_eff), 1e-15)
     z_second = np.abs(emp_second - mom.second_T) / se_second
 
     i = int(np.argmax(z_mean))

@@ -23,10 +23,8 @@ from polyscore.expfam import (
     family_radius,
     gated_log_partition,
     gated_quadrature,
-    log_density_tensor,
     log_partition,
     log_unnormalized_density,
-    member_coeffs,
     moment_bound,
     moments,
     param_from_json,
@@ -41,9 +39,8 @@ from polyscore.expfam import (
     verify_int_concentration,
     zero_params,
 )
-from polyscore.expfam import _split_separable, _well_moments
+from polyscore.expfam import _dense, _split_separable, _well_moments
 from polyscore.hardness import (
-    _log_density_coeffs,
     default_params,
     encode,
     hardness_grid,
@@ -254,6 +251,26 @@ class TestSparseTermTable:
         assert np.isfinite(g).all() and np.isfinite(batch).all()
         assert g[0] == pytest.approx(-4e240, rel=1e-12) and batch[0] == pytest.approx(g, rel=1e-15)
         assert batch[1, 1] == pytest.approx(-4 * (-2e90) ** 3, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_table_stacks_the_density_and_its_partials(self, n, d):
+        # against the table written term by term: column 0 holds theta's rows
+        # and -x_i^{d+1}, column 1 + i each term c x^a's a_i c x^(a - e_i)
+        basis, eye = enumerate_basis(n, d), np.eye(n, dtype=np.int64)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            p = ParamVector(basis, rng.uniform(-1.0, 1.0, basis.size) * (rng.random(basis.size) < 0.7), 1.0)
+            deg = np.vstack([basis.degrees, (d + 1) * eye])
+            coef = np.concatenate([p.theta, -np.ones(n)])
+            k, i = np.nonzero(deg)
+            table = np.zeros((len(deg) + len(k), n + 1))
+            table[: len(deg), 0] = coef
+            table[len(deg) + np.arange(len(k)), 1 + i] = deg[k, i] * coef[k]
+            want = PolyCoeffs.from_arrays(n, np.vstack([deg, deg[k] - eye[i]]), table)
+            assert p._terms == want
+            assert p._score_terms == PolyCoeffs.from_arrays(n, want.degrees, want.coeffs[:, 1:])
+            assert p.log_density == PolyCoeffs.from_arrays(n, want.degrees, want.coeffs[:, 0])
 
     def test_table_is_cached_on_the_member(self):
         p = random_params(2, 3, 1.0, seed=1)
@@ -481,12 +498,12 @@ class TestMoments:
 
 class TestConvergenceGate:
     def test_fine_grid_passes(self):
-        _, delta = gated_quadrature(build_grid(1, 6.0, 120), member_coeffs(zero_params(1, 1)))
+        _, delta = gated_quadrature(build_grid(1, 6.0, 120), zero_params(1, 1).log_density)
         assert delta < 1e-10
 
     def test_coarse_grid_fails(self):
         with pytest.raises(GridConvergenceError, match="gate"):
-            gated_quadrature(build_grid(1, 6.0, 10), member_coeffs(zero_params(1, 1)))
+            gated_quadrature(build_grid(1, 6.0, 10), zero_params(1, 1).log_density)
 
     def test_gated_log_partition_raises_past_the_gate(self):
         p = zero_params(1, 1)
@@ -498,11 +515,11 @@ class TestConvergenceGate:
     def test_gate_returns_the_coarse_pass(self):
         p = random_params(2, 3, 1.0, seed=8)
         grid = build_grid(2, 4.0, 120)
-        out, delta = gated_quadrature(grid, member_coeffs(p), order=2)
-        again = poly_quadrature(grid, member_coeffs(p), order=2)
+        out, delta = gated_quadrature(grid, p.log_density, order=2)
+        again = poly_quadrature(grid, p.log_density, order=2)
         assert out.log_integral == again.log_integral
         assert np.array_equal(out.moments, again.moments)
-        fine = poly_quadrature(grid.doubled(), member_coeffs(p))
+        fine = poly_quadrature(grid.doubled(), p.log_density)
         assert delta == abs(fine.log_integral - again.log_integral)
 
 
@@ -547,7 +564,7 @@ class TestPolyQuadrature:
     def test_power_moments(self):
         # E[x^e] of the product density exp(-x1^2 - x2^2) is a product of
         # Gaussian moments: E[x^2] = 1/2, E[x^4] = 3/4, odd moments vanish
-        out = poly_quadrature(build_grid(2, 7.0, 160), member_coeffs(zero_params(2, 1)), order=4)
+        out = poly_quadrature(build_grid(2, 7.0, 160), zero_params(2, 1).log_density, order=4)
         assert out.moments.shape == (5, 5)
         assert out.moments[0, 0] == 1.0
         gauss = np.array([1.0, 0.0, 0.5, 0.0, 0.75])
@@ -567,9 +584,9 @@ class TestPolyQuadrature:
             return np.any(np.all(X[:, None, :] * V[None] >= 0.0, axis=2), axis=1).astype(float)
 
         _, (mass,) = pointwise(p, grid, [union])
-        out = poly_quadrature(grid, member_coeffs(p), orthants=V)
+        out = poly_quadrature(grid, p.log_density, orthants=V)
         assert out.orthant_mass == pytest.approx(float(mass), abs=1e-14)
-        assert poly_quadrature(grid, member_coeffs(p)).orthant_mass == 0.0
+        assert poly_quadrature(grid, p.log_density).orthant_mass == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_fields_ride_the_pass(self, n):
@@ -578,14 +595,14 @@ class TestPolyQuadrature:
         # the pointwise path; the pass's own results do not move
         p = random_params(n, 3, 1.0, seed=10 + n)
         grid = build_grid(n, *SMALL_GRIDS[n][::-1])
-        F = np.eye(3**n).reshape((3**n,) + (3,) * n)
+        F = PolyCoeffs.from_arrays(n, list(itertools.product(range(3), repeat=n)), np.eye(3**n))
 
         def reduce(V, E):
             V = V.reshape(len(V), -1)
             return np.concatenate([V @ E.ravel(), [np.sqrt(np.abs(V[3 ** (n - 1) * 2])) @ E.ravel()]])
 
-        plain = poly_quadrature(grid, member_coeffs(p), order=2)
-        out = poly_quadrature(grid, member_coeffs(p), order=2, fields=(F, reduce))
+        plain = poly_quadrature(grid, p.log_density, order=2)
+        out = poly_quadrature(grid, p.log_density, order=2, fields=(F, reduce))
         assert plain.field_means is None
         assert out.log_integral == plain.log_integral
         assert np.array_equal(out.moments, plain.moments)
@@ -602,21 +619,24 @@ class TestPolyQuadrature:
             with pytest.raises(NumericalError, match="underflow"):
                 pointwise(p, grid)
             with pytest.raises(NumericalError, match="underflow"):
-                poly_quadrature(grid, member_coeffs(p))
+                poly_quadrature(grid, p.log_density)
 
     def test_rejections(self):
         grid = build_grid(2, 3.0, 12)
-        with pytest.raises(ValueError, match="does not fit"):
-            poly_quadrature(grid, np.zeros((3, 3, 3)))
+        p = random_params(2, 1, 1.0, seed=0)
+        with pytest.raises(ValueError, match="n=2 variables, got n=3,"):
+            poly_quadrature(grid, zero_params(3, 1).log_density)
+        with pytest.raises(ValueError, match="one polynomial"):
+            poly_quadrature(grid, p._terms)
         with pytest.raises(ValueError, match="order"):
-            poly_quadrature(grid, np.zeros((3, 3)), order=-1)
-        with pytest.raises(ValueError, match="field tensors"):
-            poly_quadrature(grid, np.zeros((3, 3)), fields=(np.zeros((3, 3)), np.sum))
-        with pytest.raises(ValueError, match="exponents"):
-            log_density_tensor(2, [[5, 0]], [1.0], 4)
+            poly_quadrature(grid, p.log_density, order=-1)
+        with pytest.raises(ValueError, match="fields must be the columns"):
+            poly_quadrature(grid, p.log_density, fields=(zero_params(3, 1)._terms, np.sum))
+        with pytest.raises(ValueError, match="fields must be the columns"):
+            poly_quadrature(grid, p.log_density, fields=(p.log_density, np.sum))
 
 
-def split_reference(grid, coeffs, fns=()):
+def split_reference(grid, f, fns=()):
     """Per-node quadrature of every grid node, the log density split as the slab pass splits it.
 
     The constant and the per-axis parts come from ``_split_separable`` and
@@ -625,7 +645,7 @@ def split_reference(grid, coeffs, fns=()):
     rounding.  (Hardness couplings cancel to 1e-10 in a plain per-node
     evaluation of the energy.)
     """
-    const, parts, mixed = _split_separable(grid, coeffs)
+    const, parts, mixed = _split_separable(grid, _dense(f))
     n, k = grid.n, mixed.shape[0]
     axis_parts = [part - grid.axis_logw for part in parts]  # iter_chunks adds the weights
     sub = "abc"[:n]
@@ -666,8 +686,7 @@ class TestScreening:
         p = random_params(n, 3, B, seed=20 + n)
         points, radius = {1: (48, 5.0), 2: (24, 4.5), 3: (16, 4.0)}[n]
         grid = build_grid(n, radius, points)
-        T = np.zeros((p.basis.size,) + (p.d + 1,) * n)
-        T[(np.arange(p.basis.size),) + tuple(p.basis.degrees.T)] = 1.0
+        T = PolyCoeffs.from_arrays(n, p.basis.degrees, np.eye(p.basis.size))
 
         def reduce(V, E):
             Y = V.reshape(len(V), -1)
@@ -677,8 +696,8 @@ class TestScreening:
             Y = eval_suffstats(p.basis, X)
             return np.hstack([Y, Y * Y])
 
-        out = poly_quadrature(grid, member_coeffs(p), order=2 * p.d, fields=(T, reduce))
-        logz, (mom, fields) = split_reference(grid, member_coeffs(p), [power_table(n, 2 * p.d), t_and_square])
+        out = poly_quadrature(grid, p.log_density, order=2 * p.d, fields=(T, reduce))
+        logz, (mom, fields) = split_reference(grid, p.log_density, [power_table(n, 2 * p.d), t_and_square])
         assert out.nodes < grid.total_nodes
         assert out.log_integral == pytest.approx(logz, rel=1e-14)
         assert_close_to(out.moments, mom)
@@ -689,7 +708,7 @@ class TestScreening:
         # the orthants of the satisfying vertices and of the falsifying ones
         C = load_fixture(name)
         pp = default_params(3, C.m, mode, scale=0.01)
-        coeffs = _log_density_coeffs(encode(C, pp.alpha, pp.beta))
+        f = encode(C, pp.alpha, pp.beta).log_density
         grid = hardness_grid(3, pp.beta, points_per_axis=60)
         sat = satisfying_assignments(C)
         for orthants in (sat, [v for v in itertools.product((-1, 1), repeat=3) if v not in sat]):
@@ -698,8 +717,8 @@ class TestScreening:
             def union(X):
                 return np.any(np.all(X[:, None, :] * V[None] >= 0.0, axis=2), axis=1).astype(float)
 
-            out = poly_quadrature(grid, coeffs, order=2, orthants=orthants)
-            logz, (mom, mass) = split_reference(grid, coeffs, [power_table(3, 2), union])
+            out = poly_quadrature(grid, f, order=2, orthants=orthants)
+            logz, (mom, mass) = split_reference(grid, f, [power_table(3, 2), union])
             assert out.nodes < 0.1 * grid.total_nodes
             assert out.log_integral == pytest.approx(logz, rel=1e-14)
             assert out.orthant_mass == pytest.approx(float(mass), rel=1e-14)
@@ -710,10 +729,10 @@ class TestScreening:
         # and the gate's doubled pass
         C = load_fixture("clause1")
         pp = default_params(3, C.m, "sampling", scale=0.01)
-        coeffs = _log_density_coeffs(encode(C, pp.alpha, pp.beta))
+        f = encode(C, pp.alpha, pp.beta).log_density
         grid = hardness_grid(3, pp.beta, points_per_axis=165)
         for g in (grid, grid.doubled()):
-            out = poly_quadrature(g, coeffs, orthants=satisfying_assignments(C))
+            out = poly_quadrature(g, f, orthants=satisfying_assignments(C))
             assert out.nodes < 0.15 * g.total_nodes
 
     def test_unscreened_members_count_every_node(self):
@@ -721,7 +740,7 @@ class TestScreening:
         # it is down by about e^-49, inside the margin, so every node stays
         p = random_params(2, 1, 1.0, seed=0)
         grid = build_grid(2, 7.0, 40)
-        assert poly_quadrature(grid, member_coeffs(p)).nodes == grid.total_nodes
+        assert poly_quadrature(grid, p.log_density).nodes == grid.total_nodes
 
 
 class TestRadiusSelection:

@@ -21,7 +21,6 @@ from polyscore.expfam import (
 )
 from polyscore.fisher import (
     SpectralReport,
-    _dense,
     _jt_pass,
     _lambda_max,
     clip_spectrum,
@@ -33,7 +32,7 @@ from polyscore.fisher import (
     sm_moment_inputs,
     verify_bounds,
 )
-from polyscore.polybasis import enumerate_basis, eval_jacobian, eval_laplacian, eval_suffstats
+from polyscore.polybasis import PolyCoeffs, enumerate_basis, eval_jacobian, eval_laplacian, eval_suffstats
 from polyscore.sampler import SampleSet, sample_exact_separable
 
 
@@ -114,8 +113,8 @@ class TestGridGathers:
         _, (m4, g4, wt) = quad_expectation(
             grid, lambda X: log_unnormalized_density(p, X), [opnorm4, gradlogh4, wt_and_square]
         )
-        g2 = _dense(n, 3, 6 * np.eye(n, dtype=np.int64), np.full((1, n), 16.0))
-        _, got_m4, got = _jt_pass(p, grid, np.concatenate([g2, _dense(n, 3, p.basis.degrees, W)]))
+        g2 = PolyCoeffs.from_arrays(n, 6 * np.eye(n, dtype=np.int64), np.full(n, 16.0))
+        _, got_m4, got = _jt_pass(p, grid, PolyCoeffs.stack([g2, PolyCoeffs.from_arrays(n, p.basis.degrees, W.T)]))
         assert got_m4 == pytest.approx(float(m4), rel=1e-12)
         assert got[6] == pytest.approx(float(g4), rel=1e-12)
         got_wt = np.delete(got, [0, 6])

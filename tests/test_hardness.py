@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyscore.expfam import (
+    _dense,
     GridConvergenceError,
     build_grid,
     log_unnormalized_density,
@@ -27,7 +28,6 @@ from polyscore.hardness import (
     CnfFormula,
     _falsified_counts,
     _iter_vertices,
-    _log_density_coeffs,
     _vertex_values,
     clause_poly,
     default_params,
@@ -180,6 +180,20 @@ class TestClausePoly:
             f = clause_poly(tuple(int(v * s) for v, s in zip(vars_, signs)), n)
             assert max(abs(c) for c in f.terms.values()) <= 64.0
 
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_equals_the_product_of_squared_literal_factors(self, n):
+        # (x_i - 1)^2 per positive literal, (x_i + 1)^2 per negative one
+        zero = (0,) * n
+        for vars_ in itertools.permutations(range(1, n + 1), 3):
+            for signs in itertools.product((-1, 1), repeat=3):
+                clause = tuple(v * s for v, s in zip(vars_, signs))
+                want = PolyCoeffs.constant(n, 1.0)
+                for lit in clause:
+                    e = tuple(int(k == abs(lit) - 1) for k in range(n))
+                    factor = PolyCoeffs.make(n, {e: 1.0, zero: -1.0 if lit > 0 else 1.0})
+                    want = want * factor * factor
+                assert clause_poly(clause, n) == want
+
     def test_formula_poly_sums(self):
         C = load_fixture("uniq3")
         F = formula_poly(C)
@@ -247,6 +261,15 @@ class TestEncode:
         lhs = log_unnormalized_density(inst.theta, X)
         rhs = -np.sum(X**8, axis=1) - inst.energy.evaluate(X)
         assert np.max(np.abs(lhs - rhs - inst.dropped_constant)) <= 1e-8
+
+    @pytest.mark.parametrize("name", ["clause1", "uniq3", "unsat8"])
+    def test_dense_log_density_is_minus_energy_and_base(self, name):
+        # the coefficients the slab pass reads: -energy, constant included, and -x_i^8
+        inst = encode(load_fixture(name), 3.0, 5.0)
+        want = np.zeros((9,) * 3)
+        want[tuple(inst.energy.degrees.T)] = -inst.energy.coeffs
+        want[tuple(8 * np.eye(3, dtype=np.int64))] -= 1.0
+        assert np.array_equal(_dense(inst.log_density), want)
 
     def test_box_bound_random_formulas(self):
         rng = np.random.Generator(np.random.Philox(key=np.array([21, 0], dtype=np.uint64)))
@@ -486,7 +509,7 @@ class TestSlabOracleOnFixtures:
         logz, outs = quad_expectation(
             grid, lambda X: -np.sum(X**8, axis=1) - inst.energy.evaluate(X), fns
         )
-        out = poly_quadrature(grid, _log_density_coeffs(inst), order=1, orthants=sols)
+        out = poly_quadrature(grid, inst.log_density, order=1, orthants=sols)
         assert out.log_integral == pytest.approx(logz, abs=1e-10)
         np.testing.assert_allclose(out.moments[tuple(np.eye(3, dtype=int))], outs[0], atol=1e-11)
         assert out.orthant_mass == pytest.approx(float(outs[1]) if sols else 0.0, abs=1e-12)

@@ -13,8 +13,6 @@ from polyscore.expfam import ParamVector, score
 from polyscore.fisher import fisher_info, gram_matrix, sm_moment_inputs
 from polyscore.polybasis import (
     PolyCoeffs,
-    _monomials_from_table,
-    _power_table,
     check_mon_l2_bound,
     enumerate_basis,
     eval_jacobian,
@@ -219,6 +217,17 @@ class TestEvaluation:
                 assert np.all(gap <= bound * (1 + 1e-12) + 1e-12)
 
 
+def _full_power_product(X, dmax, degrees):
+    """x^degrees[k] as the product over every axis of the power table's entries, 1.0 factors included."""
+    P = np.ones((len(X), X.shape[1], dmax + 1))
+    for e in range(1, dmax + 1):
+        P[:, :, e] = P[:, :, e - 1] * X
+    vals = P[:, 0, degrees[:, 0]]
+    for i in range(1, degrees.shape[1]):
+        vals = vals * P[:, i, degrees[:, i]]
+    return vals
+
+
 class TestPolyCoeffs:
     def test_zero_coefficients_dropped(self):
         f = PolyCoeffs.make(2, {(1, 0): 0.0, (0, 1): 2.0})
@@ -257,7 +266,7 @@ class TestPolyCoeffs:
         assert len(cols) == 3 and dmax == 4
         X = np.random.default_rng(N).uniform(-2.0, 2.0, (N, 12))
         # row-major like the gathers' product: the matvec's rounding follows the layout
-        want = np.ascontiguousarray(_monomials_from_table(_power_table(X, dmax), f.degrees)) @ f.coeffs
+        want = np.ascontiguousarray(_full_power_product(X, dmax, f.degrees)) @ f.coeffs
         assert np.array_equal(f(X), want)
 
     def test_json_round_trip(self):
@@ -296,6 +305,36 @@ def _abs_terms(f, X):
 
 class TestPolyCoeffsProperties:
     """The array-backed sparse polynomial against pointwise definitions."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
+    def test_partial_obeys_the_product_rule_and_differences(self, n, seed):
+        rng = np.random.default_rng(seed)
+
+        def integer_poly():
+            k = int(rng.integers(0, 6))
+            return PolyCoeffs.from_arrays(n, rng.integers(0, 4, (k, n)), rng.integers(-5, 6, k).astype(float))
+
+        f, g, i = integer_poly(), integer_poly(), int(rng.integers(n))
+        # integer coefficients keep both sides exact
+        assert (f * g).partial(i) == f.partial(i) * g + f * g.partial(i)
+        # the columns of a stack differentiate independently
+        assert PolyCoeffs.stack([f, g]).partial(i) == PolyCoeffs.stack([f.partial(i), g.partial(i)])
+        # central differences, to the scale of the terms near x
+        X, h = rng.uniform(-1.5, 1.5, (5, n)), 1e-5
+        e = h * np.eye(n)[i]
+        fd = (f(X + e) - f(X - e)) / (2 * h)
+        assert np.all(np.abs(f.partial(i)(X) - fd) <= 1e-6 * (1.0 + _abs_terms(f, np.abs(X) + h)))
+
+    def test_stack_keeps_each_column(self):
+        f = PolyCoeffs.make(2, {(1, 0): 2.0, (0, 3): -1.0})
+        g = PolyCoeffs.make(2, {(1, 0): 5.0, (2, 2): 0.5})
+        s = PolyCoeffs.stack([f, PolyCoeffs.stack([g, f])])
+        assert s.coeffs.shape == (3, 3)
+        for col, h in enumerate((f, g, f)):
+            assert PolyCoeffs.from_arrays(2, s.degrees, s.coeffs[:, col]) == h
+        X = np.random.default_rng(0).normal(size=(4, 2))
+        np.testing.assert_allclose(s(X), np.column_stack([f(X), g(X), f(X)]), rtol=1e-14)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(raw=_raw_terms(), seed=st.integers(0, 2**31 - 1))

@@ -301,6 +301,25 @@ class TestDiagnostics:
         report = diagnostics(s, shifted, build_grid(1, 6.0, 200))
         assert report["max_z"] > 10.0
 
+    def test_autocorrelated_mala_draws_scaled_by_ess(self):
+        # thinning=1 keeps strongly autocorrelated draws of a correct member:
+        # the plain standard error puts max_z at about 7, past the bound
+        p = random_params(2, 3, 1.0, 0)
+        s = sample_mala(p, 4000, McmcConfig(burn_in=500, thinning=1), seed=3)
+        assert min(s.provenance["parameters"]["ess"]) < s.N / 4
+        grid = build_grid(2, auto_radius(p), 200)
+        plain = SampleSet(n=2, N=s.N, data=s.data, seed=3)  # no MALA provenance
+        assert diagnostics(plain, p, grid)["max_z"] > 4.0
+        assert diagnostics(s, p, grid)["max_z"] < 4.0
+
+    def test_wrong_theta_flagged_under_mala(self):
+        p = random_params(2, 3, 1.0, 0)
+        s = sample_mala(p, 4000, McmcConfig(burn_in=500, thinning=1), seed=3)
+        theta = p.theta.copy()
+        theta[0] += 0.5
+        shifted = ParamVector(p.basis, theta, 1.5)
+        assert diagnostics(s, shifted, build_grid(2, auto_radius(shifted), 200))["max_z"] > 6.0
+
     def test_dimension_mismatch(self):
         s = sample_exact_separable(zero_params(1, 1), 100, seed=0)
         with pytest.raises(ValueError, match="dimensions"):
