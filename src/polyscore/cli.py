@@ -59,7 +59,7 @@ from .polybasis import (
     to_legendre,
 )
 from .reports import BoundCheck, to_jsonable
-from .sampler import load_samples
+from .sampler import _stream, load_samples
 
 EXIT_OK = 0
 
@@ -201,7 +201,7 @@ def _checks_hold(checks: Sequence[BoundCheck]) -> bool:
 
 
 def _suite_polybasis(args) -> dict:
-    rng = np.random.Generator(np.random.Philox(key=np.array([args.seed, 0], dtype=np.uint64)))
+    rng = _stream(args.seed, 0)
     checks = []
     for _ in range(20):
         n = int(rng.integers(1, 4))
@@ -278,21 +278,19 @@ def _suite_hardness(args) -> dict:
         sections["note"] = "quadrature experiments need n <= 3; only roots were checked"
         return {"sections": sections, "checks": checks, "all_hold": _checks_hold(checks)}
 
-    ppa = args.points_per_axis
+    def grid(beta: float):
+        return hardness_grid(formula.n, beta, points_per_axis=args.points_per_axis)
+
     if fixture_pair:
         a, b, _ = couplings("zeroth", 8)
         pair = (pad_with_duplicates(formula, 8), load_fixture("unsat8"))
-        zrep = zgap_experiment(
-            pair[0], pair[1], a, b, hardness_grid(3, b, points_per_axis=ppa) if ppa else None
-        )
+        zrep = zgap_experiment(pair[0], pair[1], a, b, grid(b))
         sections["zgap"] = zrep
         checks += zrep["checks"]
     sols = satisfying_assignments(formula)
     if len(sols) == 1:
         a, b, _ = couplings("first", formula.m)
-        mrep = mean_sign_experiment(
-            formula, a, b, hardness_grid(formula.n, b, points_per_axis=ppa) if ppa else None
-        )
+        mrep = mean_sign_experiment(formula, a, b, grid(b))
         sections["mean_sign"] = mrep
         checks += mrep["checks"]
     else:
@@ -300,9 +298,7 @@ def _suite_hardness(args) -> dict:
             "skipped": f"formula has {len(sols)} satisfying assignments, need exactly 1"
         }
     a, b, _ = couplings("sampling", formula.m)
-    orep = orthant_mass(
-        formula, a, b, hardness_grid(formula.n, b, points_per_axis=ppa) if ppa else None
-    )
+    orep = orthant_mass(formula, a, b, grid(b))
     sections["orthant"] = orep
     checks += orep["checks"]
     return {

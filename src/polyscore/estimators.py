@@ -34,7 +34,7 @@ from .expfam import (
     family_grid,
     moments,
 )
-from .polybasis import FamilyStats, MonomialBasis
+from .polybasis import FamilyStats, MonomialBasis, _null_space
 from .sampler import McmcConfig, SampleSet, sample_exact_separable, sample_mala_ensemble
 
 __all__ = [
@@ -81,11 +81,6 @@ def _cho_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(L.T, np.linalg.solve(L, b))
 
 
-def _check_dims(s: SampleSet, basis: MonomialBasis):
-    if s.n != basis.n:
-        raise ValueError(f"sample dimension {s.n} != basis dimension {basis.n}")
-
-
 def fit_score_matching(s: SampleSet, basis: MonomialBasis) -> FitReport:
     """Closed-form score-matching fit: solve G theta = -b.
 
@@ -96,7 +91,6 @@ def fit_score_matching(s: SampleSet, basis: MonomialBasis) -> FitReport:
     """
     if s.N < 1:
         raise ValueError("need at least one sample")
-    _check_dims(s, basis)
     t0 = time.perf_counter()
     st = s.stats(basis)
     G, b = st.gram, st.sm_linear
@@ -106,14 +100,11 @@ def fit_score_matching(s: SampleSet, basis: MonomialBasis) -> FitReport:
         theta = -_cho_solve(G, b)
         cond = float(np.linalg.cond(G))
     except np.linalg.LinAlgError:
-        w, V = np.linalg.eigh(G)
-        null = w <= max(float(w[-1]), 0.0) * 1e-12
+        _, V, null, dirs = _null_space(G, basis.monomial_names())
         if np.linalg.norm(V[:, null].T @ b) > _RESIDUAL_TOL * (1.0 + np.linalg.norm(b)):
-            names = np.array(basis.monomial_names())
-            loud = sorted(set(names[np.any(np.abs(V[:, null]) > 1e-8, axis=1)]))
             raise SingularGramError(
                 "Gram matrix singular beyond ridge rescue; "
-                f"the data leave these monomial directions unidentified: {', '.join(loud)}"
+                f"the data leave these monomial directions unidentified: {dirs}"
             ) from None
         lam = 1e-10 * float(np.trace(G)) / basis.size
         theta = -_cho_solve(G + lam * np.eye(basis.size), b)
@@ -141,7 +132,6 @@ def _quadratic_loss(st: FamilyStats, theta: np.ndarray) -> float:
 
 def sm_loss(p: ParamVector, s: SampleSet) -> float:
     """Empirical E[trace Hessian log p + 1/2 |grad log p|^2]; Z-free."""
-    _check_dims(s, p.basis)
     return _quadratic_loss(s.stats(p.basis), p.theta)
 
 
@@ -160,7 +150,6 @@ def mle_loss_and_grad(
     p: ParamVector, s: SampleSet, grid: QuadratureGrid, check: bool = True
 ) -> tuple[float, np.ndarray]:
     """Average log-likelihood and its theta-gradient E_hat[T] - E_theta[T]."""
-    _check_dims(s, p.basis)
     return _mle_objective(p, s.stats(p.basis), grid, check)[:2]
 
 
@@ -192,7 +181,6 @@ def fit_mle(
     """
     if s.N < 1:
         raise ValueError("need at least one sample")
-    _check_dims(s, basis)
     t0 = time.perf_counter()
     theta = np.zeros(basis.size) if init is None else np.asarray(init, dtype=float).copy()
     emp = s.stats(basis)
@@ -313,14 +301,14 @@ def convergence_study(
     trials: int,
     estimator: str = "SM",
     seed: int = 0,
-    grid: QuadratureGrid | None = None,
 ) -> StudyResult:
     """Median squared error against N, with the log-log rate slope.
 
     Per-trial seeds are spawned from one seed sequence, so results do not
     depend on the order the trials run in.  A row's wall_time_s is its fit
     time plus its draw time; a coupled member's trials are drawn first, as
-    one MALA ensemble, and each row gets an equal share of its time.
+    one MALA ensemble, and each row gets an equal share of its time.  MLE
+    fits run on the member's :func:`~polyscore.expfam.family_grid`.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -328,8 +316,7 @@ def convergence_study(
         raise ValueError("Ns must be strictly increasing")
     if estimator not in ("SM", "MLE"):
         raise ValueError(f"unknown estimator {estimator!r}")
-    if estimator == "MLE" and grid is None:
-        grid = family_grid(theta_star.basis, theta_star.B)
+    grid = family_grid(theta_star.basis, theta_star.B) if estimator == "MLE" else None
     seeds = [int(c.generate_state(1, dtype=np.uint64)[0] >> 1)
              for c in np.random.SeedSequence(seed).spawn(len(Ns) * trials)]
     samples = _trial_samples(theta_star, [N for N in Ns for _ in range(trials)], seeds)

@@ -11,7 +11,9 @@ The partition function Z_theta is computed by composite tensor-product
 Gauss-Legendre quadrature, restricted to n <= 3 where the tensor rule is an
 auditable ground truth.  All density work is done in log space; integrals are
 accumulated with a streaming log-sum-exp so that inverse temperatures up to
-1e7 in the hardness experiments stay inside double range.
+1e7 in the hardness experiments stay inside double range.  Points reach the
+density and the score through ``polybasis._as_batch``, the package's one
+point-shape rule, plus a finiteness check.
 
 Polynomial log densities, ``PolyCoeffs`` such as :attr:`ParamVector.log_density`,
 go through one sum-factorised oracle, :func:`poly_quadrature` (Orszag 1980):
@@ -46,6 +48,7 @@ from .polybasis import (
     FamilyStats,
     MonomialBasis,
     PolyCoeffs,
+    _as_batch,
     enumerate_basis,
     family_stats,
     moment_degrees,
@@ -70,7 +73,6 @@ __all__ = [
     "poly_quadrature",
     "gated_quadrature",
     "doubling_gate",
-    "gated_log_partition",
     "log_partition",
     "Moments",
     "moments",
@@ -78,7 +80,6 @@ __all__ = [
     "quad_expectation",
     "auto_radius",
     "family_radius",
-    "default_grid",
     "family_grid",
     "tail_radius",
     "moment_bound",
@@ -156,9 +157,10 @@ class ParamVector:
         return PolyCoeffs.stack([self.log_density, self._score_terms])
 
 
-def zero_params(n: int, d: int, B: float = 1.0) -> ParamVector:
+def zero_params(n: int, d: int) -> ParamVector:
+    """theta = 0 in the box of radius 1: the base measure alone."""
     basis = enumerate_basis(n, d)
-    return ParamVector(basis, np.zeros(basis.size), B)
+    return ParamVector(basis, np.zeros(basis.size), 1.0)
 
 
 def random_params(n: int, d: int, B: float, seed: int) -> ParamVector:
@@ -189,16 +191,9 @@ def load_param(path) -> ParamVector:
 # density and score
 
 
-def _check_points(p: ParamVector, x, finite: bool = True) -> np.ndarray:
-    """x as one point (n,) or a batch (N, n), checked finite unless ``finite`` is False."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.ndim > 2 or arr.shape[-1] != p.n:
-        raise ValueError(f"points of shape {arr.shape} do not fit n={p.n}")
-    if finite and np.count_nonzero(np.isfinite(arr)) < arr.size:  # faster than .all() on a few points
+def _check_finite(xb: np.ndarray) -> None:
+    if np.count_nonzero(np.isfinite(xb)) < xb.size:  # faster than .all() on a few points
         raise ValueError("points must be finite")
-    return arr
 
 
 def log_unnormalized_density(p: ParamVector, x, with_score: bool = False) -> np.ndarray | float | tuple:
@@ -207,9 +202,9 @@ def log_unnormalized_density(p: ParamVector, x, with_score: bool = False) -> np.
     With ``with_score`` returns (values, score(p, x)), both read from one
     evaluation of the member's term table.
     """
-    arr = _check_points(p, x, finite=False)
+    xb, single = _as_batch(x, p.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        table = p._terms(arr.reshape(-1, p.n))
+        table = p._terms(xb)
     vals = table[:, 0]
     # The base measure's -x_i^{d+1} makes every value at a non-finite point
     # non-finite, so the points need checking only then.  Finite points far
@@ -217,10 +212,11 @@ def log_unnormalized_density(p: ParamVector, x, with_score: bool = False) -> np.
     # degree beats every statistic, so their non-finite values become -inf.
     finite = np.isfinite(vals)
     if np.count_nonzero(finite) < vals.size:
-        _check_points(p, arr)
+        _check_finite(xb)
         vals[~finite] = -np.inf
-    vals = float(vals[0]) if arr.ndim == 1 else vals
-    return (vals, table[:, 1:].reshape(arr.shape)) if with_score else vals
+    if single:
+        vals, table = float(vals[0]), table[0]
+    return (vals, table[..., 1:]) if with_score else vals
 
 
 def score(p: ParamVector, x) -> np.ndarray:
@@ -228,9 +224,11 @@ def score(p: ParamVector, x) -> np.ndarray:
 
     The score-only table stays finite where x_i^{d+1} overflows but the score does not.
     """
-    arr = _check_points(p, x)
+    xb, single = _as_batch(x, p.n)
+    _check_finite(xb)
     with np.errstate(over="ignore", invalid="ignore"):
-        return p._score_terms(arr.reshape(-1, p.n)).reshape(arr.shape)
+        out = p._score_terms(xb)
+    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -647,13 +645,6 @@ def _check_grid(p: ParamVector, grid: QuadratureGrid):
         raise ValueError(f"grid dimension {grid.n} != family dimension {p.n}")
 
 
-def gated_log_partition(p: ParamVector, grid: QuadratureGrid) -> tuple[float, float]:
-    """(log Z_theta, doubling delta); raises GridConvergenceError past the gate."""
-    _check_grid(p, grid)
-    out, delta = gated_quadrature(grid, p.log_density)
-    return out.log_integral, delta
-
-
 def log_partition(p: ParamVector, grid: QuadratureGrid) -> float:
     """log Z_theta by composite Gauss-Legendre quadrature."""
     _check_grid(p, grid)
@@ -731,21 +722,10 @@ def family_radius(basis: MonomialBasis, B: float) -> float:
     return max(auto_radius(ParamVector(basis, t, B)) for t in corners)
 
 
-def default_grid(p: ParamVector, points_per_axis: int | None = None, radius: float | None = None) -> QuadratureGrid:
-    """Grid sized for this member: auto radius, per-dimension default points."""
-    if points_per_axis is None:
-        # an n outside 1..3 gets build_grid's n-range error
-        points_per_axis = DEFAULT_POINTS_PER_AXIS.get(p.n, 0)
-    if radius is None:
-        radius = auto_radius(p)
-    return build_grid(p.n, radius, points_per_axis)
-
-
-def family_grid(basis: MonomialBasis, B: float, points_per_axis: int | None = None) -> QuadratureGrid:
-    """Grid valid across the whole parameter box (used by iterative fits)."""
-    if points_per_axis is None:
-        points_per_axis = DEFAULT_POINTS_PER_AXIS.get(basis.n, 0)
-    return build_grid(basis.n, family_radius(basis, B), points_per_axis)
+def family_grid(basis: MonomialBasis, B: float) -> QuadratureGrid:
+    """Grid valid across the whole parameter box (used by iterative fits), at the default points."""
+    # an n outside 1..3 gets build_grid's n-range error
+    return build_grid(basis.n, family_radius(basis, B), DEFAULT_POINTS_PER_AXIS.get(basis.n, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -819,19 +799,17 @@ def verify_int_concentration(beta: float, r: float, m: int) -> BoundCheck:
 
 
 @lru_cache(maxsize=None)
-def verify_1d_moment_bound(beta: float, k_max: int = 8) -> tuple[BoundCheck, ...]:
-    """Check integral x^k e^{-f} <= 2^k integral e^{-f} on (0, inf), k <= k_max.
+def verify_1d_moment_bound(beta: float) -> tuple[BoundCheck, ...]:
+    """Check integral x^k e^{-f} <= 2^k integral e^{-f} on (0, inf), k = 1..8.
 
-    Computed once per process for each (beta, k_max), like
+    Computed once per process for each beta, like
     :func:`verify_int_concentration`.
     """
     if beta < 160.0 * math.log(8.0):
         raise ValueError(f"need beta >= 160 log 8 = {160.0 * math.log(8.0):.6g}, got {beta}")
-    if not 1 <= k_max <= 8:
-        raise ValueError("k_max must be in 1..8")
-    mom = _well_moments(beta, 0.0, 3.0, k_max).tolist()
-    caps = [2.0**k * mom[0] for k in range(k_max + 1)]
+    mom = _well_moments(beta, 0.0, 3.0, 8).tolist()
+    caps = [2.0**k * mom[0] for k in range(9)]
     return tuple(
         BoundCheck(f"well_moment_k{k}", mom[k], caps[k], mom[k] <= caps[k], f"beta={beta:.6g}")
-        for k in range(1, k_max + 1)
+        for k in range(1, 9)
     )

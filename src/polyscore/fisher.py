@@ -37,7 +37,7 @@ from .expfam import (
     poly_quadrature,
     tail_radius,
 )
-from .polybasis import FamilyStats, PolyCoeffs, enumerate_basis, eval_jacobian, row_mean
+from .polybasis import FamilyStats, PolyCoeffs, _null_space, enumerate_basis, eval_jacobian, row_mean
 from .reports import BoundCheck
 from .sampler import SampleSet
 
@@ -79,37 +79,33 @@ class SpectralReport:
         return all(c.holds for c in self.checks)
 
 
-def clip_spectrum(w: np.ndarray, tol: float = _CLIP_TOL) -> tuple[np.ndarray, str | None]:
-    """Clip eigenvalues in [-tol, 0) to 0; anything more negative is a bug."""
+def clip_spectrum(w: np.ndarray) -> tuple[np.ndarray, str | None]:
+    """Clip eigenvalues in [-1e-10, 0) to 0; anything more negative is a bug."""
     w = np.asarray(w, dtype=float)
-    if w.min() < -tol:
+    if w.min() < -_CLIP_TOL:
         raise NumericalError(
-            f"eigenvalue {w.min():.3e} below -{tol:.0e}: not quadrature roundoff, refusing to clip"
+            f"eigenvalue {w.min():.3e} below -{_CLIP_TOL:.0e}: not quadrature roundoff, refusing to clip"
         )
     note = None
     if (w < 0).any():
-        note = f"clipped {int((w < 0).sum())} eigenvalue(s) in [-{tol:.0e}, 0) to 0"
+        note = f"clipped {int((w < 0).sum())} eigenvalue(s) in [-{_CLIP_TOL:.0e}, 0) to 0"
         w = np.maximum(w, 0.0)
     return w, note
 
 
 def _stats(p: ParamVector, source, check: bool) -> FamilyStats:
-    """The family statistics under a SampleSet's rows or under p on a grid."""
-    if isinstance(source, SampleSet):
-        if source.n != p.n:
-            raise ValueError("sample dimension mismatch")
-        return source.stats(p.basis)
-    return moments(p, source, check)
+    """The family statistics under a SampleSet's rows or under p on a grid, gated with ``check``."""
+    return source.stats(p.basis) if isinstance(source, SampleSet) else moments(p, source, check)
 
 
-def fisher_info(p: ParamVector, source, check: bool = True) -> np.ndarray:
-    """Covariance of T under p, from a grid or a SampleSet."""
-    return _stats(p, source, check).fisher
+def fisher_info(p: ParamVector, source) -> np.ndarray:
+    """Covariance of T under p, from a SampleSet or from a grid behind the doubling gate."""
+    return _stats(p, source, check=True).fisher
 
 
-def gram_matrix(p: ParamVector, source, check: bool = False) -> np.ndarray:
-    """E[(JT)(JT)^t] under p, from a grid or a SampleSet."""
-    G = _stats(p, source, check).gram
+def gram_matrix(p: ParamVector, source) -> np.ndarray:
+    """E[(JT)(JT)^t] under p, from a grid (ungated) or a SampleSet."""
+    G = _stats(p, source, check=False).gram
     return 0.5 * (G + G.T)
 
 
@@ -122,14 +118,8 @@ def restricted_poincare(I: np.ndarray, G: np.ndarray, basis=None, return_witness
     """
     I = 0.5 * (np.asarray(I, float) + np.asarray(I, float).T)
     G = 0.5 * (np.asarray(G, float) + np.asarray(G, float).T)
-    w, V = np.linalg.eigh(G)
-    null = w <= max(w[-1], 0.0) * 1e-12
-    if null.any():
-        if basis is not None:
-            names = np.array(basis.monomial_names())
-            dirs = ", ".join(sorted(set(names[np.any(np.abs(V[:, null]) > 1e-8, axis=1)])))
-        else:
-            dirs = ", ".join(str(i) for i in np.nonzero(np.any(np.abs(V[:, null]) > 1e-8, axis=1))[0])
+    w, V, _, dirs = _null_space(G, None if basis is None else basis.monomial_names())
+    if dirs is not None:
         raise NumericalError(f"gradient Gram matrix is singular along directions {dirs}")
     S = V / np.sqrt(w)
     vals, U = np.linalg.eigh(S.T @ I @ S)
@@ -222,13 +212,13 @@ def _jt_pass(p: ParamVector, grid: QuadratureGrid, extra=None, order: int = 0, c
     return out, float(out.field_means[0]), out.field_means[1:]
 
 
-def sm_moment_inputs(p: ParamVector, source, check: bool = False) -> dict:
-    """E[op-norm(JT)^4] and E[|Laplacian T|^2] under p (quadrature or samples)."""
+def sm_moment_inputs(p: ParamVector, source) -> dict:
+    """E[op-norm(JT)^4] and E[|Laplacian T|^2] under p (ungated quadrature or samples)."""
     if isinstance(source, SampleSet):
-        lap2 = _stats(p, source, check).lap_sq
+        lap2 = source.stats(p.basis).lap_sq
         m4 = row_mean(partial(_opnorm4, p.basis), source.data, p.basis.size * p.n)
     else:
-        out, m4, _ = _jt_pass(p, source, order=2 * p.d, check=check)
+        out, m4, _ = _jt_pass(p, source, order=2 * p.d)
         lap2 = Moments.of(p, out).lap_sq
     return {"E_opJT4": float(m4), "E_dT2": lap2}
 

@@ -33,6 +33,7 @@ from .expfam import (
 )
 from .polybasis import PolyCoeffs, enumerate_basis, graded_rank, poly_to_json, row_blocks
 from .reports import BoundCheck
+from .sampler import _stream
 
 __all__ = [
     "CnfFormula",
@@ -60,6 +61,9 @@ Clause = tuple[int, int, int]
 
 # exhaustive vertex scans; 2^20 rows chunked is the practical ceiling
 MAX_SCAN_VARS = 20
+
+# uniform points of [-2, 2]^n at which verify_roots probes the energy's positivity
+_ROOT_PROBES = 1000
 
 
 @dataclass(frozen=True)
@@ -166,7 +170,7 @@ def random_formula(n: int, m: int, seed: int) -> CnfFormula:
     """Uniform random 3-CNF: each clause picks 3 distinct variables and signs."""
     if n < 3:
         raise ValueError(f"need n >= 3 to form clauses with distinct variables, got n={n}")
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    rng = _stream(seed, 0)
     clauses = []
     for _ in range(m):
         vars_ = rng.choice(n, size=3, replace=False) + 1
@@ -398,14 +402,14 @@ def _vertex_values(degrees: np.ndarray, ints: np.ndarray, n: int) -> np.ndarray:
     return f[::-1]
 
 
-def verify_roots(inst: EncodedInstance, n_random: int = 1000, seed: int = 0) -> dict:
+def verify_roots(inst: EncodedInstance, seed: int = 0) -> dict:
     """Exhaustively certify the energy's zero set on the hypercube vertices.
 
     At every vertex the expanded polynomials must reproduce, in exact integer
     arithmetic, ``H_C(v) = 64 * (#falsified clauses)`` and ``G(v) = 0``; in
     particular the energy vanishes exactly at the satisfying assignments.
     Away from the vertices the energy must be strictly positive, probed at
-    ``n_random`` uniform points of [-2, 2]^n.
+    1000 uniform points of [-2, 2]^n drawn from stream 0 of ``seed``.
     """
     C = inst.formula
     _check_scan_size(C.n)
@@ -419,8 +423,7 @@ def verify_roots(inst: EncodedInstance, n_random: int = 1000, seed: int = 0) -> 
     roots_match = bool(np.array_equal(hv == 0, k == 0))
     n_sat = int(np.count_nonzero(k == 0))
     min_unsat_k = int(k[k > 0].min()) if n_sat < len(k) else None
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    X = rng.uniform(-2.0, 2.0, size=(int(n_random), C.n))
+    X = _stream(seed, 0).uniform(-2.0, 2.0, size=(_ROOT_PROBES, C.n))
     vals = inst.energy.evaluate(X)
     min_random = float(np.min(vals)) if len(vals) else math.inf
     holds = bool(vertex_identity and roots_match and min_random > 0.0)
@@ -434,7 +437,7 @@ def verify_roots(inst: EncodedInstance, n_random: int = 1000, seed: int = 0) -> 
         "vertex_identity": vertex_identity,
         "roots_match_satisfying_set": roots_match,
         "min_unsat_energy": None if min_unsat_k is None else 64.0 * inst.alpha * min_unsat_k,
-        "n_random": int(n_random),
+        "n_random": _ROOT_PROBES,
         "min_random_energy": min_random,
         "random_points_positive": bool(min_random > 0.0),
         "holds": holds,
@@ -445,13 +448,11 @@ def verify_roots(inst: EncodedInstance, n_random: int = 1000, seed: int = 0) -> 
 # quadrature experiments
 
 
-def hardness_grid(
-    n: int,
-    beta: float,
-    radius: float = 2.0,
-    points_per_axis: int | None = None,
-) -> QuadratureGrid:
-    """Quadrature grid refined at the hypercube wells of width ~ 1/sqrt(beta)."""
+def hardness_grid(n: int, beta: float, points_per_axis: int | None = None) -> QuadratureGrid:
+    """Quadrature grid on [-2, 2]^n refined at the hypercube wells of width ~ 1/sqrt(beta).
+
+    Without ``points_per_axis`` it takes the per-dimension default for n <= 3.
+    """
     if beta <= 0:
         raise ValueError("beta must be positive")
     if points_per_axis is None:
@@ -459,7 +460,7 @@ def hardness_grid(
             raise ValueError(f"quadrature experiments support 1 <= n <= 3, got n={n}")
         points_per_axis = {1: 480, 2: 260, 3: 180}[n]
     width = min(1.0, 1.0 / math.sqrt(beta))
-    return build_grid(n, radius, points_per_axis, refine_near=[-1.0, 1.0], refine_width=width)
+    return build_grid(n, 2.0, points_per_axis, refine_near=[-1.0, 1.0], refine_width=width)
 
 
 def zgap_experiment(

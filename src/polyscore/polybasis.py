@@ -367,6 +367,23 @@ def _moment_monomials(n: int, d: int) -> "PolyCoeffs":
     return PolyCoeffs.from_arrays(n, moment_degrees(n, d), np.ones(len(moment_degrees(n, d))))
 
 
+def _null_space(G: np.ndarray, names: Sequence[str] | None) -> tuple[np.ndarray, np.ndarray, np.ndarray, str | None]:
+    """(w, V, null, directions): eigh(G), the mask of its null eigenvalues, and the directions they load.
+
+    An eigenvalue is null when it is at most 1e-12 of the largest, or the
+    largest is not positive.  A direction is a row that some null
+    eigenvector loads by more than 1e-8: its name from ``names``, sorted,
+    or its index without names; they come comma-joined, None when no
+    eigenvalue is null.
+    """
+    w, V = np.linalg.eigh(G)
+    null = w <= max(float(w[-1]), 0.0) * 1e-12
+    if not null.any():
+        return w, V, null, None
+    rows = np.flatnonzero(np.any(np.abs(V[:, null]) > 1e-8, axis=1))
+    return w, V, null, ", ".join(sorted(names[k] for k in rows) if names is not None else map(str, rows))
+
+
 def format_monomial(degrees: Iterable[int]) -> str:
     parts = []
     for i, e in enumerate(degrees):
@@ -625,13 +642,13 @@ def _embed_axis(p1d: PolyCoeffs, n: int, axis: int) -> PolyCoeffs:
 
 
 @lru_cache(maxsize=None)
-def legendre_tensor(index: MultiIndex, normalization: str = "uniform") -> PolyCoeffs:
-    """Product of per-axis Legendre factors for the given multi-index."""
+def legendre_tensor(index: MultiIndex) -> PolyCoeffs:
+    """Product of per-axis 'uniform'-normalized Legendre factors for the given multi-index."""
     n = len(index)
     out = PolyCoeffs.constant(n, 1.0)
     for axis, k in enumerate(index):
-        if k:  # the k=0 factor is 1 under every normalization here
-            out = out * _embed_axis(legendre_1d(k, normalization), n, axis)
+        if k:  # the k=0 factor is 1
+            out = out * _embed_axis(legendre_1d(k, "uniform"), n, axis)
     return out
 
 

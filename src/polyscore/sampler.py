@@ -12,7 +12,9 @@ step evaluates the density and score of all live chains in one batch.
 
 All randomness flows through counter-based Philox generators keyed by
 (seed, stream index), so output is bit-identical across runs; coordinate i
-of the exact sampler and each MALA chain own their stream.
+of the exact sampler and each MALA chain own their stream.  :func:`_stream`
+is the package's one constructor of such a generator (``hardness`` and the
+CLI draw from stream 0 of their seed), and it refuses a seed the key cannot hold.
 """
 
 from __future__ import annotations
@@ -63,7 +65,13 @@ class SampleSet:
         object.__setattr__(self, "data", data)
 
     def stats(self, basis: MonomialBasis) -> FamilyStats:
-        """``sample_stats(basis, data)``, computed once per (n, d) and kept."""
+        """``sample_stats(basis, data)``, computed once per (n, d) and kept.
+
+        Every estimator and audit reads a sample through here, so this is
+        where a basis of another dimension is refused.
+        """
+        if basis.n != self.n:
+            raise ValueError(f"sample dimension {self.n} != basis dimension {basis.n}")
         key = (basis.n, basis.d)
         if key not in self._stats:
             self._stats[key] = sample_stats(basis, self.data)
@@ -89,8 +97,9 @@ class McmcConfig:
 
 
 def _stream(seed: int, stream: int) -> np.random.Generator:
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
+    """The Philox generator keyed by (seed, stream); a seed outside [0, 2^64) raises ValueError."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError("seed must be a nonnegative integer below 2^64")
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 

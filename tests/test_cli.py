@@ -349,10 +349,16 @@ class TestExitCodes:
               "--points-per-axis", "12"], 3),
             (MLE_FIT + ["--radius", "1e200", "--points-per-axis", "12"], 3),
             (["verify", "--suite", "hardness", "--cnf", "{cnf}"], 1),
+            (["verify", "--suite", "polybasis", "--seed", "-1"], 2),
+            (["verify", "--suite", "hardness", "--seed", "-1"], 2),
+            (["verify", "--suite", "polybasis", "--seed", str(1 << 64)], 2),
+            (["verify", "--suite", "hardness", "--points-per-axis", "0"], 2),
         ],
         ids=["study-zero-trials", "study-decreasing-Ns", "fit-negative-radius",
              "fit-radius-without-points", "verify-n4", "study-mle-n4", "verify-underflow",
-             "fit-underflow", "verify-malformed-cnf"],
+             "fit-underflow", "verify-malformed-cnf", "verify-polybasis-negative-seed",
+             "verify-hardness-negative-seed", "verify-polybasis-seed-2^64",
+             "verify-hardness-zero-points"],
     )
     def test_documented_exit_code(self, capsys, argv, expect, theta_file, gaussian_samples,
                                   bad_inputs):

@@ -25,6 +25,7 @@ from polyscore.expfam import (
     random_params,
     zero_params,
 )
+from polyscore.fisher import fisher_info
 from polyscore.polybasis import enumerate_basis, sample_stats
 from polyscore.sampler import SampleSet, sample_exact_separable
 
@@ -39,6 +40,18 @@ def _samples(values, n=1):
 def _gaussian_theta_star(B=1.0):
     basis = enumerate_basis(1, 1)
     return ParamVector(basis, np.array([1.0]), B)
+
+
+@pytest.mark.parametrize("entry", [
+    sm_loss,
+    lambda p, s: fit_score_matching(s, p.basis),
+    lambda p, s: fit_mle(s, p.basis, build_grid(2, 5.0, 50)),
+    fisher_info,
+], ids=["sm_loss", "fit_score_matching", "fit_mle", "fisher_info"])
+def test_dimension_mismatch(entry):
+    # every entry point reads the sample through SampleSet.stats, which refuses the basis
+    with pytest.raises(ValueError, match="sample dimension 1 != basis dimension 2"):
+        entry(zero_params(2, 1), _samples([0.0]))
 
 
 class TestScoreMatchingClosedForm:
@@ -128,10 +141,6 @@ class TestSmLoss:
             coeffs = np.polyfit(ts, vals, 2)
             resid = np.abs(np.polyval(coeffs, ts) - vals).max()
             assert resid <= 1e-9
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            sm_loss(zero_params(2, 1), _samples([0.0]))
 
 
 class TestMleLossAndGrad:
