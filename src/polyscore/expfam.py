@@ -16,12 +16,15 @@ density and the score through ``polybasis._as_batch``, the package's one
 point-shape rule, plus a finiteness check.
 
 Polynomial log densities, ``PolyCoeffs`` such as :attr:`ParamVector.log_density`,
-go through one sum-factorised oracle, :func:`poly_quadrature` (Orszag 1980):
-on the slab x_1 = t_a of the tensor grid the log density is the matrix
-product P_2 C(t_a) P_3^t of per-axis power tables and the slab's coefficient
-matrix (laid out by :func:`_dense`), so no grid point is ever formed and
-the working set is one K x K slab; a certified separable bound first drops
-the axis indices whose nodes together carry under e^-50 of the integral.
+go through one sum-factorised oracle, :func:`poly_quadrature` (Orszag 1980).
+``PolyCoeffs.by_axis`` splits the log density into a constant, the pure
+powers of each axis and the mixed terms that couple axes.  The pure powers
+are summed per axis; on the slab x_1 = t_a of the tensor grid the mixed terms
+are the matrix product P_2 C(t_a) P_3^t of per-axis power tables and the
+slab's coefficient matrix (the mixed rows alone, laid out by :func:`_dense`),
+so no grid point is ever formed and the working set is one K x K slab.  A
+certified separable bound, built from the same split, first drops the axis
+indices whose nodes together carry under e^-50 of the integral.
 The same pass returns the power moments E[x^e] up to a requested order;
 :func:`moments` takes them to order 2d, which determines E[T], E[T T^t], the
 Jacobian Gram matrix, the score-matching terms and E|Lap T|^2
@@ -444,7 +447,7 @@ class PolyIntegral:
 
 
 def _dense(f: PolyCoeffs) -> np.ndarray:
-    """f's coefficients as the dense tensor the slab GEMMs read.
+    """f's coefficients as the dense tensor the slab GEMMs read: a log density's mixed rows, or fields.
 
     Entry e of the (D + 1,) * n result, D the largest exponent of f, is the
     coefficient of x^e; a multi-column f gets its columns on a leading axis.
@@ -454,49 +457,31 @@ def _dense(f: PolyCoeffs) -> np.ndarray:
     return C
 
 
-def _split_separable(grid: QuadratureGrid, C: np.ndarray) -> tuple[float, list[np.ndarray], np.ndarray]:
+def _split_separable(grid: QuadratureGrid, f: PolyCoeffs) -> tuple[float, list[np.ndarray], PolyCoeffs]:
     """Split a log density into a constant, per-axis parts and mixed terms.
 
     Returns (c, [l_1, .., l_n], mixed) with log w(x) + log f(x) =
     c + sum_i l_i(x_i) + mixed(x) at every node, l_i holding axis i's log
-    weights and pure powers of x_i less their largest value on the axis.
+    weights and f's pure powers of x_i (:attr:`PolyCoeffs.by_axis`) less
+    their largest value on the axis.
     Large couplings make the pure powers cancel to near 0 at the density's
     peaks (the hardness wells), so they are evaluated in extended precision
     where the platform has it and c takes the shifts; rounding then acts on
     the small shifted values only.
     """
-    mixed = C.copy()
-    const = np.longdouble(mixed[(0,) * grid.n])
-    mixed[(0,) * grid.n] = 0.0
-    powers = np.vander(grid.axis_nodes.astype(np.longdouble), C.shape[0], increasing=True)
+    c, lines, mixed = f.by_axis
+    const = np.longdouble(c)
+    powers = np.vander(grid.axis_nodes.astype(np.longdouble), lines.shape[1], increasing=True)
     parts = []
-    for i in range(grid.n):
-        line = (0,) * i + (slice(None),) + (0,) * (grid.n - 1 - i)
-        vals = powers @ mixed[line].astype(np.longdouble)
-        mixed[line] = 0.0
+    for line in lines:
+        vals = powers @ line.astype(np.longdouble)
         top = vals.max()
         const += top
         parts.append((vals - top).astype(float) + grid.axis_logw)
     return float(const), parts, mixed
 
 
-@lru_cache(maxsize=None)
-def _mixed_layout(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """(flat, A, s, deg, sel) over the entries of a ``shape`` tensor with two or
-    more nonzero exponents, the only ones mixed terms fill: flat positions,
-    exponent columns, totals, distinct totals, and sel[j, k] = (s[j] == deg[k]).
-    """
-    A = np.indices(shape).reshape(len(shape), -1)
-    flat = np.flatnonzero(np.count_nonzero(A, axis=0) >= 2)
-    s = A[:, flat].sum(axis=0)
-    deg = np.unique(s)
-    out = flat, A[:, flat], s, deg, (s[:, None] == deg).astype(float)
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
-def _screen(grid: QuadratureGrid, parts: list[np.ndarray], mixed: np.ndarray) -> list[np.ndarray]:
+def _screen(grid: QuadratureGrid, parts: list[np.ndarray], mixed: PolyCoeffs) -> list[np.ndarray]:
     """The indices each axis keeps under the certified separable bound.
 
     Weighted AM-GM bounds each mixed term, |c x^a| <= |c| sum_i (a_i/|a|)
@@ -512,10 +497,11 @@ def _screen(grid: QuadratureGrid, parts: list[np.ndarray], mixed: np.ndarray) ->
     and goes; an m_i that overflowed keeps its index.
     """
     n = grid.n
-    flat, A, s, deg, sel = _mixed_layout(mixed.shape)
-    g = (A * (np.abs(mixed.ravel()[flat]) / s)) @ sel  # g[i, k]: the coefficient of |x_i|^deg[k] in m_i
-    used = g.any(axis=0)  # an unused degree's overflowing |x|^deg times 0 would keep every index
-    g, deg = g[:, used], deg[used]
+    s = mixed.degrees.sum(axis=1)
+    w = np.abs(mixed.coeffs) / s
+    g = np.array([np.bincount(s, a * w) for a in mixed.degrees.T])  # g[i, t]: the coefficient of |x_i|^t in m_i
+    deg = np.flatnonzero(g.any(axis=0))  # an unused degree's overflowing |x|^deg times 0 would keep every index
+    g = g[:, deg]
     m = (np.abs(grid.axis_nodes)[:, None] ** deg @ g.T).T
     m[np.isnan(m)] = math.inf  # a power that overflowed times a zero coefficient
     l = np.array(parts)
@@ -533,15 +519,17 @@ def _screen(grid: QuadratureGrid, parts: list[np.ndarray], mixed: np.ndarray) ->
 def poly_quadrature(grid: QuadratureGrid, f: PolyCoeffs, order: int = 0, orthants=(), fields=None) -> PolyIntegral:
     """Quadrature of exp(f) over the grid, one slab at a time, for a polynomial f.
 
-    The pass reads f's coefficients as a dense tensor C (:func:`_dense`).
-    Grids with n < 3 get leading single-node axes at x = 0, so every grid is
-    swept in slabs along its first axis: K slabs of K x K nodes at n = 3, one
-    slab holding the whole grid at n <= 2.  On the slab x_1 = t_a the mixed
-    terms of the log density are P_2 C(t_a) P_3^t, with P_i the axis power
-    tables; the log weights and pure powers are added per axis (see
-    :func:`_split_separable`), and a log-sum-exp streams over the slabs in a
-    fixed order, which makes the result bitwise deterministic.  The working
-    set is O(K^2) whatever n is.  The sweep covers only the axis indices
+    The pass splits f by :attr:`PolyCoeffs.by_axis`: the constant and the
+    pure powers of each axis are added per axis (see :func:`_split_separable`),
+    and only the mixed rows, those coupling two or more axes, are laid out as
+    the dense tensor C (:func:`_dense`).  Grids with n < 3 get leading
+    single-node axes at x = 0, so every grid is swept in slabs along its
+    first axis: K slabs of K x K nodes at n = 3, one slab holding the whole
+    grid at n <= 2.  On the slab x_1 = t_a the mixed terms of the log density
+    are P_2 C(t_a) P_3^t, with P_i the axis power tables up to the mixed
+    rows' largest exponent; the log weights join the per-axis parts, and a
+    log-sum-exp streams over the slabs in a fixed order, which makes the
+    result bitwise deterministic.  The working set is O(K^2) whatever n is.  The sweep covers only the axis indices
     that :func:`_screen` keeps, which changes the sums by under e^-50 of
     their size; ``nodes`` reports how many nodes that leaves.
 
@@ -560,7 +548,7 @@ def poly_quadrature(grid: QuadratureGrid, f: PolyCoeffs, order: int = 0, orthant
     if order < 0:
         raise ValueError(f"moment order must be >= 0, got {order}")
     signs = np.asarray(orthants, dtype=float).reshape(-1, n)
-    const, parts, mixed = _split_separable(grid, _dense(f))
+    const, parts, mixed = _split_separable(grid, f)
     keep = _screen(grid, parts, mixed)
     if not all(len(k) for k in keep):
         raise NumericalError("integrand underflowed to zero at every grid node")
@@ -568,7 +556,7 @@ def poly_quadrature(grid: QuadratureGrid, f: PolyCoeffs, order: int = 0, orthant
     origin = np.zeros(1)
     nodes = [origin] * pad + [grid.axis_nodes[k] for k in keep]
     parts = [origin] * pad + [part[k] for part, k in zip(parts, keep)]
-    mixed = mixed.reshape((1,) * pad + mixed.shape)
+    mixed = _dense(mixed)[(None,) * pad]
     P = [np.vander(t, k, increasing=True) for t, k in zip(nodes, mixed.shape)]
     Q = [np.vander(t, 1 if i < pad else order + 1, increasing=True) for i, t in enumerate(nodes)]
     # hit[i][j, k]: node k of axis i lies on the closed side of orthant j

@@ -521,6 +521,27 @@ class PolyCoeffs:
         return PolyCoeffs.from_arrays(self.n, deg, (a[a > 0] * self.coeffs[a > 0].T).T)
 
     @cached_property
+    def by_axis(self) -> tuple[float, np.ndarray, "PolyCoeffs"]:
+        """(constant, lines, mixed) of a one-column polynomial, so that
+        f(x) = constant + sum_i sum_k lines[i, k] x_i^k + mixed(x).
+
+        ``lines`` (n, D + 1), D the largest exponent, holds each axis's pure
+        powers (column 0 is zero); ``mixed`` the rows with two or more nonzero
+        exponents, a subset of canonical rows and so canonical.
+        """
+        if self.coeffs.ndim != 1:
+            raise ValueError(f"need one polynomial, got coefficients {self.coeffs.shape}")
+        nonzero = self.degrees > 0
+        axes = nonzero.sum(axis=1)
+        k, i = np.nonzero(nonzero & (axes == 1)[:, None])  # row k is a pure power of axis i
+        lines = np.zeros((self.n, int(self.degrees.max(initial=0)) + 1))
+        lines[i, self.degrees[k, i]] = self.coeffs[k]
+        deg, coef = self.degrees[axes >= 2], self.coeffs[axes >= 2]
+        for a in (lines, deg, coef):
+            a.setflags(write=False)
+        return self.constant_term, lines, PolyCoeffs(self.n, deg, coef)
+
+    @cached_property
     def _gather(self) -> tuple[int, np.ndarray]:
         """(dmax, cols), cols[j, k] the flat power-table index i (dmax + 1) + degrees[k, i]
         of row k's j-th nonzero axis i; past the row's last, 0, an entry 1.0."""

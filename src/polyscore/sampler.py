@@ -109,34 +109,21 @@ def _stream(seed: int, stream: int) -> np.random.Generator:
 _EXACT_GRID_NODES = 8192
 
 
-def _coordinate_thetas(p: ParamVector) -> np.ndarray:
-    """Row i: coordinate i's 1-D theta (length d), for a separable member.
-
-    A row of the member's log density with two or more nonzero exponents
-    couples coordinates, and raises.
-    """
-    f = p.log_density
-    coupled = np.count_nonzero(f.degrees, axis=1) > 1
-    if coupled.any():
-        bad = ", ".join(map(format_monomial, f.degrees[coupled]))
-        raise ValueError(f"theta couples coordinates via {bad}; exact sampler needs a separable theta")
-    power = f.degrees.max(axis=1)
-    own = power <= p.d  # the 1-D members add their base terms x_i^{d+1} themselves
-    out = np.zeros((p.n, p.d))
-    out[f.degrees.argmax(axis=1)[own], power[own] - 1] = f.coeffs[own]
-    return out
-
-
 def sample_exact_separable(p: ParamVector, N: int, seed: int) -> SampleSet:
     """Inverse-CDF draws, coordinate by coordinate, for product-form theta.
 
     Not exact: each coordinate's CDF is the trapezoid rule on 8,192 equispaced
     nodes of [-R, R], R = ``auto_radius``, inverted by linear interpolation.
+    A member with mixed terms (``log_density.by_axis``) couples coordinates, and raises.
     """
+    _, lines, mixed = p.log_density.by_axis
+    if len(mixed.degrees):
+        bad = ", ".join(map(format_monomial, mixed.degrees))
+        raise ValueError(f"theta couples coordinates via {bad}; exact sampler needs a separable theta")
     basis1 = enumerate_basis(1, p.d)
     cols = []
     radii = []
-    for i, theta1 in enumerate(_coordinate_thetas(p)):
+    for i, theta1 in enumerate(lines[:, 1 : p.d + 1]):  # the 1-D members add their base terms x_i^{d+1} themselves
         p1 = ParamVector(basis1, theta1, p.B)
         R = auto_radius(p1)
         radii.append(R)

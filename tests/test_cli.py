@@ -340,6 +340,7 @@ class TestExitCodes:
         [
             (SM_STUDY + ["--Ns", "10,20", "--trials", "0"], 2),
             (SM_STUDY + ["--Ns", "20,10", "--trials", "2"], 2),
+            (SM_STUDY + ["--Ns", "0,5", "--trials", "1"], 2),
             (MLE_FIT + ["--radius", "-1", "--points-per-axis", "10"], 2),
             (MLE_FIT + ["--radius", "4"], 2),
             (["verify", "--suite", "bounds", "--n", "4", "--d", "1"], 2),
@@ -354,7 +355,7 @@ class TestExitCodes:
             (["verify", "--suite", "polybasis", "--seed", str(1 << 64)], 2),
             (["verify", "--suite", "hardness", "--points-per-axis", "0"], 2),
         ],
-        ids=["study-zero-trials", "study-decreasing-Ns", "fit-negative-radius",
+        ids=["study-zero-trials", "study-decreasing-Ns", "study-zero-N", "fit-negative-radius",
              "fit-radius-without-points", "verify-n4", "study-mle-n4", "verify-underflow",
              "fit-underflow", "verify-malformed-cnf", "verify-polybasis-negative-seed",
              "verify-hardness-negative-seed", "verify-polybasis-seed-2^64",

@@ -334,6 +334,44 @@ class TestConvergenceStudy:
         b = convergence_study(p_star, [50, 100], trials=3, estimator="SM", seed=9)
         assert [r["error_sq"] for r in a.rows] == [r["error_sq"] for r in b.rows]
 
+    @pytest.mark.parametrize("Ns", [[-3, 5], [0, 5]])
+    def test_sizes_below_one_refused_before_any_draw(self, monkeypatch, Ns):
+        calls = []
+        monkeypatch.setattr(estimators, "sample_exact_separable", lambda *a: calls.append("exact"))
+        monkeypatch.setattr(estimators, "sample_mala_ensemble", lambda *a: calls.append("mala"))
+        with pytest.raises(ValueError, match=f"sample sizes must be >= 1, got {Ns[0]}"):
+            convergence_study(_gaussian_theta_star(), Ns, trials=2)
+        assert calls == []
+
+    def test_exact_sampler_errors_are_not_rerouted(self, monkeypatch):
+        # a separable member goes to the exact sampler on its split alone; an
+        # error there reaches the caller instead of starting MALA chains
+        calls = []
+
+        def exact(*a):
+            raise ValueError("exact sampler failed")
+
+        monkeypatch.setattr(estimators, "sample_exact_separable", exact)
+        monkeypatch.setattr(estimators, "sample_mala_ensemble", lambda *a: calls.append("mala"))
+        with pytest.raises(ValueError, match="exact sampler failed"):
+            convergence_study(_gaussian_theta_star(), [5, 10], trials=1)
+        assert calls == []
+
+    def test_coupled_member_goes_to_mala(self, monkeypatch):
+        class Routed(Exception):
+            pass
+
+        def exact(*a):
+            raise AssertionError("a coupled member reached the exact sampler")
+
+        def mala(*a):
+            raise Routed
+
+        monkeypatch.setattr(estimators, "sample_exact_separable", exact)
+        monkeypatch.setattr(estimators, "sample_mala_ensemble", mala)
+        with pytest.raises(Routed):
+            convergence_study(random_params(2, 3, 1.0, 0), [5, 10], trials=1)
+
     def test_coupled_member_ensemble_deterministic(self):
         # a coupled member's trials are one MALA ensemble: rows repeat exactly,
         # wall times aside, and no two trials share draws

@@ -634,16 +634,12 @@ def split_reference(grid, f, fns=()):
     rounding.  (Hardness couplings cancel to 1e-10 in a plain per-node
     evaluation of the energy.)
     """
-    const, parts, mixed = _split_separable(grid, _dense(f))
-    n, k = grid.n, mixed.shape[0]
+    const, parts, mixed = _split_separable(grid, f)
     axis_parts = [part - grid.axis_logw for part in parts]  # iter_chunks adds the weights
-    sub = "abc"[:n]
-    spec = f"{sub}," + ",".join("z" + a for a in sub) + "->z"
 
     def logf(X):
-        idx = [np.searchsorted(grid.axis_nodes, X[:, i]) for i in range(n)]
-        V = [np.vander(X[:, i], k, increasing=True) for i in range(n)]
-        return sum(a[j] for a, j in zip(axis_parts, idx)) + np.einsum(spec, mixed, *V)
+        idx = [np.searchsorted(grid.axis_nodes, X[:, i]) for i in range(grid.n)]
+        return sum(a[j] for a, j in zip(axis_parts, idx)) + mixed(X)
 
     logz, means = quad_expectation(grid, logf, list(fns))
     return const + logz, means
@@ -723,6 +719,23 @@ class TestScreening:
         for g in (grid, grid.doubled()):
             out = poly_quadrature(g, f, orthants=satisfying_assignments(C))
             assert out.nodes < 0.15 * g.total_nodes
+
+    @pytest.mark.parametrize("name", ["clause1", "uniq3", "unsat8"])
+    def test_slab_tensor_holds_only_mixed_rows(self, name):
+        # the wells' pure powers (up to x_i^8) are added per axis; the slab
+        # GEMMs read only the clauses' products, at most x_i^2 on each axis
+        C = load_fixture(name)
+        pp = default_params(3, C.m, "first", scale=0.01)
+        f = encode(C, pp.alpha, pp.beta).log_density
+        assert _dense(f).shape == (9, 9, 9)
+        assert _dense(f.by_axis[2]).shape == (3, 3, 3)
+
+    def test_separable_member_has_no_mixed_rows(self):
+        p = random_params(3, 3, 1.0, seed=0)
+        assert _dense(p.log_density.by_axis[2]).shape == (3, 3, 3)  # x_i^2 x_j at most, of 5^3
+        theta = np.where(np.count_nonzero(p.basis.degrees, axis=1) > 1, 0.0, p.theta)
+        mixed = ParamVector(p.basis, theta, p.B).log_density.by_axis[2]
+        assert mixed.degrees.shape == (0, 3) and _dense(mixed).shape == (1, 1, 1)
 
     def test_unscreened_members_count_every_node(self):
         # a d = 1 member is a Gaussian with no mixed term; at the box's edge

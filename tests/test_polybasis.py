@@ -338,6 +338,42 @@ class TestPolyCoeffsProperties:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(raw=_raw_terms(), seed=st.integers(0, 2**31 - 1))
+    def test_by_axis_splits_into_constant_lines_and_mixed(self, raw, seed):
+        f = PolyCoeffs.from_arrays(*raw)
+        const, lines, mixed = f.by_axis
+        assert lines.shape == (f.n, int(f.degrees.max(initial=0)) + 1) and np.all(lines[:, 0] == 0.0)
+        assert np.all(np.count_nonzero(mixed.degrees, axis=1) >= 2)
+        assert (const != 0.0) + np.count_nonzero(lines) + len(mixed.degrees) == len(f.degrees)
+        assert mixed == PolyCoeffs.from_arrays(f.n, mixed.degrees, mixed.coeffs)
+        assert not (lines.flags.writeable or mixed.degrees.flags.writeable or mixed.coeffs.flags.writeable)
+        X = _points(f.n, seed)
+        pure = sum(np.vander(X[:, i], lines.shape[1], increasing=True) @ lines[i] for i in range(f.n))
+        assert np.all(np.abs(const + pure + mixed(X) - f(X)) <= 1e-12 * _abs_terms(f, X))
+
+    def test_by_axis_example(self):
+        f = PolyCoeffs.make(2, {(0, 0): 3.0, (1, 0): 2.0, (0, 3): -1.0, (1, 1): 0.5, (2, 1): 4.0})
+        const, lines, mixed = f.by_axis
+        assert const == 3.0
+        assert np.array_equal(lines, [[0.0, 2.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0]])
+        assert mixed.terms == {(1, 1): 0.5, (2, 1): 4.0}
+
+    @pytest.mark.parametrize("n, d", [(1, 3), (2, 1), (2, 5), (3, 3), (4, 3)])
+    def test_log_density_and_mixed_are_canonical(self, n, d):
+        # both are built from row subsets without from_arrays
+        rng = np.random.default_rng(10 * n + d)
+        basis = enumerate_basis(n, d)
+        theta = np.where(rng.random(basis.size) < 0.3, 0.0, rng.uniform(-1.0, 1.0, basis.size))
+        f = ParamVector(basis, theta, 1.0).log_density
+        for g in (f, f.by_axis[2]):
+            assert g == PolyCoeffs.from_arrays(n, g.degrees, g.coeffs)
+
+    def test_by_axis_refuses_several_columns(self):
+        F = PolyCoeffs.stack([PolyCoeffs.make(2, {(1, 1): 1.0}), PolyCoeffs.make(2, {(2, 0): 1.0})])
+        with pytest.raises(ValueError, match="need one polynomial"):
+            F.by_axis
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(raw=_raw_terms(), seed=st.integers(0, 2**31 - 1))
     def test_canonical_form(self, raw, seed):
         n, rows, coeffs = raw
         f = PolyCoeffs.from_arrays(n, rows, coeffs)
