@@ -2,10 +2,22 @@
 
 Every command emits one report.  The JSON envelope is
 ``{"config": ..., "report": ..., "meta": ...}`` where ``config`` is the fully
-resolved run configuration (flags plus applied defaults), ``report`` carries
-the deterministic payload, and ``meta`` holds the volatile fields (timestamp,
-wall time, version).  Given identical flags and seed, ``config`` and
-``report`` serialize byte-identically; only ``meta`` varies.
+resolved run configuration, ``report`` carries the deterministic payload, and
+``meta`` holds the volatile fields (timestamp, wall time, version).  Given
+identical flags and seed, ``config`` and ``report`` serialize byte-identically;
+only ``meta`` varies.
+
+A command only computes: it returns ``(resolved, report, exit_code)``, or
+``None`` once it has written plain text (``basis --format text``) or CSV
+(``study --format csv``) itself.  :func:`main` reads the clock, writes the
+envelope, and builds ``config`` by one rule: every parsed flag except
+``--out``, argparse defaults applied, updated with what the command resolved.
+The resolved values are ``fit``'s quadrature ``grid`` spec (null for SM),
+``encode``'s ``alpha`` and ``beta``, and ``study``'s parsed ``Ns`` list and
+``family``; ``basis`` and ``verify`` resolve nothing.  A flag a command does
+not read is still recorded as given: ``fit --estimator sm`` ignores the grid
+flags, and the hardness suite reads ``--points-per-axis`` but not
+``--radius``, since its box is fixed at [-2, 2].
 
 Exit codes: 0 success / all checks hold, 1 I/O or malformed input file,
 2 usage, 3 numerical failure or a failed verify check, 4 non-convergence.
@@ -68,7 +80,14 @@ EXIT_OK = 0
 DEFAULT_HARDNESS_SCALE = 0.01
 
 
-def _emit(args, config: dict, report: dict, t0: float) -> None:
+def _write(out: str | None, text: str) -> None:
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _emit(out: str | None, config: dict, report: dict, t0: float) -> None:
     doc = {
         "config": to_jsonable(config),
         "report": to_jsonable(report),
@@ -78,11 +97,7 @@ def _emit(args, config: dict, report: dict, t0: float) -> None:
             "version": __version__,
         },
     }
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _family_flags(p: argparse.ArgumentParser, need_B: bool = True):
@@ -97,30 +112,43 @@ def _grid_flags(p: argparse.ArgumentParser):
     p.add_argument("--points-per-axis", type=int, default=None)
 
 
+def _pair(args, first: str, second: str) -> tuple | None:
+    """The values of two flags that come together, or None when neither is given."""
+    a, b = getattr(args, first), getattr(args, second)
+    if (a is None) != (b is None):
+        flags = [f"--{name.replace('_', '-')}" for name in (first, second)]
+        raise UsageError(f"{flags[0]} and {flags[1]} must be given together")
+    return None if a is None else (a, b)
+
+
 def _resolve_grid(args, basis, B: float) -> tuple[QuadratureGrid, dict]:
-    if args.radius is None and args.points_per_axis is None:
-        grid = family_grid(basis, B)
-    else:
-        if args.radius is None or args.points_per_axis is None:
-            raise UsageError("--radius and --points-per-axis must be given together")
-        grid = build_grid(basis.n, args.radius, args.points_per_axis)
+    box = _pair(args, "radius", "points_per_axis")
+    grid = family_grid(basis, B) if box is None else build_grid(basis.n, *box)
     return grid, grid.spec()
+
+
+def _couplings(args, n: int, m: int, mode: str | None) -> tuple[float, float, dict | None]:
+    """(alpha, beta, prescription): the --alpha/--beta pair if given, else mode's prescription at --scale."""
+    pair = _pair(args, "alpha", "beta")
+    if pair is not None:
+        return *pair, None
+    if mode is None:
+        raise UsageError("give either --alpha/--beta or --mode")
+    pp = default_params(n, m, mode, scale=args.scale)
+    return pp.alpha, pp.beta, {"mode": pp.mode, "scale": pp.scale}
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_basis(args) -> int:
-    t0 = time.perf_counter()
+def cmd_basis(args):
     basis = enumerate_basis(args.n, args.d)
     names = basis.monomial_names()
     M = basis.size + 1  # the constant slot is implicit
     if args.format == "text" and not args.out:
-        for name in names:
-            sys.stdout.write(name + "\n")
-        sys.stdout.write(f"M={M}\n")
-        return EXIT_OK
+        sys.stdout.write("".join(name + "\n" for name in names) + f"M={M}\n")
+        return None
     report = {
         "n": basis.n,
         "d": basis.d,
@@ -128,12 +156,10 @@ def cmd_basis(args) -> int:
         "indices": [list(idx) for idx in basis.indices],
         "names": names,
     }
-    _emit(args, {"command": "basis", "n": args.n, "d": args.d}, report, t0)
-    return EXIT_OK
+    return {}, report, EXIT_OK
 
 
-def cmd_fit(args) -> int:
-    t0 = time.perf_counter()
+def cmd_fit(args):
     basis = enumerate_basis(args.n, args.d)
     samples = load_samples(args.samples)
     if samples.n != basis.n:
@@ -144,16 +170,6 @@ def cmd_fit(args) -> int:
     else:
         grid, grid_spec = _resolve_grid(args, basis, args.B)
         fit = fit_mle(samples, basis, grid, tol=args.tol)
-    config = {
-        "command": "fit",
-        "estimator": args.estimator,
-        "samples": args.samples,
-        "n": args.n,
-        "d": args.d,
-        "B": args.B,
-        "tol": args.tol,
-        "grid": grid_spec,
-    }
     report = {
         "estimator": fit.estimator,
         "theta_hat": fit.theta_hat,
@@ -163,41 +179,15 @@ def cmd_fit(args) -> int:
         "notes": fit.notes,
         "monomials": basis.monomial_names(),
     }
-    _emit(args, config, report, t0)
-    return EXIT_OK
+    return {"grid": grid_spec}, report, EXIT_OK
 
 
-def cmd_encode(args) -> int:
-    t0 = time.perf_counter()
+def cmd_encode(args):
     formula = parse_dimacs(Path(args.cnf).read_text())
-    if args.alpha is not None or args.beta is not None:
-        if args.alpha is None or args.beta is None:
-            raise UsageError("--alpha and --beta must be given together")
-        alpha, beta = args.alpha, args.beta
-        prescription = None
-    elif args.mode is not None:
-        pp = default_params(formula.n, formula.m, args.mode, scale=args.scale)
-        alpha, beta = pp.alpha, pp.beta
-        prescription = {"mode": pp.mode, "scale": pp.scale}
-    else:
-        raise UsageError("give either --alpha/--beta or --mode")
-    inst = encode(formula, alpha, beta)
-    report = encoded_to_json(inst)
+    alpha, beta, prescription = _couplings(args, formula.n, formula.m, args.mode)
+    report = encoded_to_json(encode(formula, alpha, beta))
     report["prescription"] = prescription
-    config = {
-        "command": "encode",
-        "cnf": args.cnf,
-        "alpha": alpha,
-        "beta": beta,
-        "mode": args.mode,
-        "scale": args.scale,
-    }
-    _emit(args, config, report, t0)
-    return EXIT_OK
-
-
-def _checks_hold(checks: Sequence[BoundCheck]) -> bool:
-    return all(c.holds for c in checks)
+    return {"alpha": alpha, "beta": beta}, report, EXIT_OK
 
 
 def _suite_polybasis(args) -> dict:
@@ -215,7 +205,7 @@ def _suite_polybasis(args) -> dict:
     checks.append(
         BoundCheck("legendre_roundtrip", err, 1e-9, err <= 1e-9, note="max abs coefficient error")
     )
-    return {"checks": checks, "all_hold": _checks_hold(checks)}
+    return {"checks": checks, "all_hold": all(c.holds for c in checks)}
 
 
 def _suite_bounds(args) -> dict:
@@ -242,27 +232,17 @@ def _suite_bounds(args) -> dict:
             "gamma_bound": rep.gamma_bound,
         },
         "checks": checks,
-        "all_hold": _checks_hold(checks),
+        "all_hold": all(c.holds for c in checks),
     }
 
 
 def _suite_hardness(args) -> dict:
-    if args.cnf:
-        formula = parse_dimacs(Path(args.cnf).read_text())
-        fixture_pair = False
-    else:
-        formula = load_fixture("uniq3")
-        fixture_pair = True
+    formula = parse_dimacs(Path(args.cnf).read_text()) if args.cnf else load_fixture("uniq3")
+    n = formula.n
     sections: dict = {}
     checks: list[BoundCheck] = []
 
-    def couplings(mode: str, m: int):
-        if args.alpha is not None and args.beta is not None:
-            return args.alpha, args.beta, None
-        pp = default_params(formula.n, m, mode, scale=args.scale)
-        return pp.alpha, pp.beta, {"mode": mode, "scale": args.scale}
-
-    alpha_r, beta_r, presc = couplings("zeroth", formula.m)
+    alpha_r, beta_r, presc = _couplings(args, n, formula.m, "zeroth")
     roots = verify_roots(encode(formula, alpha_r, beta_r), seed=args.seed)
     sections["roots"] = roots
     checks.append(
@@ -274,22 +254,22 @@ def _suite_hardness(args) -> dict:
             note="vertex zero set matches the satisfying assignments",
         )
     )
-    if formula.n > 3:
+    if n > 3:
         sections["note"] = "quadrature experiments need n <= 3; only roots were checked"
-        return {"sections": sections, "checks": checks, "all_hold": _checks_hold(checks)}
+        return {"sections": sections, "checks": checks, "all_hold": all(c.holds for c in checks)}
 
     def grid(beta: float):
-        return hardness_grid(formula.n, beta, points_per_axis=args.points_per_axis)
+        return hardness_grid(n, beta, points_per_axis=args.points_per_axis)
 
-    if fixture_pair:
-        a, b, _ = couplings("zeroth", 8)
+    if not args.cnf:  # the fixture's satisfiable/unsatisfiable pair
+        a, b, _ = _couplings(args, n, 8, "zeroth")
         pair = (pad_with_duplicates(formula, 8), load_fixture("unsat8"))
         zrep = zgap_experiment(pair[0], pair[1], a, b, grid(b))
         sections["zgap"] = zrep
         checks += zrep["checks"]
     sols = satisfying_assignments(formula)
     if len(sols) == 1:
-        a, b, _ = couplings("first", formula.m)
+        a, b, _ = _couplings(args, n, formula.m, "first")
         mrep = mean_sign_experiment(formula, a, b, grid(b))
         sections["mean_sign"] = mrep
         checks += mrep["checks"]
@@ -297,53 +277,29 @@ def _suite_hardness(args) -> dict:
         sections["mean_sign"] = {
             "skipped": f"formula has {len(sols)} satisfying assignments, need exactly 1"
         }
-    a, b, _ = couplings("sampling", formula.m)
+    a, b, _ = _couplings(args, n, formula.m, "sampling")
     orep = orthant_mass(formula, a, b, grid(b))
     sections["orthant"] = orep
     checks += orep["checks"]
     return {
-        "formula": {"n": formula.n, "m": formula.m},
+        "formula": {"n": n, "m": formula.m},
         "prescription": presc,
         "sections": sections,
         "checks": checks,
-        "all_hold": _checks_hold(checks),
+        "all_hold": all(c.holds for c in checks),
     }
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    if (args.alpha is None) != (args.beta is None):
-        raise UsageError("--alpha and --beta must be given together")
+def cmd_verify(args):
+    _pair(args, "alpha", "beta")  # refused before any suite runs
     suites = ["polybasis", "bounds", "hardness"] if args.suite == "all" else [args.suite]
-    report: dict = {"suites": {}}
-    for name in suites:
-        if name == "polybasis":
-            report["suites"][name] = _suite_polybasis(args)
-        elif name == "bounds":
-            report["suites"][name] = _suite_bounds(args)
-        else:
-            report["suites"][name] = _suite_hardness(args)
-    all_hold = all(s["all_hold"] for s in report["suites"].values())
-    report["all_hold"] = all_hold
-    config = {
-        "command": "verify",
-        "suite": args.suite,
-        "n": args.n,
-        "d": args.d,
-        "B": args.B,
-        "seed": args.seed,
-        "cnf": args.cnf,
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "scale": args.scale,
-        "corrupt": args.corrupt,
-    }
-    _emit(args, config, report, t0)
-    return EXIT_OK if all_hold else NumericalError.exit_code
+    run = {"polybasis": _suite_polybasis, "bounds": _suite_bounds, "hardness": _suite_hardness}
+    report: dict = {"suites": {name: run[name](args) for name in suites}}
+    report["all_hold"] = all(s["all_hold"] for s in report["suites"].values())
+    return {}, report, EXIT_OK if report["all_hold"] else NumericalError.exit_code
 
 
-def cmd_study(args) -> int:
-    t0 = time.perf_counter()
+def cmd_study(args):
     theta_star = load_param(args.theta_file)
     Ns = [int(t) for t in args.Ns.split(",")]
     estimators = ["SM", "MLE"] if args.estimator == "both" else [args.estimator.upper()]
@@ -364,25 +320,11 @@ def cmd_study(args) -> int:
         }
         table = study_csv(res)
         csv_parts.append(table if not csv_parts else table.split("\n", 1)[1])
-    csv_text = "".join(csv_parts)
-    config = {
-        "command": "study",
-        "estimator": args.estimator,
-        "theta_file": args.theta_file,
-        "Ns": Ns,
-        "trials": args.trials,
-        "seed": args.seed,
-        "family": {"n": theta_star.n, "d": theta_star.d, "B": theta_star.B},
-    }
     if args.format == "csv":
-        if args.out:
-            Path(args.out).write_text(csv_text)
-        else:
-            sys.stdout.write(csv_text)
-        return EXIT_OK
-    report = {"estimators": results, "notes": notes}
-    _emit(args, config, report, t0)
-    return EXIT_OK
+        _write(args.out, "".join(csv_parts))
+        return None
+    resolved = {"Ns": Ns, "family": {"n": theta_star.n, "d": theta_star.d, "B": theta_star.B}}
+    return resolved, {"estimators": results, "notes": notes}, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +404,14 @@ def _exit_code(e: Exception) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        t0 = time.perf_counter()
+        ran = args.func(args)
+        if ran is None:
+            return EXIT_OK
+        resolved, report, code = ran
+        flags = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+        _emit(args.out, {**flags, **resolved}, report, t0)
+        return code
     except SystemExit as e:
         # argparse has written its own message; --help exits 0
         return EXIT_OK if e.code == 0 else UsageError.exit_code

@@ -463,6 +463,23 @@ def hardness_grid(n: int, beta: float, points_per_axis: int | None = None) -> Qu
     return build_grid(n, 2.0, points_per_axis, refine_near=[-1.0, 1.0], refine_width=width)
 
 
+def _gated_passes(
+    formulas: list[CnfFormula], alpha: float, beta: float, grid: QuadratureGrid | None, **pass_kw
+) -> tuple[dict, list]:
+    """Encode each formula at (alpha, beta) and run one gated pass of its density on ``grid``.
+
+    Without a grid the passes share ``hardness_grid(n, beta)``.  Returns the
+    report header the experiments share (n, m, alpha, beta of the first
+    formula) and each pass's (result, doubling delta).
+    """
+    insts = [encode(C, alpha, beta) for C in formulas]
+    C = formulas[0]
+    if grid is None:
+        grid = hardness_grid(C.n, beta)
+    passes = [gated_quadrature(grid, inst.log_density, **pass_kw) for inst in insts]
+    return {"n": C.n, "m": C.m, "alpha": float(alpha), "beta": float(beta)}, passes
+
+
 def zgap_experiment(
     C_sat: CnfFormula,
     C_unsat: CnfFormula,
@@ -484,25 +501,16 @@ def zgap_experiment(
             f"formulas must share the clause count, got m={C_sat.m} and m={C_unsat.m}; "
             "pad_with_duplicates can equalize them"
         )
-    n = C_sat.n
-    inst_sat = encode(C_sat, alpha, beta)
-    inst_unsat = encode(C_unsat, alpha, beta)
-    if grid is None:
-        grid = hardness_grid(n, beta)
-    sat, delta_sat = gated_quadrature(grid, inst_sat.log_density)
-    unsat, delta_unsat = gated_quadrature(grid, inst_unsat.log_density)
+    header, [(sat, delta_sat), (unsat, delta_unsat)] = _gated_passes([C_sat, C_unsat], alpha, beta, grid)
     logz_sat, logz_unsat = sat.log_integral, unsat.log_integral
     gap = logz_sat - logz_unsat
-    threshold = 2.0 * n * math.log(1.16)
+    threshold = 2.0 * C_sat.n * math.log(1.16)
     separated = bool(gap > threshold)
     note = "holds means the gap exceeds the threshold" + (
         "" if separated else "; not separated at these couplings"
     )
     return {
-        "n": n,
-        "m": C_sat.m,
-        "alpha": float(alpha),
-        "beta": float(beta),
+        **header,
         "log_Z_sat": logz_sat,
         "log_Z_unsat": logz_unsat,
         "gap": gap,
@@ -528,20 +536,14 @@ def mean_sign_experiment(
     if len(sols) != 1:
         raise ValueError(f"need a uniquely satisfiable formula, found {len(sols)} solutions")
     v_star = sols[0]
-    inst = encode(C, alpha, beta)
-    if grid is None:
-        grid = hardness_grid(C.n, beta)
-    out, _ = gated_quadrature(grid, inst.log_density, order=1)
+    header, [(out, _)] = _gated_passes([C], alpha, beta, grid, order=1)
     mean_x = out.moments[tuple(np.eye(C.n, dtype=np.int64))]
     recovered = tuple(1 if t > 0 else -1 for t in mean_x)
     margins = np.asarray(v_star, dtype=float) * mean_x
     min_margin = float(margins.min())
     matches = recovered == v_star
     return {
-        "n": C.n,
-        "m": C.m,
-        "alpha": float(alpha),
-        "beta": float(beta),
+        **header,
         "target_vertex": list(v_star),
         "mean_x": [float(t) for t in mean_x],
         "recovered": list(recovered),
@@ -572,10 +574,7 @@ def orthant_mass(
     one the union is empty, the mass is zero and the bound is vacuous.
     """
     sols = satisfying_assignments(C)
-    inst = encode(C, alpha, beta)
-    if grid is None:
-        grid = hardness_grid(C.n, beta)
-    out, _ = gated_quadrature(grid, inst.log_density, orthants=sols)
+    header, [(out, _)] = _gated_passes([C], alpha, beta, grid, orthants=sols)
     mass = out.orthant_mass
     if sols:
         holds = mass >= 0.5
@@ -584,10 +583,7 @@ def orthant_mass(
         holds = True
         note = "no satisfying assignment, bound vacuous"
     return {
-        "n": C.n,
-        "m": C.m,
-        "alpha": float(alpha),
-        "beta": float(beta),
+        **header,
         "n_sat": len(sols),
         "mass_on_satisfying_orthants": mass,
         "asserted": bool(sols),

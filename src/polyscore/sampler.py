@@ -103,6 +103,13 @@ def _stream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
+def _check_sizes(Ns) -> None:
+    """Refuse a negative sample size before any step or radius search; N = 0 draws nothing."""
+    for N in Ns:
+        if N < 0:
+            raise ValueError(f"sample size must be >= 0, got {N}")
+
+
 # ---------------------------------------------------------------------------
 # exact sampling in the separable case
 
@@ -116,6 +123,7 @@ def sample_exact_separable(p: ParamVector, N: int, seed: int) -> SampleSet:
     nodes of [-R, R], R = ``auto_radius``, inverted by linear interpolation.
     A member with mixed terms (``log_density.by_axis``) couples coordinates, and raises.
     """
+    _check_sizes([N])
     _, lines, mixed = p.log_density.by_axis
     if len(mixed.degrees):
         bad = ", ".join(map(format_monomial, mixed.degrees))
@@ -311,6 +319,7 @@ def sample_mala(
     of the draws is below 0.5.  The config.chains chains, chain j on stream
     (seed, j), advance in lock-step (:func:`_lockstep`).
     """
+    _check_sizes([N])
     per_chain = [N // config.chains + (1 if j < N % config.chains else 0) for j in range(config.chains)]
     return _mcmc_set(p, config, seed, _lockstep(p, per_chain, [(seed, j) for j in range(config.chains)], config, x0))
 
@@ -319,6 +328,7 @@ def sample_mala_ensemble(p: ParamVector, Ns, seeds, config: McmcConfig) -> list[
     """One one-chain sample per (N, seed), all the chains in lock-step; chain j on stream (seeds[j], 0)."""
     if len(Ns) != len(seeds):
         raise ValueError(f"{len(Ns)} sample sizes but {len(seeds)} seeds")
+    _check_sizes(Ns)
     chains = _lockstep(p, list(Ns), [(s, 0) for s in seeds], config)
     return [_mcmc_set(p, config, s, [c]) for s, c in zip(seeds, chains)]
 

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import polyscore
-from polyscore.cli import main
+from polyscore.cli import build_parser, main
 from polyscore.errors import PolyscoreError
-from polyscore.expfam import ParamVector, param_to_json
+from polyscore.expfam import ParamVector, family_grid, param_to_json
+from polyscore.hardness import default_params
 from polyscore.polybasis import enumerate_basis
 from polyscore.sampler import SampleSet, sample_exact_separable, save_samples
 
@@ -188,6 +189,16 @@ class TestEncode:
         assert doc["report"]["alpha"] == 8.0  # 2 (n + 1) at n = 3
         assert doc["report"]["prescription"] == {"mode": "zeroth", "scale": 1.0}
 
+    def test_explicit_pair_wins_over_mode(self, capsys):
+        code, out, _ = run(
+            capsys, ["encode", "--cnf", self.CNF, "--mode", "zeroth", "--alpha", "1", "--beta", "2"]
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["report"]["alpha"] == 1.0 and doc["report"]["beta"] == 2.0
+        assert doc["report"]["prescription"] is None
+        assert (doc["config"]["alpha"], doc["config"]["beta"], doc["config"]["mode"]) == (1.0, 2.0, "zeroth")
+
     def test_malformed_dimacs(self, capsys, tmp_path):
         bad = tmp_path / "bad.cnf"
         bad.write_text("p cnf 3 1\n1 2 0\n")
@@ -354,12 +365,13 @@ class TestExitCodes:
             (["verify", "--suite", "hardness", "--seed", "-1"], 2),
             (["verify", "--suite", "polybasis", "--seed", str(1 << 64)], 2),
             (["verify", "--suite", "hardness", "--points-per-axis", "0"], 2),
+            (["verify", "--suite", "hardness", "--alpha", "1"], 2),
         ],
         ids=["study-zero-trials", "study-decreasing-Ns", "study-zero-N", "fit-negative-radius",
              "fit-radius-without-points", "verify-n4", "study-mle-n4", "verify-underflow",
              "fit-underflow", "verify-malformed-cnf", "verify-polybasis-negative-seed",
              "verify-hardness-negative-seed", "verify-polybasis-seed-2^64",
-             "verify-hardness-zero-points"],
+             "verify-hardness-zero-points", "verify-hardness-alpha-without-beta"],
     )
     def test_documented_exit_code(self, capsys, argv, expect, theta_file, gaussian_samples,
                                   bad_inputs):
@@ -381,6 +393,55 @@ def test_readme_lists_each_error_class_with_its_exit_code():
     for cls in classes:
         listed = [int(row.split("|")[1]) for row in rows if f"`{cls.__name__}`" in row]
         assert listed == [cls.exit_code], cls.__name__
+
+
+HARDNESS_165 = ["verify", "--suite", "hardness", "--cnf", fixture_path("clause1"),
+                "--points-per-axis", "165"]
+
+
+def _resolved_fit_grid():
+    return family_grid(enumerate_basis(1, 1), 1.0).spec()
+
+
+class TestConfigRule:
+    """config is every parsed flag except --out, updated with the command's resolved values."""
+
+    @pytest.mark.parametrize(
+        "argv, resolved",
+        [
+            (["basis", "--n", "2", "--d", "3", "--format", "json"], lambda: {}),
+            (["fit", "--estimator", "sm", "--samples", "{samples}", "--n", "1", "--d", "1"],
+             lambda: {"grid": None}),
+            (MLE_FIT, lambda: {"grid": _resolved_fit_grid()}),
+            (["encode", "--cnf", fixture_path("clause1"), "--mode", "zeroth", "--scale", "0.5"],
+             lambda: {"alpha": 4.0, "beta": default_params(3, 1, "zeroth", 0.5).beta}),
+            (["verify", "--suite", "bounds", "--n", "1", "--d", "3", "--seed", "7"], lambda: {}),
+            (HARDNESS_165, lambda: {}),
+            (SM_STUDY + ["--Ns", "100,200", "--trials", "2"],
+             lambda: {"Ns": [100, 200], "family": {"n": 1, "d": 1, "B": 1.0}}),
+        ],
+        ids=["basis", "fit-sm", "fit-mle", "encode", "verify-bounds", "verify-hardness", "study"],
+    )
+    def test_config_is_parsed_flags_plus_resolved(self, capsys, tmp_path, argv, resolved,
+                                                  theta_file, gaussian_samples):
+        argv = [a.format(samples=gaussian_samples, theta=theta_file) for a in argv]
+        out_path = tmp_path / "doc.json"
+        code, _, _ = run(capsys, argv + ["--out", str(out_path)])
+        assert code == 0
+        flags = vars(build_parser().parse_args(argv))
+        del flags["func"], flags["out"]
+        expected = json.loads(json.dumps({**flags, **resolved()}))
+        assert json.loads(out_path.read_text())["config"] == expected
+
+    def test_hardness_config_records_points_per_axis(self, capsys):
+        docs = []
+        for points in ("165", "200"):
+            argv = HARDNESS_165[:-1] + [points]
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            docs.append(json.loads(out))
+        assert docs[0]["config"] != docs[1]["config"]
+        assert [d["config"]["points_per_axis"] for d in docs] == [165, 200]
 
 
 class TestDeterminism:

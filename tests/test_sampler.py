@@ -276,6 +276,25 @@ class TestLockstep:
         assert not np.array_equal(a[1].data, a[2].data)
 
 
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda p: sample_mala(p, -3, McmcConfig(burn_in=10), 0),
+        lambda p: sample_mala_ensemble(p, [-3, 2], [0, 1], McmcConfig(burn_in=10)),
+        lambda p: sample_exact_separable(p, -3, 0),
+    ],
+    ids=["mala", "ensemble", "exact"],
+)
+def test_negative_sample_size_refused_before_any_step(monkeypatch, draw):
+    def untouched(*args, **kw):
+        raise AssertionError("sampler worked before refusing the size")
+
+    monkeypatch.setattr(sampler, "log_unnormalized_density", untouched)
+    monkeypatch.setattr(sampler, "auto_radius", untouched)
+    with pytest.raises(ValueError, match="sample size must be >= 0, got -3"):
+        draw(random_params(1, 1, 1.0, 0))
+
+
 class TestDiagnostics:
     def test_exact_sampler_clean(self):
         p = zero_params(1, 1)
