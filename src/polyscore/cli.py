@@ -17,7 +17,9 @@ The resolved values are ``fit``'s quadrature ``grid`` spec (null for SM),
 ``family``; ``basis`` and ``verify`` resolve nothing.  A flag a command does
 not read is still recorded as given: ``fit --estimator sm`` ignores the grid
 flags, and the hardness suite reads ``--points-per-axis`` but not
-``--radius``, since its box is fixed at [-2, 2].
+``--radius``, since its box is fixed at [-2, 2].  So under ``verify --suite
+all`` a ``--points-per-axis`` without ``--radius`` is the hardness suite's,
+and the bounds suite keeps its family grid.
 
 Exit codes: 0 success / all checks hold, 1 I/O or malformed input file,
 2 usage, 3 numerical failure or a failed verify check, 4 non-convergence.
@@ -213,7 +215,11 @@ def _suite_bounds(args) -> dict:
 
     basis = enumerate_basis(args.n, args.d)
     p = random_params(args.n, args.d, args.B, seed=args.seed)
-    grid, grid_spec = _resolve_grid(args, basis, args.B)
+    if args.suite == "all" and args.radius is None:  # a lone --points-per-axis is the hardness suite's
+        grid = family_grid(basis, args.B)
+        grid_spec = grid.spec()
+    else:
+        grid, grid_spec = _resolve_grid(args, basis, args.B)
     rep = verify_bounds(p, grid, corrupt=args.corrupt, seed=args.seed)
     checks = list(rep.checks)
     checks += [

@@ -146,11 +146,9 @@ def _mle_objective(p: ParamVector, emp: FamilyStats, grid: QuadratureGrid, check
     return loss, emp.mean_T - mom.mean_T, mom
 
 
-def mle_loss_and_grad(
-    p: ParamVector, s: SampleSet, grid: QuadratureGrid, check: bool = True
-) -> tuple[float, np.ndarray]:
-    """Average log-likelihood and its theta-gradient E_hat[T] - E_theta[T]."""
-    return _mle_objective(p, s.stats(p.basis), grid, check)[:2]
+def mle_loss_and_grad(p: ParamVector, s: SampleSet, grid: QuadratureGrid) -> tuple[float, np.ndarray]:
+    """Average log-likelihood and its theta-gradient E_hat[T] - E_theta[T], behind the quadrature gate."""
+    return _mle_objective(p, s.stats(p.basis), grid, check=True)[:2]
 
 
 def _as_member(basis: MonomialBasis, theta: np.ndarray) -> ParamVector:

@@ -8,14 +8,17 @@ Var f = w^t I w and E|grad f|^2 = w^t G w, so the Rayleigh quotient of the
 pencil is exactly the variance-to-Dirichlet ratio the constant maximizes.
 
 verify_bounds audits seven inequalities tying these quantities to explicit
-functions of (n, d, B); the variance lower bound's denominator overflows
-doubles long before the desk scale is left, so that check compares logs.
+functions of (n, d, B), from one gated slab pass and its eigen-solves; the
+variance lower bound's denominator overflows doubles long before the desk
+scale is left, so that check compares logs.
 
 op-norm(JT)^4 = lambda_max((JT)^t(JT))^2 is not a polynomial, but the entries
 of (JT)^t(JT) are, so on a grid they ride the quadrature pass as slab fields,
 the columns of one ``PolyCoeffs``, and :func:`_lambda_max` reduces them in
-closed form.  Check (vi)'s <w, T> and the preflight's |grad log h|^2 ride as
-more columns, apart from the ``family_stats`` gather that check audits.
+closed form.  That pass (:func:`_jt_pass`) is of moment order 2d, so it also
+gathers the family statistics.  Check (vi)'s <w, T> and the preflight's
+|grad log h|^2 ride as more columns, apart from the ``family_stats`` gather
+that check audits.
 """
 
 from __future__ import annotations
@@ -191,10 +194,13 @@ def _jtj_fields(n: int, d: int) -> PolyCoeffs:
     return PolyCoeffs.stack([PolyCoeffs.from_arrays(n, (2 * A - e)[c > 0], c[c > 0]) for c, e in pairs])
 
 
-def _jt_pass(p: ParamVector, grid: QuadratureGrid, extra=None, order: int = 0, check: bool = False):
-    """One slab pass under p, its fields the entries of (JT)^t(JT) and the columns of ``extra``.
+def _jt_pass(p: ParamVector, grid: QuadratureGrid, extra=None, check: bool = False):
+    """One slab pass of moment order 2d under p, its fields (JT)^t(JT)'s entries and ``extra``'s columns.
 
-    Returns the pass, E[op-norm(JT)^4], and E[Y] then E[Y^2] for the extra fields Y.
+    Returns the pass's :class:`Moments`, the SM moment inputs E[op-norm(JT)^4]
+    and E[|Laplacian T|^2], and E[Y] then E[Y^2] for the extra fields Y.  With
+    ``check`` the pass is the coarse pass of :func:`gated_quadrature`, so the
+    gate costs only the doubled grid's log Z.
     """
     _check_grid(p, grid)
     jtj = _jtj_fields(p.n, p.d)
@@ -207,20 +213,18 @@ def _jt_pass(p: ParamVector, grid: QuadratureGrid, extra=None, order: int = 0, c
         return np.concatenate([[lam * lam @ e], Y @ e, Y * Y @ e])
 
     fields = (jtj if extra is None else PolyCoeffs.stack([jtj, extra])), reduce
-    args = (grid, p.log_density, order, (), fields)
+    args = (grid, p.log_density, 2 * p.d, (), fields)
     out = gated_quadrature(*args)[0] if check else poly_quadrature(*args)
-    return out, float(out.field_means[0]), out.field_means[1:]
+    mom = Moments.of(p, out)
+    return mom, {"E_opJT4": float(out.field_means[0]), "E_dT2": mom.lap_sq}, out.field_means[1:]
 
 
 def sm_moment_inputs(p: ParamVector, source) -> dict:
     """E[op-norm(JT)^4] and E[|Laplacian T|^2] under p (ungated quadrature or samples)."""
     if isinstance(source, SampleSet):
-        lap2 = source.stats(p.basis).lap_sq
         m4 = row_mean(partial(_opnorm4, p.basis), source.data, p.basis.size * p.n)
-    else:
-        out, m4, _ = _jt_pass(p, source, order=2 * p.d)
-        lap2 = Moments.of(p, out).lap_sq
-    return {"E_opJT4": float(m4), "E_dT2": lap2}
+        return {"E_opJT4": float(m4), "E_dT2": source.stats(p.basis).lap_sq}
+    return _jt_pass(p, source)[1]
 
 
 def regularity_preflight(p: ParamVector, grid: QuadratureGrid) -> dict:
@@ -228,8 +232,8 @@ def regularity_preflight(p: ParamVector, grid: QuadratureGrid) -> dict:
     # |grad log h|^2 = (d + 1)^2 sum_i x_i^{2d}; the reducer squares it
     n, d = p.n, p.d
     g2 = PolyCoeffs.from_arrays(n, 2 * d * np.eye(n, dtype=np.int64), np.full(n, (d + 1.0) ** 2))
-    sweep, m4, (_, g4) = _jt_pass(p, grid, g2, order=2 * d, check=True)
-    out = {"E_opJT4": m4, "E_dT2": Moments.of(p, sweep).lap_sq, "E_gradlogh4": float(g4)}
+    _, inputs, (_, g4) = _jt_pass(p, grid, g2, check=True)
+    out = {**inputs, "E_gradlogh4": float(g4)}
     if not all(math.isfinite(v) for v in out.values()):
         raise NumericalError(f"regularity preflight found non-finite moments: {out}")
     return out
@@ -266,14 +270,20 @@ def _log_var_lb_denominator(n: int, d: int, B: float) -> float:
     )
 
 
+_N_POLY = 100  # check (v)'s random polynomials
+
+
 def verify_bounds(
     p: ParamVector,
     grid: QuadratureGrid,
     corrupt: str | None = None,
     seed: int = 0,
-    n_poly: int = 100,
 ) -> SpectralReport:
-    """Audit checks (i)-(vii) for one family member.
+    """Audit checks (i)-(vii) for one family member: one gated slab pass, then its eigen-solves.
+
+    ``seed`` draws check (v)'s polynomials, then check (vi)'s w, before the
+    pass; <w, T> rides it as fields (see :func:`_jt_pass`), so with the gate
+    an audit makes two :func:`poly_quadrature` calls.
 
     corrupt="fisher" negates the largest Fisher eigenvalue before the audit,
     a fault injection that must surface as check (iv) failing (and normally
@@ -281,9 +291,12 @@ def verify_bounds(
     """
     if corrupt not in (None, "fisher"):
         raise ValueError(f"unknown corruption {corrupt!r}")
-    mom = moments(p, grid, check=True)
     n, d, B = p.n, p.d, p.B
     M = math.comb(n + d, d)
+    rng = np.random.default_rng(seed)
+    W_v = rng.standard_normal((_N_POLY, p.basis.size))
+    W = rng.standard_normal((5, p.basis.size))
+    mom, inputs, wt_means = _jt_pass(p, grid, PolyCoeffs.from_arrays(n, p.basis.degrees, W.T), check=True)
     I = mom.fisher
     w, V = np.linalg.eigh(I)
     notes_iv = []
@@ -311,35 +324,18 @@ def verify_bounds(
                    "; ".join(notes_iv) if notes_iv else "strict inequality"),
     ]
 
-    # (v): explicit variance lower bound, worst margin over random polynomials
-    rng = np.random.default_rng(seed)
-    log_den = _log_var_lb_denominator(n, d, B)
-    worst_margin = math.inf
-    worst = (0.0, 0.0)
-    ok_v = True
-    for _ in range(n_poly):
-        wvec = rng.standard_normal(p.basis.size)
-        # |w| is the monomial norm of the polynomial <w, T>
-        log_lhs = 2.0 * math.log(math.sqrt(sum(c * c for c in wvec.tolist()))) - log_den
-        var = float(wvec @ I @ wvec)
-        if var <= 0:
-            ok_v = False
-            worst, worst_margin = (math.exp(log_lhs), var), -math.inf
-            break
-        margin = math.log(var) - log_lhs
-        if margin < worst_margin:
-            worst_margin = margin
-            worst = (math.exp(log_lhs) if log_lhs > -745.0 else 0.0, var)
-        ok_v = ok_v and margin >= 0
+    # (v): explicit variance lower bound, worst log-margin over the random
+    # polynomials; |w| is the monomial norm of <w, T>
+    log_lhs = np.log(np.einsum("jk,jk->j", W_v, W_v)) - _log_var_lb_denominator(n, d, B)
+    var = np.einsum("jk,kl,jl->j", W_v, I, W_v)
+    margin = np.log(var, out=np.full(_N_POLY, -np.inf), where=var > 0) - log_lhs
+    j = int(np.argmin(margin))  # the first variance <= 0, if any, has margin -inf
     checks.append(
-        BoundCheck("v_variance_lb", worst[0], worst[1], ok_v,
-                   f"{n_poly} random constant-free polynomials; worst log-margin {worst_margin:.3g}")
+        BoundCheck("v_variance_lb", math.exp(log_lhs[j]), float(var[j]), bool(margin[j] >= 0),
+                   f"{_N_POLY} random constant-free polynomials; worst log-margin {margin[j]:.3g}")
     )
 
-    # (vi): Var(<w,T>) equals w^t I w, recomputed from the fields <w, T>;
-    # the same pass integrates op-norm(JT)^4 for the gamma bound
-    W = rng.standard_normal((5, p.basis.size))
-    _, m4, wt_means = _jt_pass(p, grid, PolyCoeffs.from_arrays(n, p.basis.degrees, W.T))
+    # (vi): Var(<w,T>) equals w^t I w, recomputed from the fields <w, T>
     var = wt_means[5:] - wt_means[:5] ** 2
     worst_diff = float(np.max(np.abs(var - np.einsum("jk,kl,jl->j", W, I, W))))
     checks.append(
@@ -353,8 +349,7 @@ def verify_bounds(
     holds_vii = lam_min > 0 and C_P <= cap_vii
     checks.append(BoundCheck("vii_poincare_cond", C_P, cap_vii, holds_vii))
 
-    aux = {"E_opJT4": float(m4), "E_dT2": lap2}
-    gamma = gamma_bound(p, C_P, lam_min, aux) if lam_min > 0 else math.inf
+    gamma = gamma_bound(p, C_P, lam_min, inputs) if lam_min > 0 else math.inf
     return SpectralReport(
         lambda_min=lam_min,
         lambda_max=lam_max,

@@ -629,12 +629,9 @@ def l2_cube_norm(f: PolyCoeffs) -> float:
 #
 # L_k is expanded from the closed product form
 #     L_k(x) = 2^{-k} sum_j C(k,j)^2 (x-1)^{k-j} (x+1)^j .
-# Two unit normalizations are in play and must not be confused:
-#   * 'lebesgue': sqrt((2k+1)/2) L_k integrates to one against dx on [-1,1];
-#   * 'uniform':  sqrt(2k+1) L_k has unit L2 norm under the uniform
-#     probability measure on [-1,1], the measure l2_cube_norm uses.
-# The tensorized change of basis below uses 'uniform' so that the Legendre
-# coefficient vector of f satisfies sum b^2 = l2_cube_norm(f)^2 exactly.
+# 'uniform' scales it to sqrt(2k+1) L_k, of unit L2 norm under the uniform
+# probability measure on [-1,1] that l2_cube_norm uses, so the tensorized
+# change of basis below gives sum b^2 = l2_cube_norm(f)^2 exactly.
 
 
 @lru_cache(maxsize=None)
@@ -650,8 +647,6 @@ def legendre_1d(k: int, normalization: str = "none") -> PolyCoeffs:
     L = (0.5**k) * acc
     if normalization == "none":
         return L
-    if normalization == "lebesgue":
-        return math.sqrt((2 * k + 1) / 2.0) * L
     if normalization == "uniform":
         return math.sqrt(2 * k + 1) * L
     raise ValueError(f"unknown normalization {normalization!r}")

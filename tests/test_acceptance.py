@@ -142,7 +142,7 @@ def run_criterion_3(seed=303):
     members = []
     for k in range(20):
         p = random_params(1, 3, 1.0, seed=seed + k)
-        rep = verify_bounds(p, grid3, seed=seed + k, n_poly=5)
+        rep = verify_bounds(p, grid3, seed=seed + k)
         (vii,) = [c for c in rep.checks if c.name == "vii_poincare_cond"]
         members.append({"C_P": vii.lhs, "cap": vii.rhs, "holds": vii.holds})
     vii_ok = all(entry["holds"] for entry in members)

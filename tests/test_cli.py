@@ -256,6 +256,22 @@ class TestVerify:
         )
         assert code == 2
 
+    def test_suite_all_gives_lone_points_to_hardness(self, capsys):
+        # the hardness suite reads --points-per-axis alone; under all, the
+        # bounds suite then keeps its family grid
+        clause1 = ["--cnf", fixture_path("clause1"), "--points-per-axis", "165"]
+        code, out, _ = run(capsys, ["verify", "--suite", "all", *clause1])
+        assert code == 0
+        suites = json.loads(out)["report"]["suites"]
+        assert suites["bounds"]["grid"] == family_grid(enumerate_basis(1, 3), 1.0).spec()
+        _, alone, _ = run(capsys, ["verify", "--suite", "hardness", *clause1])
+        assert suites["hardness"] == json.loads(alone)["report"]["suites"]["hardness"]
+        # the pair rule still holds for the bounds suite on its own and with --radius
+        code, _, err = run(capsys, ["verify", "--suite", "bounds", "--points-per-axis", "165"])
+        assert code == 2 and "together" in err
+        code, _, err = run(capsys, ["verify", "--suite", "all", "--radius", "3", "--points-per-axis", "12"])
+        assert code == 3 and "quadrature gate failed" in err
+
     def test_hardness_suite_uniq3(self, capsys):
         code, out, _ = run(
             capsys,

@@ -162,8 +162,8 @@ class TestMleLossAndGrad:
         for k in range(3):
             e = np.zeros(3)
             e[k] = h
-            lp, _ = mle_loss_and_grad(ParamVector(basis, theta + e, 1.0), s, grid, check=False)
-            lm, _ = mle_loss_and_grad(ParamVector(basis, theta - e, 1.0), s, grid, check=False)
+            lp, _ = mle_loss_and_grad(ParamVector(basis, theta + e, 1.0), s, grid)
+            lm, _ = mle_loss_and_grad(ParamVector(basis, theta - e, 1.0), s, grid)
             fd = (lp - lm) / (2 * h)
             assert grad[k] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
@@ -212,7 +212,7 @@ class TestFitMle:
             delta = rng.uniform(-1, 1, 3)
             ts = np.linspace(-0.5, 0.5, 9)
             vals = np.array([
-                mle_loss_and_grad(ParamVector(basis, th0 + t * delta, 1.0), s, grid, check=False)[0]
+                mle_loss_and_grad(ParamVector(basis, th0 + t * delta, 1.0), s, grid)[0]
                 for t in ts
             ])
             second = vals[:-2] - 2 * vals[1:-1] + vals[2:]
@@ -229,12 +229,8 @@ class TestFitMle:
         for i in range(3):
             e = np.zeros(3)
             e[i] = h
-            _, gp = mle_loss_and_grad(
-                ParamVector(basis, report.theta_hat + e, 2.0), s, grid, check=False
-            )
-            _, gm = mle_loss_and_grad(
-                ParamVector(basis, report.theta_hat - e, 2.0), s, grid, check=False
-            )
+            _, gp = mle_loss_and_grad(ParamVector(basis, report.theta_hat + e, 2.0), s, grid)
+            _, gm = mle_loss_and_grad(ParamVector(basis, report.theta_hat - e, 2.0), s, grid)
             H[i] = (gp - gm) / (2 * h)
         H = 0.5 * (H + H.T)
         assert np.linalg.eigvalsh(H).max() <= 1e-6

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
-from polyscore import expfam
+from polyscore import expfam, fisher
 from polyscore.errors import NumericalError
 from polyscore.expfam import (
     GridConvergenceError,
@@ -114,16 +114,16 @@ class TestGridGathers:
             grid, lambda X: log_unnormalized_density(p, X), [opnorm4, gradlogh4, wt_and_square]
         )
         g2 = PolyCoeffs.from_arrays(n, 6 * np.eye(n, dtype=np.int64), np.full(n, 16.0))
-        _, got_m4, got = _jt_pass(p, grid, PolyCoeffs.stack([g2, PolyCoeffs.from_arrays(n, p.basis.degrees, W.T)]))
-        assert got_m4 == pytest.approx(float(m4), rel=1e-12)
+        _, got_in, got = _jt_pass(p, grid, PolyCoeffs.stack([g2, PolyCoeffs.from_arrays(n, p.basis.degrees, W.T)]))
+        assert got_in["E_opJT4"] == pytest.approx(float(m4), rel=1e-12)
         assert got[6] == pytest.approx(float(g4), rel=1e-12)
         got_wt = np.delete(got, [0, 6])
         assert np.max(np.abs(got_wt - wt)) <= 1e-12 * np.max(np.abs(wt))
         assert sm_moment_inputs(p, grid)["E_opJT4"] == pytest.approx(float(m4), rel=1e-12)
         fine = build_grid(3, 4.5, 80) if n == 3 else grid
         pre = regularity_preflight(p, fine)
-        _, fine_m4, (_, fine_g4) = _jt_pass(p, fine, g2)
-        assert pre["E_opJT4"] == pytest.approx(fine_m4, rel=1e-12)
+        _, fine_in, (_, fine_g4) = _jt_pass(p, fine, g2)
+        assert pre["E_opJT4"] == pytest.approx(fine_in["E_opJT4"], rel=1e-12)
         assert pre["E_gradlogh4"] == pytest.approx(float(fine_g4), rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -316,6 +316,25 @@ class TestClipPolicy:
             clip_spectrum(np.array([-1e-9, 1.0]))
 
 
+def _check_v_reference(p: ParamVector, I: np.ndarray, seed: int):
+    """Check (v) as a loop over its 100 polynomials, each drawn in turn: (lhs, rhs, holds, log-margin)."""
+    rng = np.random.default_rng(seed)
+    log_den = fisher._log_var_lb_denominator(p.n, p.d, p.B)
+    worst_margin, worst, ok = math.inf, (0.0, 0.0), True
+    for _ in range(100):
+        wvec = rng.standard_normal(p.basis.size)
+        log_lhs = 2.0 * math.log(math.sqrt(sum(c * c for c in wvec.tolist()))) - log_den
+        var = float(wvec @ I @ wvec)
+        if var <= 0:
+            return math.exp(log_lhs), var, False, -math.inf
+        margin = math.log(var) - log_lhs
+        if margin < worst_margin:
+            worst_margin = margin
+            worst = (math.exp(log_lhs) if log_lhs > -745.0 else 0.0, var)
+        ok = ok and margin >= 0
+    return *worst, ok, worst_margin
+
+
 class TestVerifyBounds:
     def test_gaussian_all_hold(self):
         report = verify_bounds(zero_params(1, 1), build_grid(1, 6.0, 200))
@@ -334,7 +353,7 @@ class TestVerifyBounds:
 
     def test_two_dim_member_holds(self):
         p = random_params(2, 3, 1.0, seed=61)
-        report = verify_bounds(p, build_grid(2, 4.0, 160), seed=2, n_poly=25)
+        report = verify_bounds(p, build_grid(2, 4.0, 160), seed=2)
         assert report.all_hold, [c for c in report.checks if not c.holds]
 
     def test_corrupt_fisher_fails_iv(self):
@@ -347,10 +366,41 @@ class TestVerifyBounds:
     def test_corrupt_fisher_fails_vi_too(self):
         # (vi) integrates Var(<w, T>) apart from the Fisher matrix it checks
         p = random_params(2, 3, 1.0, seed=61)
-        report = verify_bounds(p, build_grid(2, 4.0, 160), seed=2, n_poly=25, corrupt="fisher")
+        report = verify_bounds(p, build_grid(2, 4.0, 160), seed=2, corrupt="fisher")
         by_name = {c.name: c for c in report.checks}
         assert not by_name["iv_lambda_min_pos"].holds
         assert not by_name["vi_variance_identity"].holds
+
+    @pytest.mark.parametrize("corrupt, seed", [(None, 2), ("fisher", 0)])
+    def test_variance_lb_matches_per_polynomial_loop(self, corrupt, seed):
+        # corrupted, the variances at draws 2, 3, 5, .. are <= 0 and a later
+        # one is the most negative; the first is the one reported
+        p = random_params(2, 3, 1.0, seed=61)
+        grid = build_grid(2, 4.0, 160)
+        I = fisher_info(p, grid)
+        if corrupt:
+            w, V = np.linalg.eigh(I)
+            I = (V * np.sort(np.concatenate([-w[-1:], w[:-1]]))) @ V.T
+        lhs, rhs, holds, margin = _check_v_reference(p, I, seed)
+        assert holds == (corrupt is None)
+        report = verify_bounds(p, grid, corrupt=corrupt, seed=seed)
+        (v,) = [c for c in report.checks if c.name == "v_variance_lb"]
+        assert v.lhs == pytest.approx(lhs, rel=1e-14) and v.rhs == pytest.approx(rhs, rel=1e-14)
+        assert v.holds == holds and v.note.endswith(f"worst log-margin {margin:.3g}")
+
+    def test_one_gated_pass(self, monkeypatch):
+        # every statistic and field rides the coarse pass; the gate adds the doubled grid's log Z
+        calls = []
+        real = expfam.poly_quadrature
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].points_per_axis)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(expfam, "poly_quadrature", counted)
+        monkeypatch.setattr(fisher, "poly_quadrature", counted)
+        verify_bounds(random_params(2, 3, 1.0, seed=61), build_grid(2, 4.0, 160), seed=2)
+        assert calls == [160, 320]
 
     def test_unknown_corruption_rejected(self):
         with pytest.raises(ValueError, match="corruption"):

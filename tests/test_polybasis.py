@@ -514,11 +514,6 @@ class TestLegendre:
                 want = 1.0 if j == k else 0.0
                 assert l2_cube_inner(polys[j], polys[k]) == pytest.approx(want, abs=1e-10)
 
-    def test_lebesgue_normalization_halves_uniform_norm(self):
-        for k in range(6):
-            L = legendre_1d(k, normalization="lebesgue")
-            assert l2_cube_inner(L, L) == pytest.approx(0.5, abs=1e-12)
-
     def test_uniform_orthonormality_tensor(self):
         idx = legendre_indices(2, 3)
         polys = [legendre_tensor(ix) for ix in idx]
