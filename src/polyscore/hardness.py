@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -219,8 +220,9 @@ def formula_poly(C: CnfFormula) -> PolyCoeffs:
     return PolyCoeffs.from_arrays(C.n, expo.reshape(-1, C.n), coeffs.ravel())
 
 
+@lru_cache(maxsize=None)
 def hypercube_poly(n: int) -> PolyCoeffs:
-    """The vertex pinning term ``G(x) = sum_i (1 - x_i^2)^2``."""
+    """The vertex pinning term ``G(x) = sum_i (1 - x_i^2)^2``, built once per n and shared (read-only)."""
     eye = np.eye(n, dtype=np.int64)
     degrees = np.vstack([np.zeros((1, n), dtype=np.int64), 2 * eye, 4 * eye])
     return PolyCoeffs.from_arrays(n, degrees, np.concatenate([[n], np.full(n, -2.0), np.ones(n)]))

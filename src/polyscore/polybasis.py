@@ -245,6 +245,10 @@ def row_blocks(total: int, width: int) -> Iterator[slice]:
     The package's one chunk rule, for samples, grid nodes and hypercube
     vertices: with about ``width`` values per row, each temporary of a block
     stays near 8 MB, and fixed blocks keep streamed sums deterministic.
+    Polynomial evaluation (``PolyCoeffs.__call__``) blocks finer, to stay in
+    L2: 2^16 // K rows for K terms, rounded down to a multiple of 8 (at
+    least 8) so that the blocks' matvecs round as the whole batch's does,
+    and a lone last row joins the block before it.
     """
     block = max(1, (1 << 20) // width)
     return (slice(lo, min(lo + block, total)) for lo in range(0, total, block))
@@ -418,7 +422,9 @@ class PolyCoeffs:
     def from_arrays(cls, n: int, degrees, coeffs) -> "PolyCoeffs":
         """Canonicalise: sort rows by graded rank, add up repeated rows, drop zeros.
 
-        Repeated rows are summed in their input order, starting from 0.
+        Repeated rows are summed in their input order, starting from 0.  Rows
+        already in strictly increasing rank skip the sort and the sums; adding
+        0.0 there turns a -0.0 into 0.0 as the sums would.
         """
         if n < 1:
             raise ValueError(f"need n >= 1, got n={n}")
@@ -429,14 +435,19 @@ class PolyCoeffs:
             raise ValueError(f"exponent rows {deg.shape} and coefficients {coef.shape} do not fit n={n}")
         if deg.size and deg.min() < 0:
             raise ValueError("exponents must be nonnegative")
-        _, first, slot = np.unique(graded_rank(deg), return_index=True, return_inverse=True)
-        summed = np.zeros((len(first),) + coef.shape[1:])
-        np.add.at(summed, slot, coef)
-        keep = (summed != 0.0).any(axis=tuple(range(1, summed.ndim)))
-        deg, summed = deg[first[keep]], summed[keep]
+        rank = graded_rank(deg)
+        if (rank[1:] > rank[:-1]).all():
+            coef = coef + 0.0
+        else:
+            _, first, slot = np.unique(rank, return_index=True, return_inverse=True)
+            summed = np.zeros((len(first),) + coef.shape[1:])
+            np.add.at(summed, slot, coef)
+            deg, coef = deg[first], summed
+        keep = (coef != 0.0).any(axis=tuple(range(1, coef.ndim)))
+        deg, coef = deg[keep], coef[keep]
         deg.setflags(write=False)
-        summed.setflags(write=False)
-        return cls(n, deg, summed)
+        coef.setflags(write=False)
+        return cls(n, deg, coef)
 
     @classmethod
     def make(cls, n: int, terms: Mapping[MultiIndex, float]) -> "PolyCoeffs":
@@ -553,6 +564,11 @@ class PolyCoeffs:
         cols[slot, k] = i * (dmax + 1) + self.degrees[k, i]
         return dmax, cols
 
+    @cached_property
+    def _block_rows(self) -> int:
+        """Rows per evaluation block: 2^16 // K rounded down to a multiple of 8, at least 8."""
+        return max(8, ((1 << 16) // max(len(self.degrees), 1)) & -8)
+
     def _monomials(self, x: np.ndarray) -> np.ndarray:
         """The values x^degrees[k], shape (N, K), at a batch (N, n) of float points, unchecked.
 
@@ -571,8 +587,23 @@ class PolyCoeffs:
         return mono
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Values at a batch (N, n) of float points, unchecked: the monomials times the coefficients."""
-        return self._monomials(x) @ self.coeffs
+        """Values at a batch (N, n) of float points, unchecked: the monomials times the coefficients.
+
+        A batch that fits one block of :attr:`_block_rows` rows is one
+        product; a longer one goes block by block, so each block's (rows, K)
+        monomial matrix stays near 512 kB, inside L2.  The blocks start on
+        multiples of 8 rows, so every row meets the same BLAS kernel path,
+        and rounds the same, as in one product over the whole batch; a lone
+        last row joins the block before it, because numpy takes a one-row
+        product as a dot, which rounds differently.
+        """
+        N = len(x)
+        if N <= self._block_rows + 1:
+            return self._monomials(x) @ self.coeffs
+        edges, out = [*range(0, N - 1, self._block_rows), N], np.empty((N,) + self.coeffs.shape[1:])
+        for lo, hi in zip(edges, edges[1:]):
+            out[lo:hi] = self._monomials(x[lo:hi]) @ self.coeffs
+        return out
 
     def evaluate(self, x) -> np.ndarray | float:
         """Evaluate at a point (n,) or batch (N, n)."""

@@ -9,6 +9,7 @@ falsified clauses, and well-shape corrections are O(alpha/beta) or smaller.
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +224,11 @@ class TestHypercubePoly:
             assert G.evaluate(np.array(v)) == 0.0
         assert G.evaluate(np.zeros(3)) == 3.0
 
+    def test_built_once_per_n(self):
+        G = hypercube_poly(4)
+        assert hypercube_poly(4) is G
+        assert not G.degrees.flags.writeable and not G.coeffs.flags.writeable
+
     def test_coefficient_bound(self):
         # non-constant coefficients only; the constant term never reaches theta
         for n in (1, 2, 5):
@@ -400,6 +406,21 @@ class TestFalsifiedCounts:
 
 
 class TestVerifyRoots:
+    def test_probe_evaluation_stays_in_cache_sized_blocks(self):
+        # in one piece the probe's (1000, K) monomial matrix, K near 900 here,
+        # takes about 7 MB per temporary; blocks of 2^16 // K rows stay under 2 MB
+        inst = encode(random_formula(12, 120, seed=7), 1, 2)
+        X = np.random.default_rng(7).uniform(-2.0, 2.0, (1000, 12))
+        want = inst.energy.evaluate(X)  # warms the cached gather and block size
+        tracemalloc.start()
+        try:
+            got = inst.energy.evaluate(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < 2 * 2**20
+
     def test_single_clause(self):
         inst = encode(load_fixture("clause1"), 2.5, 1.0)
         rep = verify_roots(inst, seed=3)

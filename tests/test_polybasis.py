@@ -269,6 +269,63 @@ class TestPolyCoeffs:
         want = np.ascontiguousarray(_full_power_product(X, dmax, f.degrees)) @ f.coeffs
         assert np.array_equal(f(X), want)
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_row_blocks_keep_the_whole_batch_bits(self, stacked):
+        # past one block, __call__ walks 8-aligned blocks of 2^16 // K rows;
+        # each row rounds as in one row-major product over the whole batch
+        from polyscore.hardness import encode, random_formula
+
+        f = encode(random_formula(12, 60, seed=3), 1.0, 2.0).energy
+        F = PolyCoeffs.stack([f, f.partial(0), f.partial(7)]) if stacked else f
+        block = F._block_rows
+        assert block == ((1 << 16) // len(F.degrees)) // 8 * 8 and block >= 8
+        dmax, _ = F._gather
+        rng = np.random.default_rng(block)
+        for N in (block - 1, block, block + 1, 3 * block + 5):
+            X = rng.uniform(-2.0, 2.0, (N, 12))
+            want = np.ascontiguousarray(_full_power_product(X, dmax, F.degrees)) @ F.coeffs
+            got = F(X)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_block_rows_floor_at_eight(self):
+        basis = enumerate_basis(12, 7)  # 50387 rows, more than 2^16 / 8
+        f = PolyCoeffs.from_arrays(12, basis.degrees, np.ones(basis.size))
+        assert f._block_rows == 8
+        assert PolyCoeffs.zero(3)._block_rows == 1 << 16
+
+    @pytest.mark.parametrize("width", [None, 2])
+    def test_canonical_input_skips_the_sort(self, width, monkeypatch):
+        # rows in strictly increasing graded rank: no np.unique, and the same
+        # object as the sorting path on the reversed rows, -0.0 made 0.0
+        rows = np.vstack([np.zeros((1, 2), dtype=np.int64), enumerate_basis(2, 3).degrees])
+        c = np.array([1.5, 0.0, -2.0, -0.0, 3.0, 0.25, 0.0, -1.0, 4.0, 0.5])
+        c2 = np.array([0.0, 0.0, 1.0, -0.0, 0.0, 2.0, -0.0, -0.0, 0.0, 1.0])
+        coeffs = c if width is None else np.stack([c, c2], axis=1)  # row 7 keeps a -0.0
+        slow = PolyCoeffs.from_arrays(2, rows[::-1], coeffs[::-1])
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("canonical input was sorted")
+
+        monkeypatch.setattr(np, "unique", no_sort)
+        fast = PolyCoeffs.from_arrays(2, rows, coeffs)
+        monkeypatch.undo()
+        assert fast == slow
+        assert fast.degrees.tobytes() == slow.degrees.tobytes()
+        assert fast.coeffs.tobytes() == slow.coeffs.tobytes()
+        assert fast.coeffs.shape[1:] == coeffs.shape[1:]
+        assert not np.signbit(fast.coeffs[fast.coeffs == 0.0]).any()
+        assert np.all((fast.coeffs != 0.0).reshape(len(fast.degrees), -1).any(axis=1))
+        assert len(fast.degrees) == 7
+        assert not fast.degrees.flags.writeable and not fast.coeffs.flags.writeable
+        assert not np.shares_memory(fast.degrees, rows) and not np.shares_memory(fast.coeffs, coeffs)
+
+    def test_unsorted_and_repeated_rows_are_still_summed(self):
+        f = PolyCoeffs.from_arrays(2, [[1, 0], [0, 1], [1, 0], [0, 0]], [1.0, 2.0, 3.0, 4.0])
+        assert f.degrees.tolist() == [[0, 0], [1, 0], [0, 1]] and f.coeffs.tolist() == [4.0, 4.0, 2.0]
+        # sorted but repeated: ranks only weakly increase, so the rows are summed
+        g = PolyCoeffs.from_arrays(2, [[0, 0], [1, 0], [1, 0], [0, 1]], [1.0, 2.0, -2.0, 5.0])
+        assert g.degrees.tolist() == [[0, 0], [0, 1]] and g.coeffs.tolist() == [1.0, 5.0]
+
     def test_json_round_trip(self):
         f = PolyCoeffs.make(3, {(2, 0, 1): -0.75, (0, 0, 0): 3.0, (1, 1, 1): 1e-3})
         g = poly_from_json(poly_to_json(f))
