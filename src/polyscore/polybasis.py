@@ -247,8 +247,9 @@ def row_blocks(total: int, width: int) -> Iterator[slice]:
     stays near 8 MB, and fixed blocks keep streamed sums deterministic.
     Polynomial evaluation (``PolyCoeffs.__call__``) blocks finer, to stay in
     L2: 2^16 // K rows for K terms, rounded down to a multiple of 8 (at
-    least 8) so that the blocks' matvecs round as the whole batch's does,
-    and a lone last row joins the block before it.
+    least 8), and a lone last row joins the block before it; with the
+    OpenBLAS build it was measured on (README), a 1-D polynomial's blocks
+    then round as one single-threaded matvec over the whole batch does.
     """
     block = max(1, (1 << 20) // width)
     return (slice(lo, min(lo + block, total)) for lo in range(0, total, block))
@@ -592,10 +593,13 @@ class PolyCoeffs:
         A batch that fits one block of :attr:`_block_rows` rows is one
         product; a longer one goes block by block, so each block's (rows, K)
         monomial matrix stays near 512 kB, inside L2.  The blocks start on
-        multiples of 8 rows, so every row meets the same BLAS kernel path,
-        and rounds the same, as in one product over the whole batch; a lone
-        last row joins the block before it, because numpy takes a one-row
-        product as a dot, which rounds differently.
+        multiples of 8 rows, and a lone last row joins the block before it,
+        because numpy takes a one-row product as a dot, which rounds
+        differently.  With numpy 2.4.6's OpenBLAS 0.3.31 at 1 thread, that
+        gives a 1-D polynomial the bits of one product over the whole batch;
+        this was measured, not promised: more threads, stacked coefficients
+        past OpenBLAS's small-matrix path, or another BLAS can change last
+        bits (README).
         """
         N = len(x)
         if N <= self._block_rows + 1:

@@ -272,7 +272,9 @@ class TestPolyCoeffs:
     @pytest.mark.parametrize("stacked", [False, True])
     def test_row_blocks_keep_the_whole_batch_bits(self, stacked):
         # past one block, __call__ walks 8-aligned blocks of 2^16 // K rows;
-        # each row rounds as in one row-major product over the whole batch
+        # each row rounds as in one row-major product over the whole batch.
+        # Measured with numpy's OpenBLAS 0.3.31; the N here keep the stacked
+        # whole-batch product on its small-matrix path (see README)
         from polyscore.hardness import encode, random_formula
 
         f = encode(random_formula(12, 60, seed=3), 1.0, 2.0).energy
@@ -281,7 +283,8 @@ class TestPolyCoeffs:
         assert block == ((1 << 16) // len(F.degrees)) // 8 * 8 and block >= 8
         dmax, _ = F._gather
         rng = np.random.default_rng(block)
-        for N in (block - 1, block, block + 1, 3 * block + 5):
+        # block + 1 fits one product; 2 * block + 1 ends on a lone row inside the loop
+        for N in (block - 1, block, block + 1, 2 * block + 1, 3 * block + 5):
             X = rng.uniform(-2.0, 2.0, (N, 12))
             want = np.ascontiguousarray(_full_power_product(X, dmax, F.degrees)) @ F.coeffs
             got = F(X)
