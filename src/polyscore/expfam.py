@@ -24,7 +24,10 @@ are the matrix product P_2 C(t_a) P_3^t of per-axis power tables and the
 slab's coefficient matrix (the mixed rows alone, laid out by :func:`_dense`),
 so no grid point is ever formed and the working set is one K x K slab.  A
 certified separable bound, built from the same split, first drops the axis
-indices whose nodes together carry under e^-50 of the integral.
+indices whose nodes together carry under e^-50 of the integral.  A log
+density without mixed terms is a product over the axes and is integrated
+axis by axis instead, with no slab and no screen.  The axis rules are
+Gauss-Legendre, built by Newton iteration in O(k) memory (:func:`_leggauss`).
 The same pass returns the power moments E[x^e] up to a requested order;
 :func:`moments` takes them to order 2d, which determines E[T], E[T T^t], the
 Jacobian Gram matrix, the score-matching terms and E|Lap T|^2
@@ -37,9 +40,10 @@ chunks of any integrand.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -240,7 +244,45 @@ def score(p: ParamVector, x) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _leggauss(k: int) -> tuple[np.ndarray, np.ndarray]:
-    u, w = np.polynomial.legendre.leggauss(k)
+    """The k-point Gauss-Legendre rule on [-1, 1]: (nodes ascending, weights), cached and read-only.
+
+    Newton's method on the three-term recurrence (m+1) P_{m+1} = (2m+1) x P_m
+    - m P_{m-1} runs on the ceil(k/2) nonnegative roots at once, from
+    Tricomi's asymptotic nodes (1 - 1/(8k^2) + 1/(8k^3)) cos(pi (4j-1)/(4k+2)),
+    until no node moves by more than 1e-15 (three or four steps); the
+    weights are 2/((1 - x^2) P_k'(x)^2), and the other half is the mirror
+    image, so the rule is exactly symmetric and an odd k's middle node is
+    exactly 0.0.  Each step costs O(k^2) time in O(k) memory, where the
+    companion-matrix eigenvalue method (Golub and Welsch 1969) needs a
+    k x k matrix and O(k^3) time.
+    """
+    h = (k + 1) // 2
+    j = np.arange(1, k)
+    a, b = (2.0 * j + 1.0) / (j + 1.0), j / (j + 1.0)
+    x = (1.0 - 1.0 / (8.0 * k**2) + 1.0 / (8.0 * k**3)) * np.cos(
+        math.pi * (4.0 * np.arange(1, h + 1) - 1.0) / (4.0 * k + 2.0)
+    )  # descending
+    if k % 2:
+        x[-1] = 0.0  # the middle root: P_k(0) is exactly 0, so Newton leaves it there
+    t = np.empty(h)
+    for _ in range(20):
+        prev, p = np.ones(h), x.copy()  # P_{m-1}, P_m at m = 1
+        for am, bm in zip(a, b):
+            np.multiply(x, p, out=t)
+            t *= am
+            prev *= bm
+            np.subtract(t, prev, out=prev)
+            prev, p = p, prev
+        dp = k * (x * p - prev) / ((x - 1.0) * (x + 1.0))  # P_k'
+        step = p / dp
+        x -= step
+        if np.abs(step).max() <= 1e-15:
+            break
+    else:
+        raise NumericalError(f"Gauss-Legendre nodes at k={k} did not converge")
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp**2)
+    u = np.concatenate([-x[: k // 2], x[::-1]])
+    w = np.concatenate([w[: k // 2], w[::-1]])
     u.setflags(write=False)
     w.setflags(write=False)
     return u, w
@@ -436,7 +478,9 @@ class PolyIntegral:
     tuple e in {0..order}^n, so ``moments[0, ..., 0] == 1``; ``orthant_mass``
     is the probability of the union of the requested closed orthants;
     ``field_means`` the reducer's sums normalized, None without fields.
-    ``nodes`` counts the grid nodes the pass evaluated after screening.
+    ``nodes`` counts the grid nodes the pass evaluated: every node on the
+    product route of a log density without mixed rows, else the nodes that
+    screening kept; with fields it is always the screened sweep's count.
     """
 
     log_integral: float
@@ -517,38 +561,103 @@ def _screen(grid: QuadratureGrid, parts: list[np.ndarray], mixed: PolyCoeffs) ->
 # powers that overflow far out are zero density, handled below without warnings
 @np.errstate(over="ignore", invalid="ignore")
 def poly_quadrature(grid: QuadratureGrid, f: PolyCoeffs, order: int = 0, orthants=(), fields=None) -> PolyIntegral:
-    """Quadrature of exp(f) over the grid, one slab at a time, for a polynomial f.
+    """Quadrature of exp(f) over the grid for a polynomial f, by one of two routes.
 
-    The pass splits f by :attr:`PolyCoeffs.by_axis`: the constant and the
-    pure powers of each axis are added per axis (see :func:`_split_separable`),
-    and only the mixed rows, those coupling two or more axes, are laid out as
-    the dense tensor C (:func:`_dense`).  Grids with n < 3 get leading
-    single-node axes at x = 0, so every grid is swept in slabs along its
-    first axis: K slabs of K x K nodes at n = 3, one slab holding the whole
-    grid at n <= 2.  On the slab x_1 = t_a the mixed terms of the log density
-    are P_2 C(t_a) P_3^t, with P_i the axis power tables up to the mixed
-    rows' largest exponent; the log weights join the per-axis parts, and a
-    log-sum-exp streams over the slabs in a fixed order, which makes the
-    result bitwise deterministic.  The working set is O(K^2) whatever n is.  The sweep covers only the axis indices
-    that :func:`_screen` keeps, which changes the sums by under e^-50 of
-    their size; ``nodes`` reports how many nodes that leaves.
+    The pass splits f by :attr:`PolyCoeffs.by_axis` into a constant, the
+    pure powers of each axis and the mixed rows, those coupling two or more
+    axes (see :func:`_split_separable`).  Without mixed rows exp(f) is a
+    product over the axes and so is every sum the pass returns: the product
+    route (:func:`_product`) integrates each axis once, in O(nK) for K points
+    per axis, and evaluates every node.  With mixed rows the slab sweep
+    (:func:`_sweep`) runs over the nodes that :func:`_screen` keeps.
 
     ``orthants`` lists sign vectors v; a node counts towards
     ``orthant_mass`` once if v_i x_i >= 0 for all i holds for any of them.
 
     ``fields`` is a pair (F, reduce): F is a PolyCoeffs of k columns, k more
-    polynomials.  On each slab their values P_2 F(t_a) P_3^t, V (k, K, K),
-    and the slab's weights E (K, K) go to ``reduce(V, E)``, whose weighted
-    sums (an array of fixed shape) stream through the same log-sum-exp into
-    ``field_means``.
+    polynomials.  Their slab values P_2 F(t_a) P_3^t, V (k, K, K), and the
+    slab's weights E (K, K) go to ``reduce(V, E)``, whose weighted sums (an
+    array of fixed shape) stream through the sweep's log-sum-exp into
+    ``field_means``.  Fields always take the sweep; on the product route it
+    gives only ``field_means`` and ``nodes``, so adding fields leaves the
+    log integral, the moments and the orthant mass bit for bit as they were.
     """
     n = grid.n
     if f.n != n or f.coeffs.ndim != 1:
         raise ValueError(f"need one polynomial in n={n} variables, got n={f.n}, coefficients {f.coeffs.shape}")
     if order < 0:
         raise ValueError(f"moment order must be >= 0, got {order}")
+    if fields is not None and (fields[0].n != n or fields[0].coeffs.ndim != 2):
+        raise ValueError(f"fields must be the columns of one PolyCoeffs in {n} variables, got n={fields[0].n}")
     signs = np.asarray(orthants, dtype=float).reshape(-1, n)
     const, parts, mixed = _split_separable(grid, f)
+    if len(mixed.degrees):
+        return _sweep(grid, const, parts, mixed, order, signs, fields)
+    out = _product(grid, const, parts, order, signs)
+    if fields is None:
+        return out
+    swept = _sweep(grid, const, parts, mixed, 0, signs[:0], fields)
+    return replace(out, nodes=swept.nodes, field_means=swept.field_means)
+
+
+def _product(
+    grid: QuadratureGrid, const: float, parts: list[np.ndarray], order: int, signs: np.ndarray
+) -> PolyIntegral:
+    """The pass of a log density without mixed rows, axis by axis.
+
+    With e_i = exp(l_i - max l_i) for axis i's part l_i, log Z = const +
+    sum_i (max l_i + log sum e_i), and the moments are the outer product of
+    m_i = Q_i^t e_i / (Q_i^t e_i)[0], Q_i the axis's power table, so
+    ``moments[0, ..., 0]`` is exactly 1.  Each axis splits its weight into
+    the nodes below, at and above 0, which makes 3^n sign cells; the orthant
+    mass sums the cells some orthant covers, and a cell at x_i = 0 is covered
+    by every orthant that touches it.  Every node counts in ``nodes``.
+    """
+    Q = np.vander(grid.axis_nodes, order + 1, increasing=True)
+    side = np.sign(grid.axis_nodes)
+    log_integral, moments, cells = const, np.ones(()), np.ones(())
+    for part in parts:
+        part = np.where(np.isfinite(part), part, -math.inf)  # the pass's rule for non-finite log values
+        top = float(part.max())
+        if top == -math.inf:
+            raise NumericalError("integrand underflowed to zero at every grid node")
+        e = np.exp(part - top)
+        s = Q.T @ e
+        log_integral += top + math.log(s[0])
+        moments = np.multiply.outer(moments, s / s[0])
+        cells = np.multiply.outer(cells, np.array([e[side < 0].sum(), e[side == 0].sum(), e[side > 0].sum()]))
+        cells /= s[0]
+    if not const > -math.inf:
+        raise NumericalError("integrand underflowed to zero at every grid node")
+    # each cell's coordinate signs (-1, 0 or +1), tested against the orthants as a node's would be
+    cell_signs = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=grid.n)))
+    covered = np.any(np.all(cell_signs[:, None, :] * signs[None] >= 0.0, axis=2), axis=1)
+    return PolyIntegral(
+        log_integral=log_integral,
+        moments=moments,
+        orthant_mass=float(cells.ravel()[covered].sum()),
+        nodes=grid.total_nodes,
+    )
+
+
+def _sweep(
+    grid: QuadratureGrid, const: float, parts: list[np.ndarray], mixed: PolyCoeffs, order: int, signs: np.ndarray, fields
+) -> PolyIntegral:
+    """The slab sweep of :func:`poly_quadrature` over the nodes :func:`_screen` keeps.
+
+    Only the mixed rows are laid out as the dense tensor C (:func:`_dense`);
+    the constant and the per-axis parts are added per axis.  Grids with
+    n < 3 get leading single-node axes at x = 0, so every grid is swept in
+    slabs along its first axis: K slabs of K x K nodes at n = 3, one slab
+    holding the whole grid at n <= 2.  On the slab x_1 = t_a the mixed terms
+    of the log density are P_2 C(t_a) P_3^t, with P_i the axis power tables
+    up to the mixed rows' largest exponent; the log weights join the per-axis
+    parts, and a log-sum-exp streams over the slabs in a fixed order, which
+    makes the result bitwise deterministic.  The working set is O(K^2)
+    whatever n is.  Screening changes the sums by under e^-50 of their size;
+    ``nodes`` reports how many nodes it leaves.
+    """
+    n = grid.n
     keep = _screen(grid, parts, mixed)
     if not all(len(k) for k in keep):
         raise NumericalError("integrand underflowed to zero at every grid node")
@@ -569,8 +678,6 @@ def poly_quadrature(grid: QuadratureGrid, f: PolyCoeffs, order: int = 0, orthant
     S, mass = acc.sums
     if fields is not None:
         F, reduce = fields
-        if F.n != n or F.coeffs.ndim != 2:
-            raise ValueError(f"fields must be the columns of one PolyCoeffs in {n} variables, got n={F.n}")
         F = _dense(F)
         F = F.reshape(F.shape[:1] + (1,) * pad + F.shape[1:])
         PF = [np.vander(t, k, increasing=True) for t, k in zip(nodes, F.shape[1:])]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from polyscore.errors import NumericalError
 from polyscore.expfam import (
@@ -37,7 +37,7 @@ from polyscore.expfam import (
     verify_int_concentration,
     zero_params,
 )
-from polyscore.expfam import _dense, _split_separable, _well_moments
+from polyscore.expfam import _dense, _leggauss, _split_separable, _well_moments
 from polyscore.hardness import (
     default_params,
     encode,
@@ -274,6 +274,50 @@ class TestSparseTermTable:
         p = random_params(2, 3, 1.0, seed=1)
         score(p, [0.1, 0.2])
         assert p._terms is p._terms and p._score_terms is p._score_terms
+
+
+RULE_ORDERS = [1, 2, 3, 7, 57, 96, 97, 486, 800, 2048]
+
+
+class TestLegendreRule:
+    """The Newton-built Gauss-Legendre rule against the eigenvalue methods and its defining property."""
+
+    @pytest.mark.parametrize("k", RULE_ORDERS)
+    def test_matches_eigenvalue_oracles(self, k):
+        u, w = _leggauss(k)
+        for ref_u, ref_w in (special.roots_legendre(k), np.polynomial.legendre.leggauss(k)):
+            assert np.abs(u - ref_u).max() <= 4e-16
+            assert np.abs(w - ref_w).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", RULE_ORDERS)
+    def test_integrates_legendre_polynomials(self, k):
+        # sum w P_m(x) = 2 delta_m0 for every m <= 2k - 1, P_m by the recurrence
+        u, w = _leggauss(k)
+        prev, p = np.ones(k), u.copy()
+        errors = [abs(w.sum() - 2.0), abs(w @ u)]
+        for m in range(1, 2 * k - 1):
+            prev, p = p, ((2 * m + 1) * u * p - m * prev) / (m + 1)
+            errors.append(abs(w @ p))
+        assert len(errors) == 2 * k
+        assert max(errors) <= 1e-14
+
+    @pytest.mark.parametrize("k", RULE_ORDERS)
+    def test_mirror_symmetric_cached_read_only(self, k):
+        u, w = _leggauss(k)
+        assert u.shape == w.shape == (k,)
+        assert np.array_equal(u, -u[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(u) > 0)
+        if k % 2:
+            assert u[k // 2] == 0.0 and math.copysign(1.0, u[k // 2]) == 1.0
+        assert _leggauss(k) is _leggauss(k)
+        assert not u.flags.writeable and not w.flags.writeable
+
+    def test_closed_forms(self):
+        u, w = _leggauss(1)
+        assert u.tolist() == [0.0] and w.tolist() == [2.0]
+        u, w = _leggauss(2)
+        np.testing.assert_allclose(u, [-1 / math.sqrt(3), 1 / math.sqrt(3)], rtol=2e-16)
+        np.testing.assert_allclose(w, [1.0, 1.0], rtol=5e-16)
 
 
 class TestBuildGrid:
@@ -743,6 +787,79 @@ class TestScreening:
         p = random_params(2, 1, 1.0, seed=0)
         grid = build_grid(2, 7.0, 40)
         assert poly_quadrature(grid, p.log_density).nodes == grid.total_nodes
+
+
+class TestProductRoute:
+    """Log densities without mixed rows, integrated axis by axis."""
+
+    @staticmethod
+    def members(n):
+        p = random_params(n, 3, 1.0, seed=40 + n)
+        theta = np.where(np.count_nonzero(p.basis.degrees, axis=1) > 1, 0.0, p.theta)
+        return [zero_params(n, 3), random_params(n, 1, 1.0, seed=n), ParamVector(p.basis, theta, p.B)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_separable_members_agree_with_every_node(self, n):
+        # odd point counts on one panel symmetric about 0 put nodes at 0
+        points, radius = {1: (49, 5.0), 2: (25, 4.5), 3: (13, 4.0)}[n]
+        grid = build_grid(n, radius, points)
+        assert np.any(grid.axis_nodes == 0.0)
+        V = np.array([[1.0] * n, [-1.0] * n, [1.0] + [-1.0] * (n - 1)])
+
+        def union(X):
+            return np.any(np.all(X[:, None, :] * V[None] >= 0.0, axis=2), axis=1).astype(float)
+
+        for p in self.members(n):
+            f = p.log_density
+            assert f.by_axis[2].degrees.shape == (0, n)
+            out = poly_quadrature(grid, f, order=2 * p.d, orthants=V)
+            logz, (mom, mass) = split_reference(grid, f, [power_table(n, 2 * p.d), union])
+            assert out.nodes == grid.total_nodes
+            assert out.moments[(0,) * n] == 1.0
+            assert out.log_integral == pytest.approx(logz, rel=1e-14)
+            assert_close_to(out.moments, mom)
+            assert out.orthant_mass == pytest.approx(float(mass), abs=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_agrees_with_the_sweep(self, n):
+        # one mixed row of coefficient 1e-30 sends the same density through the slab sweep
+        grid = build_grid(n, 4.5, 25)
+        V = np.array([[1.0] * n, [1.0] + [-1.0] * (n - 1)])
+        tiny = PolyCoeffs.from_arrays(n, [[1, 1] + [0] * (n - 2)], [1e-30])
+        for p in self.members(n):
+            out = poly_quadrature(grid, p.log_density, order=2 * p.d, orthants=V)
+            coupled = p.log_density + tiny
+            assert coupled.by_axis[2].degrees.shape == (1, n)
+            swept = poly_quadrature(grid, coupled, order=2 * p.d, orthants=V)
+            assert abs(out.log_integral - swept.log_integral) <= 1e-14 * (1.0 + abs(swept.log_integral))
+            assert_close_to(out.moments, swept.moments)
+            assert out.orthant_mass == pytest.approx(swept.orthant_mass, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fields_leave_the_product_bits(self, n):
+        # fields take the screened sweep, which gives only field_means and nodes
+        p = self.members(n)[2]
+        grid = build_grid(n, 4.0, 16)
+        F = PolyCoeffs.from_arrays(n, np.eye(n, dtype=np.int64), np.eye(n))
+
+        def reduce(V, E):
+            return V.reshape(len(V), -1) @ E.ravel()
+
+        plain = poly_quadrature(grid, p.log_density, order=2, orthants=[[1.0] * n])
+        out = poly_quadrature(grid, p.log_density, order=2, orthants=[[1.0] * n], fields=(F, reduce))
+        assert plain.nodes == grid.total_nodes and out.nodes < grid.total_nodes
+        assert out.log_integral == plain.log_integral and out.orthant_mass == plain.orthant_mass
+        assert np.array_equal(out.moments, plain.moments)
+        np.testing.assert_allclose(out.field_means, [plain.moments[tuple(e)] for e in np.eye(n, dtype=int)],
+                                   rtol=1e-13, atol=1e-15)
+
+    def test_no_work_grows_with_the_node_count(self):
+        # 2000 points per axis at n = 3 is 8e9 nodes; the product route sums 3 x 2000
+        grid = build_grid(3, 7.0, 2000)
+        out = poly_quadrature(grid, zero_params(3, 1).log_density, order=2)
+        assert out.nodes == grid.total_nodes == 8 * 10**9
+        assert out.log_integral == pytest.approx(3 * LOG_SQRT_PI, abs=4e-15)
+        assert out.moments[2, 0, 0] == pytest.approx(0.5, abs=1e-15)
 
 
 class TestRadiusSelection:
