@@ -28,6 +28,9 @@ indices whose nodes together carry under e^-50 of the integral.  A log
 density without mixed terms is a product over the axes and is integrated
 axis by axis instead, with no slab and no screen.  The axis rules are
 Gauss-Legendre, built by Newton iteration in O(k) memory (:func:`_leggauss`).
+The box [-R, R]^n comes from the same bound applied to all of theta: 1-D
+log-space integrals of its per-axis envelope certify the mass outside
+(:func:`auto_radius`), and theta = B in every entry covers the whole box.
 The same pass returns the power moments E[x^e] up to a requested order;
 :func:`moments` takes them to order 2d, which determines E[T], E[T T^t], the
 Jacobian Gram matrix, the score-matching terms and E|Lap T|^2
@@ -525,11 +528,26 @@ def _split_separable(grid: QuadratureGrid, f: PolyCoeffs) -> tuple[float, list[n
     return float(const), parts, mixed
 
 
+def _amgm(degrees: np.ndarray, coeffs: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The (n, len(r)) values m_i(r) at r >= 0 of the separable bound |sum_k c_k x^a_k| <= sum_i m_i(|x_i|).
+
+    Weighted AM-GM bounds each row, |c x^a| <= |c| sum_i (a_i/|a|) |x_i|^|a|
+    (rows of degree >= 1), so m_i is a polynomial in |x_i| with nonnegative
+    coefficients, linear in the |c_k|.  A value that overflowed is inf.
+    """
+    s = degrees.sum(axis=1)
+    w = np.abs(coeffs) / s
+    g = np.array([np.bincount(s, a * w) for a in degrees.T])  # g[i, t]: the coefficient of |x_i|^t in m_i
+    deg = np.flatnonzero(g.any(axis=0))  # an unused degree's overflowing |x|^deg times 0 would give nan
+    m = (r[:, None] ** deg @ g[:, deg].T).T
+    m[np.isnan(m)] = math.inf  # a power that overflowed times a zero coefficient
+    return m
+
+
 def _screen(grid: QuadratureGrid, parts: list[np.ndarray], mixed: PolyCoeffs) -> list[np.ndarray]:
     """The indices each axis keeps under the certified separable bound.
 
-    Weighted AM-GM bounds each mixed term, |c x^a| <= |c| sum_i (a_i/|a|)
-    |x_i|^|a|, so |mixed(x)| <= sum_i m_i(x_i) with 1-D polynomials m_i.  A
+    :func:`_amgm` bounds the mixed terms, |mixed(x)| <= sum_i m_i(|x_i|).  A
     node's log value less the constant of :func:`_split_separable` then lies
     between sum_i V_i and sum_i U_i, with U_i = l_i + m_i and V_i = l_i - m_i
     at its indices.  L = sum_i max V_i is at most the log of the largest node
@@ -541,13 +559,7 @@ def _screen(grid: QuadratureGrid, parts: list[np.ndarray], mixed: PolyCoeffs) ->
     and goes; an m_i that overflowed keeps its index.
     """
     n = grid.n
-    s = mixed.degrees.sum(axis=1)
-    w = np.abs(mixed.coeffs) / s
-    g = np.array([np.bincount(s, a * w) for a in mixed.degrees.T])  # g[i, t]: the coefficient of |x_i|^t in m_i
-    deg = np.flatnonzero(g.any(axis=0))  # an unused degree's overflowing |x|^deg times 0 would keep every index
-    g = g[:, deg]
-    m = (np.abs(grid.axis_nodes)[:, None] ** deg @ g.T).T
-    m[np.isnan(m)] = math.inf  # a power that overflowed times a zero coefficient
+    m = _amgm(mixed.degrees, mixed.coeffs, np.abs(grid.axis_nodes))
     l = np.array(parts)
     finite = np.isfinite(l)
     upper = np.where(finite, l + m, -math.inf)
@@ -575,12 +587,14 @@ def poly_quadrature(grid: QuadratureGrid, f: PolyCoeffs, order: int = 0, orthant
     ``orthant_mass`` once if v_i x_i >= 0 for all i holds for any of them.
 
     ``fields`` is a pair (F, reduce): F is a PolyCoeffs of k columns, k more
-    polynomials.  Their slab values P_2 F(t_a) P_3^t, V (k, K, K), and the
-    slab's weights E (K, K) go to ``reduce(V, E)``, whose weighted sums (an
-    array of fixed shape) stream through the sweep's log-sum-exp into
-    ``field_means``.  Fields always take the sweep; on the product route it
-    gives only ``field_means`` and ``nodes``, so adding fields leaves the
-    log integral, the moments and the orthant mass bit for bit as they were.
+    polynomials.  Their slab values P_2 F(t_a) P_3^t and the slab's weights
+    go to ``reduce(V, E)`` in blocks of r rows, V (k, r, K) and E (r, K), r
+    set by ``row_blocks`` for 2^16 values of V; the weighted sums (an array
+    of fixed shape, additive over rows) stream through the sweep's
+    log-sum-exp into ``field_means``.  Fields always take the sweep; on the
+    product route it gives only ``field_means`` and ``nodes``, so adding
+    fields leaves the log integral, the moments and the orthant mass bit for
+    bit as they were.
     """
     n = grid.n
     if f.n != n or f.coeffs.ndim != 1:
@@ -693,8 +707,9 @@ def _sweep(
         active = hit[0][:, a] > 0.0
         if active.any():
             mass += float(E[hit[1][active].T @ hit[2][active] > 0.0].sum())
-        if fields is not None:
-            acc.sums[2] = acc.sums[2] + reduce(PF[1] @ slab_fields[a] @ PF[2].T, E)
+        if fields is not None:  # in row blocks of 2^16 field values, like PolyCoeffs.__call__'s
+            for rows in row_blocks(len(E), 16 * len(F) * E.shape[1]):
+                acc.sums[2] = acc.sums[2] + reduce(PF[1][rows] @ slab_fields[a] @ PF[2].T, E[rows])
     z = acc.total()
     if not const > -math.inf:
         raise NumericalError("integrand underflowed to zero at every grid node")
@@ -777,44 +792,42 @@ def moments(p: ParamVector, grid: QuadratureGrid, check: bool = False) -> Moment
 # radius selection
 
 
-_PROBE_POINTS = 96  # per axis at the start radius; node spacing stays fixed
-_PROBE_START = 2.0
-_PROBE_GROWTH = 1.5  # radius factor between probes
-_PROBE_RTOL = 1e-12  # log Z agreement that ends the search
-
-
 def auto_radius(p: ParamVector) -> float:
-    """Smallest probe radius at which log Z has stopped changing.
+    """The smallest node R of one rule at which the separable envelope puts under e^-SCREEN_MARGIN outside [-R, R]^n.
 
-    Grows the box geometrically until two consecutive radii agree to 1e-12;
-    the base measure's exp(-x^{d+1}) tails make the remainder monotone, so
-    agreement certifies the tail mass is below resolution.  Node spacing is
-    held fixed as the box grows, otherwise resolution loss at large R mimics
-    tail mass and the search overshoots.  Capped at the (astronomically
-    loose) analytic tail radius.
+    :func:`_amgm` bounds |<theta, T(x)>| by sum_i u_i(|x_i|), so with U_i, L_i
+    = -t^{d+1} +- u_i(|t|) and tail_i(R) the integral of e^{U_i} over |t| >= R
+    the mass outside is at most sum_i tail_i(R) / int e^{U_i} * prod_j int
+    e^{U_j} / int e^{L_j}.  The integrands are even; each integral over t >= 0
+    is taken in log space (sums of exp underflow into false certificates at
+    large B) on the 800-point Gauss-Legendre rule on [0, T].  T depends on the
+    box alone: with G the largest u_i(1) at theta = B in every entry, U_i <=
+    -t^{d+1}/2 past T >= 2G, so every integral of e^{U_i} takes on
+    e^{-T^{d+1}/2} for its part past T, and T^{d+1} >= 4 SCREEN_MARGIN keeps
+    that small.  The box's u_i dominates a member's on the shared rule, so
+    ``auto_radius(p) <= family_radius(p.basis, p.B)``.  Raises NumericalError
+    when no node qualifies.
     """
-    cap = tail_radius(p.n, p.d, p.B)
-    R = min(_PROBE_START, cap)
-    prev = None
-    while True:
-        ppa = max(_PROBE_POINTS, math.ceil(_PROBE_POINTS * R / _PROBE_START))
-        lz = log_partition(p, build_grid(p.n, R, ppa))
-        if prev is not None and abs(lz - prev) <= _PROBE_RTOL * max(1.0, abs(lz)):
-            return R
-        prev = lz
-        if R >= cap:
-            return R
-        R = min(R * _PROBE_GROWTH, cap)
+    d, k = p.d, 2 * DEFAULT_POINTS_PER_AXIS[1]
+    box = _amgm(p.basis.degrees, np.full(p.basis.size, float(p.B)), np.ones(1))
+    T = max(2.0 * float(box.max()), (4.0 * SCREEN_MARGIN) ** (1.0 / (d + 1)))
+    x, w = _leggauss(k)
+    t = 0.5 * T * (x + 1.0)
+    base = np.log(0.5 * T * w) - t ** (d + 1)
+    u = _amgm(p.basis.degrees, p.theta, t)
+    # tail[i, j]: the log integral of e^{U_i} from node j on, past T included
+    tail = np.logaddexp(np.logaddexp.accumulate((base + u)[:, ::-1], axis=1)[:, ::-1], -(T ** (d + 1)) / 2.0)
+    lower = np.logaddexp.reduce(base - u, axis=1)
+    bound = np.logaddexp.reduce(tail - tail[:, :1], axis=0) + (tail[:, 0] - lower).sum()
+    ok = bound <= -SCREEN_MARGIN
+    if not ok.any():
+        raise NumericalError(f"no node of [0, {T:.6g}] bounds the mass outside the box by e^-{SCREEN_MARGIN:g}")
+    return float(t[np.argmax(ok)])
 
 
 def family_radius(basis: MonomialBasis, B: float) -> float:
-    """Radius covering the whole box: probes theta = 0 and the +-B corners."""
-    corners = [
-        np.zeros(basis.size),
-        np.full(basis.size, float(B)),
-        np.full(basis.size, -float(B)),
-    ]
-    return max(auto_radius(ParamVector(basis, t, B)) for t in corners)
+    """:func:`auto_radius` at theta = B in every entry, whose envelope dominates every member's of the box."""
+    return auto_radius(ParamVector(basis, np.full(basis.size, float(B)), B))
 
 
 def family_grid(basis: MonomialBasis, B: float) -> QuadratureGrid:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DivergenceError, InputError
 from .expfam import ParamVector, auto_radius, log_unnormalized_density, moments
-from .polybasis import FamilyStats, MonomialBasis, enumerate_basis, eval_suffstats, format_monomial, row_mean, sample_stats
+from .polybasis import FamilyStats, MonomialBasis, eval_suffstats, format_monomial, row_mean, sample_stats
 
 __all__ = [
     "SampleSet",
@@ -119,41 +119,28 @@ _EXACT_GRID_NODES = 8192
 def sample_exact_separable(p: ParamVector, N: int, seed: int) -> SampleSet:
     """Inverse-CDF draws, coordinate by coordinate, for product-form theta.
 
-    Not exact: each coordinate's CDF is the trapezoid rule on 8,192 equispaced
-    nodes of [-R, R], R = ``auto_radius``, inverted by linear interpolation.
-    A member with mixed terms (``log_density.by_axis``) couples coordinates, and raises.
+    Not exact: coordinate i's CDF is the trapezoid rule, on 8,192 equispaced
+    nodes of [-R, R], of exp(lines[i]), its pure powers in
+    ``log_density.by_axis`` (base term included), inverted by linear
+    interpolation; R = ``auto_radius(p)``, one radius for every coordinate.
+    A member with mixed terms couples coordinates, and raises.
     """
     _check_sizes([N])
     _, lines, mixed = p.log_density.by_axis
     if len(mixed.degrees):
         bad = ", ".join(map(format_monomial, mixed.degrees))
         raise ValueError(f"theta couples coordinates via {bad}; exact sampler needs a separable theta")
-    basis1 = enumerate_basis(1, p.d)
+    R = auto_radius(p)
+    nodes = np.linspace(-R, R, _EXACT_GRID_NODES)
     cols = []
-    radii = []
-    for i, theta1 in enumerate(lines[:, 1 : p.d + 1]):  # the 1-D members add their base terms x_i^{d+1} themselves
-        p1 = ParamVector(basis1, theta1, p.B)
-        R = auto_radius(p1)
-        radii.append(R)
-        nodes = np.linspace(-R, R, _EXACT_GRID_NODES)
-        logf = log_unnormalized_density(p1, nodes[:, None])
+    for i, logf in enumerate(lines @ np.vander(nodes, lines.shape[1], increasing=True).T):
         pdf = np.exp(logf - np.max(logf))
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(nodes))])
         cdf /= cdf[-1]
-        u = _stream(seed, i).random(N)
-        cols.append(np.interp(u, cdf, nodes))
-    data = np.column_stack(cols)
-    return SampleSet(
-        n=p.n,
-        N=N,
-        data=data,
-        seed=seed,
-        provenance={
-            "kind": "exact",
-            "parameters": {"grid_nodes": _EXACT_GRID_NODES, "radius": [float(r) for r in radii], "cdf":
-                           "trapezoid rule on grid_nodes equispaced nodes, inverted by linear interpolation"},
-        },
-    )
+        cols.append(np.interp(_stream(seed, i).random(N), cdf, nodes))
+    return SampleSet(n=p.n, N=N, data=np.column_stack(cols), seed=seed, provenance={"kind": "exact", "parameters": {
+        "grid_nodes": _EXACT_GRID_NODES, "radius": R,
+        "cdf": "trapezoid rule on grid_nodes equispaced nodes, inverted by linear interpolation"}})
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special
+from scipy import integrate, optimize, special
 
+from polyscore import expfam
 from polyscore.errors import NumericalError
 from polyscore.expfam import (
     DEFAULT_POINTS_PER_AXIS,
+    SCREEN_MARGIN,
     GridConvergenceError,
     ParamVector,
     auto_radius,
@@ -888,6 +890,119 @@ class TestRadiusSelection:
     def test_family_radius_at_least_single(self):
         basis = enumerate_basis(1, 3)
         assert family_radius(basis, 1.0) >= auto_radius(zero_params(1, 3))
+
+
+def envelope_radius_reference(p: ParamVector) -> float:
+    """The R at which auto_radius's log-space bound crosses e^-SCREEN_MARGIN, by quad and brentq.
+
+    With u_i the weighted AM-GM bound of theta's rows (written out here
+    afresh) and U_i, L_i = -t^{d+1} +- u_i(t), every integral over t >= 0 of
+    e^{U_i} or e^{L_i} is taken as a shifted exponential: its log is the
+    integrand's largest log value on the range plus the log of quad's
+    integral of exp(log value - that), so nothing underflows at large B.
+    """
+    n, d = p.n, p.d
+    g = np.zeros((n, d + 1))  # g[i, t]: the coefficient of |x_i|^t in u_i
+    for a, c in zip(p.basis.degrees, p.theta):
+        g[:, a.sum()] += abs(c) * a / a.sum()
+
+    def log_integral(i, sign, lo):
+        def f(t):
+            return -(t ** (d + 1)) + sign * np.polyval(g[i, ::-1], t)
+
+        ts = np.linspace(lo, lo + 100.0, 20001)
+        top = float(ts[np.argmax(f(ts))])
+        shift = f(top)
+        hi = optimize.brentq(lambda t: f(t) - shift + 800.0, top + 1e-9, 1e4)  # e^-800 of the top past hi
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            val, _ = integrate.quad(lambda t: math.exp(f(t) - shift), lo, hi, points=[top] if top > lo else None,
+                                    limit=200, epsabs=0.0, epsrel=1e-12)
+        return shift + math.log(val)
+
+    upper = [log_integral(i, 1.0, 0.0) for i in range(n)]
+    lower = [log_integral(i, -1.0, 0.0) for i in range(n)]
+
+    def log_bound(R):
+        tails = [log_integral(i, 1.0, R) - upper[i] for i in range(n)]
+        return np.logaddexp.reduce(tails) + sum(upper) - sum(lower)
+
+    return optimize.brentq(lambda R: log_bound(R) + SCREEN_MARGIN, 0.5, 100.0, xtol=1e-10)
+
+
+class TestEnvelopeRadius:
+    """auto_radius and family_radius from the separable AM-GM envelope."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            ParamVector(enumerate_basis(1, 3), np.full(3, 10.0), 10.0),
+            ParamVector(enumerate_basis(1, 3), np.full(3, 50.0), 50.0),
+            random_params(2, 3, 1.0, seed=0),
+            random_params(2, 1, 2.0, seed=1),
+            random_params(3, 3, 1.0, seed=2),
+        ],
+        ids=["n1-B10", "n1-B50", "n2-d3", "n2-d1-B2", "n3-d3"],
+    )
+    def test_matches_the_log_space_bound(self, p):
+        # the rule's nodes sit at or just past the crossing (measured: 0.15% to
+        # 0.83% past it); a bound summed as exp underflows and lands far short
+        # of it, at 10.1 for B = 10 and 38.8 for B = 50
+        ref = envelope_radius_reference(p)
+        assert ref * (1 - 1e-3) <= auto_radius(p) <= ref * 1.02
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("B", [1.0, 2.0])
+    def test_members_lie_within_the_box_radius(self, n, d, B):
+        basis = enumerate_basis(n, d)
+        box = family_radius(basis, B)
+        assert auto_radius(ParamVector(basis, np.full(basis.size, -B), B)) == box
+        for seed in range(4):
+            assert auto_radius(random_params(n, d, B, seed)) <= box
+
+    @pytest.mark.parametrize("n, points", [(1, 800), (2, 200), (3, 80)])
+    def test_mass_outside_the_box_is_negligible(self, n, points):
+        p = random_params(n, 3, 1.0, seed=40 + n)
+        R = auto_radius(p)
+        _, (outside,) = quad_expectation(
+            build_grid(n, 2.0 * R, points),
+            lambda X: log_unnormalized_density(p, X),
+            [lambda X: (np.abs(X) > R).any(axis=1).astype(float)],
+        )
+        assert outside <= 1e-15
+
+    def test_no_quadrature_pass(self, monkeypatch):
+        def refuse(*args, **kw):
+            raise AssertionError("the radius ran a quadrature pass")
+
+        monkeypatch.setattr(expfam, "poly_quadrature", refuse)
+        monkeypatch.setattr(expfam, "build_grid", refuse)
+        assert auto_radius(random_params(3, 3, 1.0, seed=0)) <= family_radius(enumerate_basis(3, 3), 1.0)
+
+
+class TestFieldBlocks:
+    def test_blocks_match_one_whole_slab_reduction(self, monkeypatch):
+        # an n = 2, d = 1 member keeps most of the 200^2 nodes of its family
+        # grid in its one slab; its 8 fields reach the reducer in blocks of at
+        # most 2^16 values
+        p = random_params(2, 1, 1.0, seed=3)
+        grid = family_grid(p.basis, 1.0)
+        F = PolyCoeffs.from_arrays(2, list(itertools.product(range(3), repeat=2))[1:], np.eye(8))
+        shapes = []
+
+        def reduce(V, E):
+            shapes.append(V.shape)
+            Y = V.reshape(len(V), -1)
+            return np.concatenate([Y @ E.ravel(), np.sqrt(np.abs(Y)) @ E.ravel()])
+
+        blocked = poly_quadrature(grid, p.log_density, fields=(F, reduce))
+        assert len(shapes) > 1 and all(math.prod(s) <= 2**16 for s in shapes)
+        monkeypatch.setattr(expfam, "row_blocks", lambda total, width: iter([slice(0, total)]))
+        shapes.clear()
+        whole = poly_quadrature(grid, p.log_density, fields=(F, reduce))
+        assert len(shapes) == 1 and math.prod(shapes[0][1:]) == blocked.nodes
+        np.testing.assert_allclose(blocked.field_means, whole.field_means, rtol=1e-13, atol=0.0)
 
 
 class TestTailAndMomentBounds:

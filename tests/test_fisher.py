@@ -1,6 +1,7 @@
 """Tests for Fisher information, the Poincare constant, and the bound audit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -355,6 +356,22 @@ class TestVerifyBounds:
         p = random_params(2, 3, 1.0, seed=61)
         report = verify_bounds(p, build_grid(2, 4.0, 160), seed=2)
         assert report.all_hold, [c for c in report.checks if not c.holds]
+
+    def test_field_blocks_bound_the_audit_peak(self):
+        # the n = 2, d = 1 audit keeps most of its family grid's 200^2 nodes;
+        # its 8 fields in one (8, K, K) piece peaked near 4.2 MB, in row blocks
+        # of 2^16 values near 1.4 MB
+        p = random_params(2, 1, 1.0, seed=3)
+        grid = expfam.family_grid(p.basis, 1.0)
+        want = verify_bounds(p, grid, seed=0)  # warms the cached rules and field tables
+        tracemalloc.start()
+        try:
+            got = verify_bounds(p, grid, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 2 * 2**20
 
     def test_corrupt_fisher_fails_iv(self):
         report = verify_bounds(zero_params(1, 1), build_grid(1, 6.0, 200), corrupt="fisher")

@@ -99,6 +99,20 @@ class TestExactSampler:
         assert np.array_equal(a.data, b.data)
         assert a.provenance == b.provenance
 
+    def test_one_radius_for_every_coordinate(self, monkeypatch):
+        calls = []
+
+        def counted(q):
+            calls.append(q)
+            return auto_radius(q)
+
+        monkeypatch.setattr(sampler, "auto_radius", counted)
+        p = _separable_params(7, n=3)
+        s = sample_exact_separable(p, 100, seed=1)
+        assert calls == [p]
+        assert s.provenance["parameters"]["radius"] == auto_radius(p)
+        assert np.abs(s.data).max() <= auto_radius(p)
+
     def test_seed_changes_output(self):
         p = _separable_params(7, n=2)
         a = sample_exact_separable(p, 500, seed=1)
