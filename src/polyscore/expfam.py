@@ -24,10 +24,12 @@ are the matrix product P_2 C(t_a) P_3^t of per-axis power tables and the
 slab's coefficient matrix (the mixed rows alone, laid out by :func:`_dense`),
 so no grid point is ever formed and the working set is one K x K slab.  A
 certified separable bound, built from the same split, first drops the axis
-indices whose nodes together carry under e^-50 of the integral.  A log
-density without mixed terms is a product over the axes and is integrated
-axis by axis instead, with no slab and no screen.  The axis rules are
-Gauss-Legendre, built by Newton iteration in O(k) memory (:func:`_leggauss`).
+indices whose nodes together carry under e^-50 of the integral.  A pass that
+asks only for log Z and the moments of a log density without mixed terms is
+a product over the axes and is integrated axis by axis instead, with no
+slab and no screen; orthants and fields always take the sweep.  The axis
+rules are Gauss-Legendre, built by Newton iteration in O(k) memory
+(:func:`_leggauss`).
 The box [-R, R]^n comes from the same bound applied to all of theta: 1-D
 log-space integrals of its per-axis envelope certify the mass outside
 (:func:`auto_radius`), and theta = B in every entry covers the whole box.
@@ -43,10 +45,9 @@ chunks of any integrand.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -301,8 +302,6 @@ class QuadratureGrid:
     axis_nodes: np.ndarray
     axis_logw: np.ndarray
     panels: tuple[tuple[float, float], ...]
-    refine_near: tuple[float, ...]
-    refine_width: float
 
     @property
     def total_nodes(self) -> int:
@@ -320,13 +319,7 @@ class QuadratureGrid:
             yield X, logw
 
     def doubled(self) -> "QuadratureGrid":
-        return build_grid(
-            self.n,
-            self.radius,
-            2 * self.points_per_axis,
-            refine_near=self.refine_near or None,
-            refine_width=self.refine_width,
-        )
+        return _panel_rule(self.n, self.radius, 2 * self.points_per_axis, self.panels)
 
     def spec(self) -> dict:
         return {
@@ -370,6 +363,11 @@ def build_grid(
     if merged[-1] != radius:
         merged[-1] = radius
     panels = tuple((merged[i], merged[i + 1]) for i in range(len(merged) - 1))
+    return _panel_rule(n, radius, points_per_axis, panels)
+
+
+def _panel_rule(n: int, radius: float, points_per_axis: int, panels: tuple[tuple[float, float], ...]) -> QuadratureGrid:
+    """``points_per_axis`` Gauss-Legendre nodes per axis shared out over the panels, the widest first."""
     P = len(panels)
     if points_per_axis < 3 * P:
         raise ValueError(
@@ -396,8 +394,6 @@ def build_grid(
         axis_nodes=axis_nodes,
         axis_logw=axis_logw,
         panels=panels,
-        refine_near=tuple(refine_near or ()),
-        refine_width=float(refine_width),
     )
 
 
@@ -482,8 +478,7 @@ class PolyIntegral:
     is the probability of the union of the requested closed orthants;
     ``field_means`` the reducer's sums normalized, None without fields.
     ``nodes`` counts the grid nodes the pass evaluated: every node on the
-    product route of a log density without mixed rows, else the nodes that
-    screening kept; with fields it is always the screened sweep's count.
+    product route, the nodes that screening kept on the sweep.
     """
 
     log_integral: float
@@ -578,10 +573,11 @@ def poly_quadrature(grid: QuadratureGrid, f: PolyCoeffs, order: int = 0, orthant
     The pass splits f by :attr:`PolyCoeffs.by_axis` into a constant, the
     pure powers of each axis and the mixed rows, those coupling two or more
     axes (see :func:`_split_separable`).  Without mixed rows exp(f) is a
-    product over the axes and so is every sum the pass returns: the product
-    route (:func:`_product`) integrates each axis once, in O(nK) for K points
-    per axis, and evaluates every node.  With mixed rows the slab sweep
-    (:func:`_sweep`) runs over the nodes that :func:`_screen` keeps.
+    product over the axes and so are log Z and the moments: a pass that asks
+    for nothing else takes the product route (:func:`_product`), which
+    integrates each axis once, in O(nK) for K points per axis, and evaluates
+    every node.  Every other pass, with mixed rows, orthants or fields, takes
+    the slab sweep (:func:`_sweep`) over the nodes that :func:`_screen` keeps.
 
     ``orthants`` lists sign vectors v; a node counts towards
     ``orthant_mass`` once if v_i x_i >= 0 for all i holds for any of them.
@@ -591,10 +587,7 @@ def poly_quadrature(grid: QuadratureGrid, f: PolyCoeffs, order: int = 0, orthant
     go to ``reduce(V, E)`` in blocks of r rows, V (k, r, K) and E (r, K), r
     set by ``row_blocks`` for 2^16 values of V; the weighted sums (an array
     of fixed shape, additive over rows) stream through the sweep's
-    log-sum-exp into ``field_means``.  Fields always take the sweep; on the
-    product route it gives only ``field_means`` and ``nodes``, so adding
-    fields leaves the log integral, the moments and the orthant mass bit for
-    bit as they were.
+    log-sum-exp into ``field_means``.
     """
     n = grid.n
     if f.n != n or f.coeffs.ndim != 1:
@@ -605,53 +598,33 @@ def poly_quadrature(grid: QuadratureGrid, f: PolyCoeffs, order: int = 0, orthant
         raise ValueError(f"fields must be the columns of one PolyCoeffs in {n} variables, got n={fields[0].n}")
     signs = np.asarray(orthants, dtype=float).reshape(-1, n)
     const, parts, mixed = _split_separable(grid, f)
-    if len(mixed.degrees):
+    if len(mixed.degrees) or len(signs) or fields is not None:
         return _sweep(grid, const, parts, mixed, order, signs, fields)
-    out = _product(grid, const, parts, order, signs)
-    if fields is None:
-        return out
-    swept = _sweep(grid, const, parts, mixed, 0, signs[:0], fields)
-    return replace(out, nodes=swept.nodes, field_means=swept.field_means)
+    return _product(grid, const, parts, order)
 
 
-def _product(
-    grid: QuadratureGrid, const: float, parts: list[np.ndarray], order: int, signs: np.ndarray
-) -> PolyIntegral:
-    """The pass of a log density without mixed rows, axis by axis.
+def _product(grid: QuadratureGrid, const: float, parts: list[np.ndarray], order: int) -> PolyIntegral:
+    """Log Z and the moments of a log density without mixed rows, axis by axis.
 
     With e_i = exp(l_i - max l_i) for axis i's part l_i, log Z = const +
     sum_i (max l_i + log sum e_i), and the moments are the outer product of
     m_i = Q_i^t e_i / (Q_i^t e_i)[0], Q_i the axis's power table, so
-    ``moments[0, ..., 0]`` is exactly 1.  Each axis splits its weight into
-    the nodes below, at and above 0, which makes 3^n sign cells; the orthant
-    mass sums the cells some orthant covers, and a cell at x_i = 0 is covered
-    by every orthant that touches it.  Every node counts in ``nodes``.
+    ``moments[0, ..., 0]`` is exactly 1.  No orthant was asked for, so the
+    orthant mass is 0; every node counts in ``nodes``.
     """
     Q = np.vander(grid.axis_nodes, order + 1, increasing=True)
-    side = np.sign(grid.axis_nodes)
-    log_integral, moments, cells = const, np.ones(()), np.ones(())
+    log_integral, moments = const, np.ones(())
     for part in parts:
         part = np.where(np.isfinite(part), part, -math.inf)  # the pass's rule for non-finite log values
         top = float(part.max())
         if top == -math.inf:
             raise NumericalError("integrand underflowed to zero at every grid node")
-        e = np.exp(part - top)
-        s = Q.T @ e
+        s = Q.T @ np.exp(part - top)
         log_integral += top + math.log(s[0])
         moments = np.multiply.outer(moments, s / s[0])
-        cells = np.multiply.outer(cells, np.array([e[side < 0].sum(), e[side == 0].sum(), e[side > 0].sum()]))
-        cells /= s[0]
     if not const > -math.inf:
         raise NumericalError("integrand underflowed to zero at every grid node")
-    # each cell's coordinate signs (-1, 0 or +1), tested against the orthants as a node's would be
-    cell_signs = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=grid.n)))
-    covered = np.any(np.all(cell_signs[:, None, :] * signs[None] >= 0.0, axis=2), axis=1)
-    return PolyIntegral(
-        log_integral=log_integral,
-        moments=moments,
-        orthant_mass=float(cells.ravel()[covered].sum()),
-        nodes=grid.total_nodes,
-    )
+    return PolyIntegral(log_integral=log_integral, moments=moments, orthant_mass=0.0, nodes=grid.total_nodes)
 
 
 def _sweep(

@@ -108,8 +108,7 @@ def fisher_info(p: ParamVector, source) -> np.ndarray:
 
 def gram_matrix(p: ParamVector, source) -> np.ndarray:
     """E[(JT)(JT)^t] under p, from a grid (ungated) or a SampleSet."""
-    G = _stats(p, source, check=False).gram
-    return 0.5 * (G + G.T)
+    return _stats(p, source, check=False).gram
 
 
 def restricted_poincare(I: np.ndarray, G: np.ndarray, basis=None, return_witness: bool = False):

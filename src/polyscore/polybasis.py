@@ -297,9 +297,8 @@ class FamilyStats:
 
     @property
     def fisher(self) -> np.ndarray:
-        """The covariance of T, E[T T^t] - E[T] E[T]^t, symmetrized."""
-        I = self.second_T - np.outer(self.mean_T, self.mean_T)
-        return 0.5 * (I + I.T)
+        """The covariance of T, E[T T^t] - E[T] E[T]^t: exactly symmetric, as both terms are."""
+        return self.second_T - np.outer(self.mean_T, self.mean_T)
 
 
 @lru_cache(maxsize=None)

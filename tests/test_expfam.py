@@ -627,7 +627,9 @@ class TestPolyQuadrature:
     def test_fields_ride_the_pass(self, n):
         # fields x^e, e in {0, 1, 2}^n, summed linearly reproduce the power
         # moments; |x_1| = sqrt(x_1^2) through a nonlinear reducer matches
-        # the pointwise path; the pass's own results do not move
+        # the pointwise path; the pass's own results do not move, but for
+        # rounding at n = 1, where the member is separable and only the pass
+        # with fields takes the sweep
         p = random_params(n, 3, 1.0, seed=10 + n)
         grid = build_grid(n, *SMALL_GRIDS[n][::-1])
         F = PolyCoeffs.from_arrays(n, list(itertools.product(range(3), repeat=n)), np.eye(3**n))
@@ -639,8 +641,12 @@ class TestPolyQuadrature:
         plain = poly_quadrature(grid, p.log_density, order=2)
         out = poly_quadrature(grid, p.log_density, order=2, fields=(F, reduce))
         assert plain.field_means is None
-        assert out.log_integral == plain.log_integral
-        assert np.array_equal(out.moments, plain.moments)
+        if n == 1:
+            assert_close_to(out.log_integral, plain.log_integral)
+            assert_close_to(out.moments, plain.moments)
+        else:
+            assert out.log_integral == plain.log_integral
+            assert np.array_equal(out.moments, plain.moments)
         np.testing.assert_allclose(out.field_means[:-1], plain.moments.ravel(), rtol=1e-13, atol=1e-15)
         _, (abs_x1,) = pointwise(p, grid, [lambda X: np.abs(X[:, 0])])
         assert out.field_means[-1] == pytest.approx(float(abs_x1), rel=1e-13)
@@ -814,32 +820,31 @@ class TestProductRoute:
         for p in self.members(n):
             f = p.log_density
             assert f.by_axis[2].degrees.shape == (0, n)
-            out = poly_quadrature(grid, f, order=2 * p.d, orthants=V)
+            out = poly_quadrature(grid, f, order=2 * p.d)
             logz, (mom, mass) = split_reference(grid, f, [power_table(n, 2 * p.d), union])
             assert out.nodes == grid.total_nodes
             assert out.moments[(0,) * n] == 1.0
             assert out.log_integral == pytest.approx(logz, rel=1e-14)
             assert_close_to(out.moments, mom)
-            assert out.orthant_mass == pytest.approx(float(mass), abs=1e-14)
+            assert poly_quadrature(grid, f, orthants=V).orthant_mass == pytest.approx(float(mass), abs=1e-14)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_agrees_with_the_sweep(self, n):
         # one mixed row of coefficient 1e-30 sends the same density through the slab sweep
         grid = build_grid(n, 4.5, 25)
-        V = np.array([[1.0] * n, [1.0] + [-1.0] * (n - 1)])
         tiny = PolyCoeffs.from_arrays(n, [[1, 1] + [0] * (n - 2)], [1e-30])
         for p in self.members(n):
-            out = poly_quadrature(grid, p.log_density, order=2 * p.d, orthants=V)
+            out = poly_quadrature(grid, p.log_density, order=2 * p.d)
             coupled = p.log_density + tiny
             assert coupled.by_axis[2].degrees.shape == (1, n)
-            swept = poly_quadrature(grid, coupled, order=2 * p.d, orthants=V)
+            swept = poly_quadrature(grid, coupled, order=2 * p.d)
             assert abs(out.log_integral - swept.log_integral) <= 1e-14 * (1.0 + abs(swept.log_integral))
             assert_close_to(out.moments, swept.moments)
-            assert out.orthant_mass == pytest.approx(swept.orthant_mass, abs=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_fields_leave_the_product_bits(self, n):
-        # fields take the screened sweep, which gives only field_means and nodes
+    def test_fields_and_orthants_take_the_sweep(self, n, monkeypatch):
+        # a separable pass with fields or orthants is one screened sweep and
+        # no product pass; it agrees with the plain pass, which is the product route
         p = self.members(n)[2]
         grid = build_grid(n, 4.0, 16)
         F = PolyCoeffs.from_arrays(n, np.eye(n, dtype=np.int64), np.eye(n))
@@ -847,13 +852,34 @@ class TestProductRoute:
         def reduce(V, E):
             return V.reshape(len(V), -1) @ E.ravel()
 
-        plain = poly_quadrature(grid, p.log_density, order=2, orthants=[[1.0] * n])
-        out = poly_quadrature(grid, p.log_density, order=2, orthants=[[1.0] * n], fields=(F, reduce))
-        assert plain.nodes == grid.total_nodes and out.nodes < grid.total_nodes
-        assert out.log_integral == plain.log_integral and out.orthant_mass == plain.orthant_mass
-        assert np.array_equal(out.moments, plain.moments)
-        np.testing.assert_allclose(out.field_means, [plain.moments[tuple(e)] for e in np.eye(n, dtype=int)],
-                                   rtol=1e-13, atol=1e-15)
+        def refuse(*args):
+            raise AssertionError("the pass took the product route")
+
+        plain = poly_quadrature(grid, p.log_density, order=2)
+        sweeps, sweep = [], expfam._sweep
+        monkeypatch.setattr(expfam, "_sweep", lambda *args: sweeps.append(args) or sweep(*args))
+        monkeypatch.setattr(expfam, "_product", refuse)
+        for kw in ({"fields": (F, reduce)}, {"orthants": [[1.0] * n]}):
+            sweeps.clear()
+            out = poly_quadrature(grid, p.log_density, order=2, **kw)
+            assert len(sweeps) == 1 and out.nodes < plain.nodes == grid.total_nodes
+            assert abs(out.log_integral - plain.log_integral) <= 1e-14 * abs(plain.log_integral)
+            assert_close_to(out.moments, plain.moments)
+            if "fields" in kw:
+                first = [out.moments[tuple(e)] for e in np.eye(n, dtype=int)]
+                np.testing.assert_allclose(out.field_means, first, rtol=1e-13, atol=1e-15)
+
+    def test_plain_passes_make_no_sweep(self, monkeypatch):
+        # the passes of a separable member's MLE objective and audit moments
+        def refuse(*args):
+            raise AssertionError("a plain separable pass took the sweep")
+
+        monkeypatch.setattr(expfam, "_sweep", refuse)
+        for n in (1, 2, 3):
+            for p in self.members(n):
+                grid = family_grid(p.basis, p.B)
+                moments(p, grid, check=True)
+                log_partition(p, grid)
 
     def test_no_work_grows_with_the_node_count(self):
         # 2000 points per axis at n = 3 is 8e9 nodes; the product route sums 3 x 2000
@@ -1043,14 +1069,14 @@ def _quadpack_well(beta, lo, hi, k):
     return val
 
 
-def _jittered(build):
-    """build_grid with log weights off by 1e-9 log2(points): each doubling moves the rule."""
+def _jittered(rule):
+    """The panel rule with log weights off by 1e-9 log2(points): each doubling moves the rule."""
 
-    def build_jittered(n, radius, points_per_axis, **kw):
-        grid = build(n, radius, points_per_axis, **kw)
+    def rule_jittered(n, radius, points_per_axis, panels):
+        grid = rule(n, radius, points_per_axis, panels)
         return dataclasses.replace(grid, axis_logw=grid.axis_logw + 1e-9 * math.log2(points_per_axis))
 
-    return build_jittered
+    return rule_jittered
 
 
 class TestWellConcentration:
@@ -1100,7 +1126,7 @@ class TestWellConcentration:
         # a rule that never settles reaches the node cap and fails the gate
         import polyscore.expfam as expfam
 
-        monkeypatch.setattr(expfam, "build_grid", _jittered(expfam.build_grid))
+        monkeypatch.setattr(expfam, "_panel_rule", _jittered(expfam._panel_rule))
         with pytest.raises(GridConvergenceError, match="2\\^12"):
             _well_moments(350.0, 0.0, 3.0)
 

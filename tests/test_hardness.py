@@ -494,11 +494,18 @@ class TestHardnessGrid:
     def test_refined_at_wells(self):
         g = hardness_grid(1, 1e4)
         assert g.n == 1 and len(g.axis_nodes) == 480
-        assert g.refine_near == (-1.0, 1.0)
-        assert g.refine_width == pytest.approx(1e-2)
+        for well in (-1.0, 1.0):
+            lo, hi = next(pn for pn in g.panels if pn[0] < well < pn[1])
+            assert 0.5 * (lo + hi) == pytest.approx(well, abs=1e-12)
+            assert hi - lo == pytest.approx(1e-2, rel=1e-12)
 
     def test_width_capped_at_one(self):
-        assert hardness_grid(1, 0.25).refine_width == 1.0
+        # 1/sqrt(0.25) = 2 would give the panels (-2, 0), (0, 2); at width 1
+        # each well's panel is [w - 0.5, w + 0.5], split at w by the other
+        # well's guard at offset 2
+        panels = hardness_grid(1, 0.25).panels
+        expected = [(-2.0, -1.5), (-1.5, -1.0), (-1.0, -0.5), (-0.5, 0.5), (0.5, 1.0), (1.0, 1.5), (1.5, 2.0)]
+        assert np.allclose(np.array(panels), np.array(expected), atol=1e-12)
 
     def test_rejections(self):
         with pytest.raises(ValueError, match="beta"):

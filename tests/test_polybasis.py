@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyscore.estimators import sm_loss
-from polyscore.expfam import ParamVector, score
+from polyscore.expfam import ParamVector, build_grid, moments, random_params, score
 from polyscore.fisher import fisher_info, gram_matrix, sm_moment_inputs
 from polyscore.polybasis import (
     PolyCoeffs,
@@ -715,6 +715,19 @@ class TestFamilyStats:
         assert _rel_err(fisher_info(p, s), cov, scale=want["second_T"]) <= 1e-12
         assert _rel_err(gram_matrix(p, s), want["gram"]) <= 1e-12
         assert _rel_err(sm_moment_inputs(p, s)["E_dT2"], want["lap_sq"]) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_gathers_are_exactly_symmetric(self, n):
+        # entries (k, l) and (l, k) gather the same terms in the same order,
+        # and E[T] E[T]^t is an outer product, so no symmetrization is needed
+        X = np.random.default_rng(n).normal(scale=0.8, size=(50, n))
+        stats = [sample_stats(enumerate_basis(n, d), X) for d in (1, 3, 5)]
+        if n <= 3:
+            grid = build_grid(n, 4.0, {1: 48, 2: 24, 3: 12}[n])
+            stats += [moments(random_params(n, d, 1.0, seed=n), grid) for d in (1, 3)]
+        for got in stats:
+            for M in (got.second_T, got.gram, got.fisher):
+                assert np.array_equal(M, M.T)
 
     def test_row_blocks_cover_every_row_once(self):
         # at n = 5, d = 3 a block of degree-6 monomials holds 2269 rows
