@@ -34,7 +34,6 @@ from .expfam import (
     Moments,
     ParamVector,
     QuadratureGrid,
-    _check_grid,
     gated_quadrature,
     moments,
     poly_quadrature,
@@ -201,7 +200,6 @@ def _jt_pass(p: ParamVector, grid: QuadratureGrid, extra=None, check: bool = Fal
     ``check`` the pass is the coarse pass of :func:`gated_quadrature`, so the
     gate costs only the doubled grid's log Z.
     """
-    _check_grid(p, grid)
     jtj = _jtj_fields(p.n, p.d)
     m = jtj.coeffs.shape[1]
 

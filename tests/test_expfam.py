@@ -653,19 +653,26 @@ class TestPolyQuadrature:
 
     def test_overflow_everywhere_raises_like_pointwise(self):
         # on a box this wide every node's powers overflow: zero density at
-        # every node, which both paths report as underflow
-        p = random_params(2, 3, 1.0, seed=4)
+        # every node, which both paths and both routes report as underflow;
+        # the member takes the sweep, the other two the product route, and
+        # x_1^50 overflows even in extended precision, so no node of axis 1
+        # has a finite log value
         grid = build_grid(2, 1e103, 60)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError, match="underflow"):
-                pointwise(p, grid)
-            with pytest.raises(NumericalError, match="underflow"):
-                poly_quadrature(grid, p.log_density)
+        for f in (
+            random_params(2, 3, 1.0, seed=4).log_density,
+            zero_params(2, 3).log_density,
+            PolyCoeffs.from_arrays(2, [[50, 0], [0, 4]], [-1.0, -1.0]),
+        ):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NumericalError, match="underflow"):
+                    quad_log_integral(grid, f)
+                with pytest.raises(NumericalError, match="underflow"):
+                    poly_quadrature(grid, f)
 
     def test_rejections(self):
         grid = build_grid(2, 3.0, 12)
         p = random_params(2, 1, 1.0, seed=0)
-        with pytest.raises(ValueError, match="n=2 variables, got n=3,"):
+        with pytest.raises(ValueError, match="grid dimension 2 != polynomial dimension 3"):
             poly_quadrature(grid, zero_params(3, 1).log_density)
         with pytest.raises(ValueError, match="one polynomial"):
             poly_quadrature(grid, p._terms)
@@ -881,6 +888,18 @@ class TestProductRoute:
                 moments(p, grid, check=True)
                 log_partition(p, grid)
 
+    def test_log_z_is_independent_of_the_order(self):
+        # the weight sum is e's own sum, not the first entry of a power-table
+        # product whose rounding follows the table's width
+        for n in (1, 2, 3):
+            for p in self.members(n):
+                grid = family_grid(p.basis, p.B)
+                logz = {poly_quadrature(grid, p.log_density, order=k).log_integral for k in (0, 1, 2, 2 * p.d)}
+                assert len(logz) == 1 and type(logz.pop()) is float
+        p = random_params(1, 1, 1.0, seed=1)
+        grid = family_grid(p.basis, p.B)
+        assert moments(p, grid, check=True).log_partition == log_partition(p, grid)
+
     def test_no_work_grows_with_the_node_count(self):
         # 2000 points per axis at n = 3 is 8e9 nodes; the product route sums 3 x 2000
         grid = build_grid(3, 7.0, 2000)
@@ -1029,6 +1048,18 @@ class TestFieldBlocks:
         whole = poly_quadrature(grid, p.log_density, fields=(F, reduce))
         assert len(shapes) == 1 and math.prod(shapes[0][1:]) == blocked.nodes
         np.testing.assert_allclose(blocked.field_means, whole.field_means, rtol=1e-13, atol=0.0)
+
+    def test_scalar_reducer_keeps_its_shape(self):
+        # at n = 3 the running max rises across slabs, so the sums are
+        # rescaled: E.sum() summed and normalized is the weight sum, 1
+        F = PolyCoeffs.from_arrays(3, np.eye(3, dtype=np.int64), np.eye(3))
+        grid = build_grid(3, 4.5, 32)
+        for seed in range(3):
+            p = random_params(3, 3, 1.0, seed)
+            scalar = poly_quadrature(grid, p.log_density, fields=(F, lambda V, E: E.sum())).field_means
+            one = poly_quadrature(grid, p.log_density, fields=(F, lambda V, E: np.array([E.sum()]))).field_means
+            assert scalar.shape == () and one.shape == (1,)
+            assert abs(scalar - 1.0) <= 1e-12 and abs(one[0] - 1.0) <= 1e-12
 
 
 class TestTailAndMomentBounds:

@@ -139,7 +139,7 @@ class TestGridGathers:
     def test_grid_dimension_mismatch(self):
         p = random_params(2, 3, 1.0, seed=0)
         for fn in (sm_moment_inputs, regularity_preflight):
-            with pytest.raises(ValueError, match="grid dimension 3 != family dimension 2"):
+            with pytest.raises(ValueError, match="grid dimension 3 != polynomial dimension 2"):
                 fn(p, build_grid(3, 4.5, 12))
 
     def test_no_per_node_pass(self, monkeypatch):
