@@ -30,6 +30,7 @@ Commands raise; :func:`main` alone maps a failure to its exit code (see
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -337,7 +338,20 @@ def cmd_study(args):
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process; every :func:`main` call reuses it.
+
+    Reuse is safe because the tree reads nothing that changes at run time,
+    and ``parse_args`` fills a fresh namespace on every call and leaves no
+    state on the parser.  Building it costs about 1 ms against tens of
+    microseconds for a parse, so callers that run :func:`main` many times in
+    one process (tests, benchmarks, scripts) pay it once; a cold ``polyscore``
+    process builds it once either way.  What the build reads is frozen with
+    it: each subcommand's ``cmd_*`` function, bound by ``set_defaults``, and
+    the default ``--scale`` of ``verify``.  A wrapper put on ``cli.cmd_*``
+    after the first :func:`main` call is therefore not seen by later calls.
+    """
     parser = argparse.ArgumentParser(
         prog="polyscore",
         description="Estimation and verification for exponential families of polynomial type.",

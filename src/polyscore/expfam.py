@@ -655,8 +655,11 @@ def _sweep(grid: QuadratureGrid, const: float, parts: list[np.ndarray], mixed: P
     of the log density are P_2 C(t_a) P_3^t, with P_i the axis power tables
     up to the mixed rows' largest exponent; the log weights join the per-axis
     parts, and a log-sum-exp streams over the slabs in a fixed order, which
-    makes the result bitwise deterministic.  The working set is O(K^2)
-    whatever n is.  Screening changes the sums by under e^-50 of their size;
+    makes the result bitwise deterministic.  Each slab's weight sum is the
+    order-0 product 1^t E 1 whatever the order asked for, since the corner of
+    Q_2^t E Q_3 rounds with the tables' width: log Z is the order-0 pass's
+    bit for bit, and ``moments[0, ..., 0]`` is set to exactly 1.  The working
+    set is O(K^2) whatever n is.  Screening changes the sums by under e^-50 of their size;
     ``nodes`` reports how many nodes it leaves.  Every axis keeps at least
     the index of its largest lower bound, since every axis has a finite part.
     """
@@ -668,14 +671,15 @@ def _sweep(grid: QuadratureGrid, const: float, parts: list[np.ndarray], mixed: P
     mixed = _dense(mixed)[(None,) * pad]
     P = [np.vander(t, k, increasing=True) for t, k in zip(nodes, mixed.shape)]
     Q = [np.vander(t, 1 if i < pad else order + 1, increasing=True) for i, t in enumerate(nodes)]
+    ones = [np.ones((len(t), 1)) for t in nodes[1:]]  # Q_2 and Q_3 at order 0
     # hit[i][j, k]: node k of axis i lies on the closed side of orthant j
     hit = [(signs[:, i, None] * t >= 0.0).astype(float) for i, t in enumerate(nodes[pad:])]
     hit = [np.ones((len(signs), 1))] * pad + hit
     slab_mixed = np.tensordot(P[0], mixed, axes=1)  # C(t_a) for every slab a
     slab_parts = np.add.outer(parts[1], parts[2])
-    # S sums w f x^e over all nodes, mass sums w f over the orthants' nodes
-    acc = _LogSum([q.shape[1] for q in Q], ())
-    S, mass = acc.sums
+    # z sums w f over all nodes, S sums w f x^e, mass sums w f over the orthants' nodes
+    acc = _LogSum((1, 1), [q.shape[1] for q in Q], ())
+    z, S, mass = acc.sums
     if fields is not None:
         F, reduce = fields
         F = _dense(F)
@@ -689,16 +693,19 @@ def _sweep(grid: QuadratureGrid, const: float, parts: list[np.ndarray], mixed: P
         E = acc.weights(L, part)
         if E is None:
             continue
-        S += np.multiply.outer(Q[0][a], Q[1].T @ E @ Q[2])
+        z += ones[0].T @ E @ ones[1]
+        if order:
+            S += np.multiply.outer(Q[0][a], Q[1].T @ E @ Q[2])
         active = hit[0][:, a] > 0.0
         if active.any():
             mass += float(E[hit[1][active].T @ hit[2][active] > 0.0].sum())
         if fields is not None:  # in row blocks of 2^16 field values, like PolyCoeffs.__call__'s
             for rows in row_blocks(len(E), 16 * len(F) * E.shape[1]):
                 # an ndarray even for a scalar reducer, so _LogSum rescales it in place
-                acc.sums[2] = np.asarray(acc.sums[2] + reduce(PF[1][rows] @ slab_fields[a] @ PF[2].T, E[rows]))
-    field_sums = acc.sums[2] if fields is not None else None
-    return const + acc.m, acc.total(), S[(0,) * pad], mass, math.prod(len(k) for k in keep), field_sums
+                acc.sums[3] = np.asarray(acc.sums[3] + reduce(PF[1][rows] @ slab_fields[a] @ PF[2].T, E[rows]))
+    field_sums = acc.sums[3] if fields is not None else None
+    S[0, 0, 0] = total = acc.total()  # so moments[0, ..., 0] is exactly 1
+    return const + acc.m, total, S[(0,) * pad], mass, math.prod(len(k) for k in keep), field_sums
 
 
 def gated_quadrature(

@@ -410,8 +410,13 @@ def verify_roots(inst: EncodedInstance, seed: int = 0) -> dict:
     At every vertex the expanded polynomials must reproduce, in exact integer
     arithmetic, ``H_C(v) = 64 * (#falsified clauses)`` and ``G(v) = 0``; in
     particular the energy vanishes exactly at the satisfying assignments.
-    Away from the vertices the energy must be strictly positive, probed at
-    1000 uniform points of [-2, 2]^n drawn from stream 0 of ``seed``.
+    For beta > 0 the energy must also be strictly positive away from the
+    vertices, probed at 1000 uniform points of [-2, 2]^n drawn from stream 0
+    of ``seed``.  At beta = 0 the energy is alpha * H_C, and a clause's term
+    vanishes wherever one of its literals is exactly true: the energy of the
+    lone clause (x1 or x2 or not x3) is zero on the whole face x1 = 1.
+    Random points almost never hit such a face, so at beta = 0 ``holds`` is
+    false whatever the probe reads, and the report's ``refused`` says why.
     """
     C = inst.formula
     _check_scan_size(C.n)
@@ -428,8 +433,8 @@ def verify_roots(inst: EncodedInstance, seed: int = 0) -> dict:
     X = _stream(seed, 0).uniform(-2.0, 2.0, size=(_ROOT_PROBES, C.n))
     vals = inst.energy.evaluate(X)
     min_random = float(np.min(vals)) if len(vals) else math.inf
-    holds = bool(vertex_identity and roots_match and min_random > 0.0)
-    return {
+    holds = bool(vertex_identity and roots_match and min_random > 0.0 and inst.beta > 0.0)
+    report = {
         "n": C.n,
         "m": C.m,
         "alpha": inst.alpha,
@@ -444,6 +449,11 @@ def verify_roots(inst: EncodedInstance, seed: int = 0) -> dict:
         "random_points_positive": bool(min_random > 0.0),
         "holds": holds,
     }
+    if not inst.beta > 0.0:
+        report["refused"] = (
+            "beta = 0: the energy vanishes on whole faces of the cube, not only at vertices"
+        )
+    return report
 
 
 # ---------------------------------------------------------------------------

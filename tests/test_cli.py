@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface and its exit-code contract."""
 
+import argparse
 import json
 import os
 import re
@@ -75,8 +76,12 @@ class TestBasis:
         assert code == 2 and "odd" in err
 
     def test_unknown_flag(self, capsys):
-        code, _, _ = run(capsys, ["basis", "--n", "2", "--d", "3", "--frobnicate"])
+        # the parser is reused, so a refused call must leave the next one as it would be alone
+        valid = ["basis", "--n", "2", "--d", "3"]
+        alone = run(capsys, valid)
+        code, _, _ = run(capsys, valid + ["--frobnicate"])
         assert code == 2
+        assert run(capsys, valid) == alone
 
     def test_missing_required(self, capsys):
         code, _, _ = run(capsys, ["basis", "--n", "2"])
@@ -458,6 +463,40 @@ class TestConfigRule:
             docs.append(json.loads(out))
         assert docs[0]["config"] != docs[1]["config"]
         assert [d["config"]["points_per_axis"] for d in docs] == [165, 200]
+
+
+class TestParserReuse:
+    """main builds its parser once per process, and no call leaves state for the next."""
+
+    def test_two_calls_build_one_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        argv = ["basis", "--n", "1", "--d", "3"]
+        run(capsys, argv)
+        built.clear()
+        assert run(capsys, argv)[0] == 0
+        assert built == [] and build_parser() is build_parser()
+
+    def test_a_given_flag_does_not_carry_over(self, capsys, tmp_path, gaussian_samples):
+        argv = ["fit", "--estimator", "sm", "--samples", gaussian_samples, "--n", "1", "--d", "1"]
+        tols = []
+        for extra in (["--tol", "1e-8"], []):
+            out_path = tmp_path / "fit.json"
+            code, _, _ = run(capsys, argv + extra + ["--out", str(out_path)])
+            assert code == 0
+            tols.append(json.loads(out_path.read_text())["config"]["tol"])
+        assert tols == [1e-8, 1e-6]  # the second call gets --tol's default
+
+    def test_help_exits_zero(self, capsys):
+        for argv in (["--help"], ["fit", "--help"], ["--help"]):
+            code, out, _ = run(capsys, argv)
+            assert code == 0 and out.startswith("usage: polyscore")
 
 
 class TestDeterminism:

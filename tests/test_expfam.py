@@ -890,12 +890,15 @@ class TestProductRoute:
 
     def test_log_z_is_independent_of_the_order(self):
         # the weight sum is e's own sum, not the first entry of a power-table
-        # product whose rounding follows the table's width
-        for n in (1, 2, 3):
-            for p in self.members(n):
-                grid = family_grid(p.basis, p.B)
-                logz = {poly_quadrature(grid, p.log_density, order=k).log_integral for k in (0, 1, 2, 2 * p.d)}
-                assert len(logz) == 1 and type(logz.pop()) is float
+        # product whose rounding follows the table's width; on the sweep it is
+        # each slab's order-0 product 1^t E 1, not the corner of the slab GEMM
+        coupled = [random_params(n, d, 1.0, seed) for n in (2, 3) for d in (3, 5) for seed in range(4)]
+        for p in [q for n in (1, 2, 3) for q in self.members(n)] + coupled:
+            grid = family_grid(p.basis, p.B)
+            passes = [poly_quadrature(grid, p.log_density, order=k) for k in (0, 1, 2, 2 * p.d)]
+            logz = {out.log_integral for out in passes}
+            assert len(logz) == 1 and type(logz.pop()) is float
+            assert all(out.moments[(0,) * p.n] == 1.0 for out in passes)
         p = random_params(1, 1, 1.0, seed=1)
         grid = family_grid(p.basis, p.B)
         assert moments(p, grid, check=True).log_partition == log_partition(p, grid)

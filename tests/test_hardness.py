@@ -430,6 +430,17 @@ class TestVerifyRoots:
         assert rep["min_unsat_energy"] == 160.0
         assert rep["min_random_energy"] > 0.0
 
+    def test_beta_zero_is_refused(self):
+        # at beta = 0 the energy vanishes on the face x1 = 1, which no
+        # random probe hits: the vertex checks pass, the certificate must not
+        inst = encode(load_fixture("clause1"), 1.0, 0.0)
+        assert abs(inst.energy.evaluate(np.array([[1.0, 0.3, 0.7]]))[0]) < 1e-12
+        rep = verify_roots(inst, seed=0)
+        assert rep["vertex_identity"] and rep["roots_match_satisfying_set"]
+        assert rep["random_points_positive"]
+        assert not rep["holds"] and "beta = 0" in rep["refused"]
+        assert "refused" not in verify_roots(encode(load_fixture("clause1"), 1.0, 1.0), seed=0)
+
     def test_unsat_formula(self):
         rep = verify_roots(encode(load_fixture("unsat8"), 1.0, 1.0), seed=4)
         assert rep["holds"] and rep["n_sat"] == 0
