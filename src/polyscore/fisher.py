@@ -268,6 +268,7 @@ def _log_var_lb_denominator(n: int, d: int, B: float) -> float:
 
 
 _N_POLY = 100  # check (v)'s random polynomials
+_TIE_RTOL = 1e-9  # check (v)'s margins this close to the worst count as tied with it
 
 
 def verify_bounds(
@@ -326,7 +327,10 @@ def verify_bounds(
     log_lhs = np.log(np.einsum("jk,jk->j", W_v, W_v)) - _log_var_lb_denominator(n, d, B)
     var = np.einsum("jk,kl,jl->j", W_v, I, W_v)
     margin = np.log(var, out=np.full(_N_POLY, -np.inf), where=var > 0) - log_lhs
-    j = int(np.argmin(margin))  # the first variance <= 0, if any, has margin -inf
+    # the first polynomial within rounding of the worst: at d = 1 every margin
+    # is the same number, and argmin alone would pick by rounding; a variance
+    # <= 0 has margin -inf, and the first such wins
+    j = int(np.argmax(np.isclose(margin, margin.min(), rtol=_TIE_RTOL, atol=0.0)))
     checks.append(
         BoundCheck("v_variance_lb", math.exp(log_lhs[j]), float(var[j]), bool(margin[j] >= 0),
                    f"{_N_POLY} random constant-free polynomials; worst log-margin {margin[j]:.3g}")

@@ -63,8 +63,13 @@ Clause = tuple[int, int, int]
 # exhaustive vertex scans; 2^20 rows chunked is the practical ceiling
 MAX_SCAN_VARS = 20
 
-# uniform points of [-2, 2]^n at which verify_roots probes the energy's positivity
-_ROOT_PROBES = 1000
+# verify_roots tests its polynomial identities modulo the Mersenne prime
+# 2^31 - 1, where a product of two residues stays below 2^62, inside int64
+_MODULUS = (1 << 31) - 1
+
+# seeded points of (Z / p)^n per identity: a false identity of degree <= 6
+# passes one with chance <= 6 / p
+_IDENTITY_POINTS = 3
 
 
 @dataclass(frozen=True)
@@ -270,6 +275,17 @@ class EncodedInstance:
         return self.theta.log_density - PolyCoeffs.constant(self.n, self.dropped_constant)
 
 
+def _energy(alpha: float, H: PolyCoeffs, beta: float, G: PolyCoeffs) -> PolyCoeffs:
+    """``alpha * H + beta * G`` in one canonicalisation, each coefficient summed as 0 + alpha h + beta g.
+
+    Those are the sums the two products and the addition make, without the
+    two intermediate polynomials.
+    """
+    return PolyCoeffs.from_arrays(
+        H.n, np.vstack([H.degrees, G.degrees]), np.concatenate([alpha * H.coeffs, beta * G.coeffs])
+    )
+
+
 def encode(C: CnfFormula, alpha: float, beta: float) -> EncodedInstance:
     """Compile ``alpha * H_C + beta * G`` into a family member of degree 7."""
     alpha = float(alpha)
@@ -282,7 +298,7 @@ def encode(C: CnfFormula, alpha: float, beta: float) -> EncodedInstance:
             f"couplings too small: box radius 64*m*alpha + 2*beta = {B} < 1"
         )
     H = formula_poly(C)
-    energy = alpha * H + beta * hypercube_poly(C.n)
+    energy = _energy(alpha, H, beta, hypercube_poly(C.n))
     rank = graded_rank(energy.degrees)
     basis = enumerate_basis(C.n, 7)
     theta = np.zeros(basis.size)
@@ -404,19 +420,65 @@ def _vertex_values(degrees: np.ndarray, ints: np.ndarray, n: int) -> np.ndarray:
     return f[::-1]
 
 
+def _values_mod(degrees: np.ndarray, ints: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Integer polynomial ``sum_k ints_k x^degrees_k`` mod :data:`_MODULUS` at each row of z.
+
+    z holds residues in [0, p); every product of two residues is reduced at
+    once, so no int64 intermediate exceeds 2^62, and the sum of the terms'
+    residues stays below 2^63 for fewer than 2^32 terms.
+    """
+    p = _MODULUS
+    powers = np.ones(z.shape + (int(degrees.max(initial=0)) + 1,), dtype=np.int64)
+    for e in range(1, powers.shape[-1]):
+        powers[..., e] = powers[..., e - 1] * z % p
+    terms = np.broadcast_to(ints % p, (len(z), len(ints)))
+    for i in range(z.shape[1]):
+        terms = terms * powers[:, i, degrees[:, i]] % p
+    return terms.sum(axis=1) % p
+
+
+def _clause_squares_mod(C: CnfFormula, z: np.ndarray) -> np.ndarray:
+    """``sum_c prod_j (x_(v_j) - s_j)^2`` mod :data:`_MODULUS` at each row of z, read from the clauses.
+
+    This is H_C as the clauses define it, a sum of squares; it shares no
+    code with :func:`formula_poly`'s expansion.
+    """
+    p = _MODULUS
+    lits = np.array(C.clauses, dtype=np.int64).reshape(C.m, 3)
+    f = (z[:, np.abs(lits) - 1] - np.sign(lits)) % p  # (points, m, 3)
+    f = f * f % p
+    return (f[..., 0] * f[..., 1] % p * f[..., 2] % p).sum(axis=1) % p
+
+
 def verify_roots(inst: EncodedInstance, seed: int = 0) -> dict:
-    """Exhaustively certify the energy's zero set on the hypercube vertices.
+    """Certify the energy's zero set: exactly the satisfying vertices, in exact arithmetic.
 
     At every vertex the expanded polynomials must reproduce, in exact integer
     arithmetic, ``H_C(v) = 64 * (#falsified clauses)`` and ``G(v) = 0``; in
     particular the energy vanishes exactly at the satisfying assignments.
-    For beta > 0 the energy must also be strictly positive away from the
-    vertices, probed at 1000 uniform points of [-2, 2]^n drawn from stream 0
-    of ``seed``.  At beta = 0 the energy is alpha * H_C, and a clause's term
-    vanishes wherever one of its literals is exactly true: the energy of the
-    lone clause (x1 or x2 or not x3) is zero on the whole face x1 = 1.
-    Random points almost never hit such a face, so at beta = 0 ``holds`` is
-    false whatever the probe reads, and the report's ``refused`` says why.
+
+    Off the vertices the energy is proved positive, not sampled.  The
+    certificate checks three identities: the expanded integer ``H`` equals
+    ``sum_c prod_j (x_(v_j) - s_j)^2``, read from the clauses; ``G`` equals
+    ``sum_i (1 - x_i^2)^2``; and ``inst.energy`` is exactly the float
+    expansion ``alpha * H + beta * G``.  Then H is a sum of squares, so
+    ``H >= 0``, and G is positive off the vertices, so with alpha >= 0 and
+    beta > 0 the energy is.  The two polynomial identities are
+    Schwartz-Zippel tests modulo the prime p = 2^31 - 1 at
+    ``_IDENTITY_POINTS`` points of (Z / p)^n drawn from stream 0 of
+    ``seed``: both sides are evaluated in int64 with a reduction after every
+    multiply.  A false identity has degree <= 6, so it passes one point with
+    chance at most 6 / p.  The reduction is faithful because every
+    coefficient of H - (sum of squares) is below p in magnitude: a clause's
+    product has coefficients of magnitude <= 8, so the sum of squares' are
+    <= 8m, and an H whose largest coefficient plus 8m reaches p is refused
+    with a ValueError.
+
+    At beta = 0 the energy is alpha * H_C, and a clause's term vanishes
+    wherever one of its literals is exactly true: the energy of the lone
+    clause (x1 or x2 or not x3) is zero on the whole face x1 = 1.  So at
+    beta = 0 ``holds`` is false whatever the identities read, and the
+    report's ``refused`` says why.
     """
     C = inst.formula
     _check_scan_size(C.n)
@@ -424,16 +486,24 @@ def verify_roots(inst: EncodedInstance, seed: int = 0) -> dict:
     h_ints, g_ints = (np.rint(f.coeffs).astype(np.int64) for f in (H, G))
     if not (np.array_equal(h_ints, H.coeffs) and np.array_equal(g_ints, G.coeffs)):
         raise ValueError("expected integer coefficients")
+    if np.abs(h_ints).max(initial=0) + 8 * C.m >= _MODULUS:
+        raise ValueError(
+            f"coefficients of H - (sum of clause squares) may reach the modulus {_MODULUS}: "
+            f"max|H| = {np.abs(h_ints).max()}, m = {C.m}"
+        )
     k = np.concatenate([_falsified_counts(C, verts) for verts in _iter_vertices(C.n, max(3 * C.m, 1))])
     hv = _vertex_values(H.degrees, h_ints, C.n)
     vertex_identity = bool(not _vertex_values(G.degrees, g_ints, C.n).any() and np.array_equal(hv, 64 * k))
     roots_match = bool(np.array_equal(hv == 0, k == 0))
     n_sat = int(np.count_nonzero(k == 0))
     min_unsat_k = int(k[k > 0].min()) if n_sat < len(k) else None
-    X = _stream(seed, 0).uniform(-2.0, 2.0, size=(_ROOT_PROBES, C.n))
-    vals = inst.energy.evaluate(X)
-    min_random = float(np.min(vals)) if len(vals) else math.inf
-    holds = bool(vertex_identity and roots_match and min_random > 0.0 and inst.beta > 0.0)
+    z = _stream(seed, 0).integers(0, _MODULUS, size=(_IDENTITY_POINTS, C.n))
+    h_identity = bool(np.array_equal(_values_mod(H.degrees, h_ints, z), _clause_squares_mod(C, z)))
+    wells = (1 - z * z % _MODULUS) % _MODULUS  # 1 - x_i^2
+    g_squares = (wells * wells % _MODULUS).sum(axis=1) % _MODULUS
+    g_identity = bool(np.array_equal(_values_mod(G.degrees, g_ints, z), g_squares))
+    energy_identity = bool(inst.energy == _energy(inst.alpha, H, inst.beta, G))
+    positive = h_identity and g_identity and energy_identity and inst.alpha >= 0.0 and inst.beta > 0.0
     report = {
         "n": C.n,
         "m": C.m,
@@ -444,10 +514,13 @@ def verify_roots(inst: EncodedInstance, seed: int = 0) -> dict:
         "vertex_identity": vertex_identity,
         "roots_match_satisfying_set": roots_match,
         "min_unsat_energy": None if min_unsat_k is None else 64.0 * inst.alpha * min_unsat_k,
-        "n_random": _ROOT_PROBES,
-        "min_random_energy": min_random,
-        "random_points_positive": bool(min_random > 0.0),
-        "holds": holds,
+        "modulus": _MODULUS,
+        "identity_points": _IDENTITY_POINTS,
+        "H_identity": h_identity,
+        "G_identity": g_identity,
+        "energy_identity": energy_identity,
+        "positive_off_vertices": positive,
+        "holds": bool(vertex_identity and roots_match and positive),
     }
     if not inst.beta > 0.0:
         report["refused"] = (

@@ -98,17 +98,26 @@ class MonomialBasis:
 
     ``degrees`` has one row per monomial; row k holds the exponent of each
     variable in the k-th sufficient statistic T_k.  The constant monomial is
-    excluded, it is not an identifiable direction of the family.
+    excluded, it is not an identifiable direction of the family.  A basis is
+    its (n, d): equality and hashing are those of the pair, and the rows are
+    built on first read, so a member that only needs ``size`` (an encoded
+    CNF instance at n = 12, d = 7 has 50,387 rows) never holds them.
     """
 
     n: int
     d: int
-    degrees: np.ndarray  # (size, n) int64, read-only
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """(size, n) int64 exponent rows, read-only."""
+        degrees = _graded_array(self.n, self.d, min_total=1)
+        degrees.setflags(write=False)
+        return degrees
 
     @property
     def size(self) -> int:
         """Number of monomials, C(n+d, d) - 1."""
-        return self.degrees.shape[0]
+        return math.comb(self.n + self.d, self.d) - 1
 
     @property
     def indices(self) -> list[MultiIndex]:
@@ -135,9 +144,7 @@ class MonomialBasis:
 
 @lru_cache(maxsize=None)
 def _cached_basis(n: int, d: int) -> MonomialBasis:
-    degrees = _graded_array(n, d, min_total=1)
-    degrees.setflags(write=False)
-    return MonomialBasis(n=n, d=d, degrees=degrees)
+    return MonomialBasis(n, d)
 
 
 def graded_rank(degrees) -> np.ndarray:

@@ -346,6 +346,17 @@ class TestVerifyBounds:
         for c in report.checks:
             assert math.isfinite(c.lhs)
 
+    @pytest.mark.parametrize("B, seed", [(1.0, 0), (2.0, 473556262), (2.0, 5)])
+    def test_d1_variance_check_reports_the_first_polynomial(self, B, seed):
+        # at d = 1 every check (v) margin is Var(w x) / |w|^2 over the same
+        # bound, one number up to rounding: the report must name polynomial 0
+        p = zero_params(1, 1) if B == 1.0 else random_params(1, 1, B, seed=seed)
+        check = verify_bounds(p, expfam.family_grid(p.basis, B), seed=seed).checks[4]
+        w0 = np.random.default_rng(seed).standard_normal((100, 1))[0, 0]
+        assert check.name == "v_variance_lb" and check.holds
+        want = math.exp(math.log(w0 * w0) - fisher._log_var_lb_denominator(1, 1, B))
+        assert math.isclose(check.lhs, want, rel_tol=1e-12, abs_tol=0.0)
+
     def test_random_cubic_member_holds(self):
         p = random_params(1, 3, 1.0, seed=60)
         report = verify_bounds(p, build_grid(1, 5.0, 240), seed=1)

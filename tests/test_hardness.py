@@ -10,6 +10,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -27,8 +28,10 @@ from polyscore.expfam import (
 )
 from polyscore.hardness import (
     CnfFormula,
+    _clause_squares_mod,
     _falsified_counts,
     _iter_vertices,
+    _values_mod,
     _vertex_values,
     clause_poly,
     default_params,
@@ -47,6 +50,7 @@ from polyscore.hardness import (
     verify_roots,
     zgap_experiment,
 )
+from polyscore import polybasis
 from polyscore.polybasis import PolyCoeffs, poly_from_json
 from polyscore.sampler import McmcConfig, sample_mala
 
@@ -287,6 +291,9 @@ class TestEncode:
             inst = encode(random_formula(n, m, seed=500 + k), alpha, beta)
             assert inst.B == 64.0 * m * alpha + 2.0 * beta
             assert np.max(np.abs(inst.theta.theta)) <= inst.B
+            # the one-pass expansion has the bits of the polynomial arithmetic
+            want = alpha * inst.H + beta * hypercube_poly(n)
+            assert inst.energy == want and np.array_equal(np.signbit(inst.energy.coeffs), np.signbit(want.coeffs))
 
     def test_degree_is_seven(self):
         inst = encode(load_fixture("clause1"), 1.0, 1.0)
@@ -407,7 +414,7 @@ class TestFalsifiedCounts:
 
 class TestVerifyRoots:
     def test_probe_evaluation_stays_in_cache_sized_blocks(self):
-        # in one piece the probe's (1000, K) monomial matrix, K near 900 here,
+        # in one piece a (1000, K) monomial matrix, K near 900 here,
         # takes about 7 MB per temporary; blocks of 2^16 // K rows stay under 2 MB
         inst = encode(random_formula(12, 120, seed=7), 1, 2)
         X = np.random.default_rng(7).uniform(-2.0, 2.0, (1000, 12))
@@ -428,16 +435,18 @@ class TestVerifyRoots:
         assert rep["n_sat"] == 7 and rep["vertices"] == 8
         # the lone falsifying vertex sits at energy 64 * alpha
         assert rep["min_unsat_energy"] == 160.0
-        assert rep["min_random_energy"] > 0.0
+        assert rep["H_identity"] and rep["G_identity"] and rep["energy_identity"]
+        assert rep["positive_off_vertices"] and rep["modulus"] == 2**31 - 1
 
     def test_beta_zero_is_refused(self):
-        # at beta = 0 the energy vanishes on the face x1 = 1, which no
-        # random probe hits: the vertex checks pass, the certificate must not
+        # at beta = 0 the energy vanishes on the face x1 = 1: the vertex checks
+        # and the identities pass, positivity off the vertices must not
         inst = encode(load_fixture("clause1"), 1.0, 0.0)
         assert abs(inst.energy.evaluate(np.array([[1.0, 0.3, 0.7]]))[0]) < 1e-12
         rep = verify_roots(inst, seed=0)
         assert rep["vertex_identity"] and rep["roots_match_satisfying_set"]
-        assert rep["random_points_positive"]
+        assert rep["H_identity"] and rep["G_identity"] and rep["energy_identity"]
+        assert not rep["positive_off_vertices"]
         assert not rep["holds"] and "beta = 0" in rep["refused"]
         assert "refused" not in verify_roots(encode(load_fixture("clause1"), 1.0, 1.0), seed=0)
 
@@ -476,6 +485,68 @@ class TestVerifyRoots:
         broken = dataclasses.replace(inst, H=PolyCoeffs.from_arrays(inst.n, inst.H.degrees, bad))
         rep = verify_roots(broken, seed=7)
         assert not rep["vertex_identity"] and not rep["holds"]
+
+    def test_refuses_an_H_wrong_only_off_the_vertices(self):
+        # x1^2 - 1 vanishes at every vertex, so H + x1^2 - 1 passes the vertex
+        # identity; it is not the clauses' sum of squares, and the energy built
+        # from it is negative at (0, 1, 1)
+        inst = encode(load_fixture("clause1"), 2.5, 1.0)
+        bump = PolyCoeffs.from_arrays(3, np.array([[2, 0, 0], [0, 0, 0]]), np.array([1.0, -1.0]))
+        H = inst.H + bump
+        energy = inst.alpha * H + inst.beta * hypercube_poly(3)
+        assert energy.evaluate(np.array([[0.0, 1.0, 1.0]]))[0] < 0.0
+        for broken in (dataclasses.replace(inst, H=H), dataclasses.replace(inst, H=H, energy=energy)):
+            for seed in range(4):
+                rep = verify_roots(broken, seed=seed)
+                assert rep["vertex_identity"] and rep["roots_match_satisfying_set"]
+                assert not rep["H_identity"] and rep["G_identity"]
+                assert not rep["positive_off_vertices"] and not rep["holds"]
+        # H alone replaced: the energy is no longer alpha * H + beta * G
+        assert not verify_roots(dataclasses.replace(inst, H=H), seed=0)["energy_identity"]
+
+    def test_refuses_an_energy_other_than_the_couplings(self):
+        inst = encode(load_fixture("uniq3"), 1.0, 1.0)
+        other = encode(load_fixture("uniq3"), 1.0, 1.5).energy
+        rep = verify_roots(dataclasses.replace(inst, energy=other), seed=0)
+        assert rep["H_identity"] and rep["G_identity"] and rep["vertex_identity"]
+        assert not rep["energy_identity"] and not rep["holds"]
+
+    def test_refuses_coefficients_near_the_modulus(self):
+        # |coefficients of H - sum of squares| <= max|H| + 8m must stay below
+        # p = 2^31 - 1, or a nonzero difference could vanish mod p
+        inst = encode(load_fixture("clause1"), 1.0, 1.0)
+        for big, refused in ((2**31 - 9, True), (2**31, True), (2**31 - 10, False)):  # m = 1
+            bad = inst.H.coeffs.copy()
+            bad[-1] = big
+            broken = dataclasses.replace(inst, H=PolyCoeffs.from_arrays(3, inst.H.degrees, bad))
+            if refused:
+                with pytest.raises(ValueError, match="modulus"):
+                    verify_roots(broken, seed=0)
+            else:
+                assert not verify_roots(broken, seed=0)["H_identity"]
+
+    def test_identities_hold_at_every_point(self):
+        # the identities are exact polynomial equalities, so no seed may fail them
+        C = random_formula(12, 120, seed=3)
+        inst = encode(C, 1.0, 2.0)
+        for seed in range(20):
+            rep = verify_roots(inst, seed=seed)
+            assert rep["H_identity"] and rep["G_identity"] and rep["energy_identity"] and rep["holds"]
+        z = np.random.default_rng(0).integers(0, 2**31 - 1, size=(50, 12))
+        h_ints = np.rint(inst.H.coeffs).astype(np.int64)
+        assert np.array_equal(_values_mod(inst.H.degrees, h_ints, z), _clause_squares_mod(C, z))
+        # against Python's exact integers, on a few points
+        for row in z[:3].tolist():
+            want = sum(math.prod((row[abs(l) - 1] - (1 if l > 0 else -1)) ** 2 for l in c) for c in C.clauses)
+            assert _clause_squares_mod(C, np.array([row]))[0] == want % (2**31 - 1)
+
+    def test_encode_and_verify_build_no_basis_rows(self, monkeypatch):
+        # a fresh basis cache, so rows another test read do not count
+        monkeypatch.setattr(polybasis, "_cached_basis", lru_cache(maxsize=None)(polybasis._cached_basis.__wrapped__))
+        inst = encode(random_formula(12, 120, seed=7), 1, 2)
+        assert verify_roots(inst, seed=0)["holds"]
+        assert inst.theta.basis.size == 50387
+        assert "degrees" not in inst.theta.basis.__dict__
 
     def test_vertex_values_by_walsh_hadamard(self):
         # about a thousand terms of H at n = 12: the transform's value at

@@ -1,5 +1,6 @@
 """Tests for the monomial basis, sparse polynomials, norms, and Legendre basis."""
 
+import dataclasses
 import itertools
 import math
 
@@ -12,6 +13,7 @@ from polyscore.estimators import sm_loss
 from polyscore.expfam import ParamVector, build_grid, moments, random_params, score
 from polyscore.fisher import fisher_info, gram_matrix, sm_moment_inputs
 from polyscore.polybasis import (
+    MonomialBasis,
     PolyCoeffs,
     check_mon_l2_bound,
     enumerate_basis,
@@ -41,10 +43,27 @@ from polyscore.sampler import SampleSet
 
 class TestEnumerateBasis:
     def test_counts_match_binomial(self):
+        # size comes from (n, d) alone and agrees with the rows built on first read
         for n in range(1, 7):
             for d in (1, 3, 5, 7):
                 basis = enumerate_basis(n, d)
                 assert basis.size == math.comb(n + d, d) - 1
+                if n <= 4:
+                    assert basis.size == len(basis.degrees)
+
+    def test_basis_is_its_n_and_d(self):
+        fresh = MonomialBasis(2, 3)
+        assert "degrees" not in fresh.__dict__
+        shared = enumerate_basis(2, 3)
+        shared.degrees
+        assert fresh == shared and hash(fresh) == hash(shared)
+        assert fresh != MonomialBasis(2, 5) and fresh != MonomialBasis(3, 3)
+        assert len({fresh, shared, MonomialBasis(2, 5)}) == 2
+        assert "degrees" not in fresh.__dict__  # comparing built no rows
+        assert np.array_equal(fresh.degrees, shared.degrees)
+        assert not fresh.degrees.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fresh.degrees = np.zeros((9, 2), dtype=np.int64)
 
     def test_graded_lex_order_n2(self):
         basis = enumerate_basis(2, 3)
