@@ -291,6 +291,16 @@ def _one_trial(theta_star, s, trial, estimator, grid, draw_s):
     }
 
 
+def _median(values: list[float]) -> float:
+    """``np.median`` of floats without the numpy.ma import of its first call: the middle
+    value, or the middle pair's (a + b) / 2, np.mean's bits; NaN if any value is NaN."""
+    v = sorted(values)
+    if any(map(math.isnan, v)):
+        return math.nan
+    h = len(v) // 2
+    return v[h] if len(v) % 2 else (v[h - 1] + v[h]) / 2
+
+
 def convergence_study(
     theta_star: ParamVector,
     Ns: list[int],
@@ -319,9 +329,7 @@ def convergence_study(
              for c in np.random.SeedSequence(seed).spawn(len(Ns) * trials)]
     samples = _trial_samples(theta_star, [N for N in Ns for _ in range(trials)], seeds)
     rows = [_one_trial(theta_star, s, k % trials, estimator, grid, draw_s) for k, (s, draw_s) in enumerate(samples)]
-    medians = {
-        N: float(np.median([r["error_sq"] for r in rows if r["N"] == N])) for N in Ns
-    }
+    medians = {N: _median([r["error_sq"] for r in rows if r["N"] == N]) for N in Ns}
     if len(Ns) >= 2:
         slope = float(
             np.polyfit(np.log(list(medians.keys())), np.log(list(medians.values())), 1)[0]

@@ -675,6 +675,7 @@ def _sweep(grid: QuadratureGrid, const: float, parts: list[np.ndarray], mixed: P
     # hit[i][j, k]: node k of axis i lies on the closed side of orthant j
     hit = [(signs[:, i, None] * t >= 0.0).astype(float) for i, t in enumerate(nodes[pad:])]
     hit = [np.ones((len(signs), 1))] * pad + hit
+    masks = {}  # the (K, K) orthant mask of each pattern of orthants a slab touches
     slab_mixed = np.tensordot(P[0], mixed, axes=1)  # C(t_a) for every slab a
     slab_parts = np.add.outer(parts[1], parts[2])
     # z sums w f over all nodes, S sums w f x^e, mass sums w f over the orthants' nodes
@@ -698,7 +699,10 @@ def _sweep(grid: QuadratureGrid, const: float, parts: list[np.ndarray], mixed: P
             S += np.multiply.outer(Q[0][a], Q[1].T @ E @ Q[2])
         active = hit[0][:, a] > 0.0
         if active.any():
-            mass += float(E[hit[1][active].T @ hit[2][active] > 0.0].sum())
+            key = active.tobytes()  # slabs on the same side of every orthant share a mask
+            if key not in masks:
+                masks[key] = hit[1][active].T @ hit[2][active] > 0.0
+            mass += float(E[masks[key]].sum())
         if fields is not None:  # in row blocks of 2^16 field values, like PolyCoeffs.__call__'s
             for rows in row_blocks(len(E), 16 * len(F) * E.shape[1]):
                 # an ndarray even for a scalar reducer, so _LogSum rescales it in place

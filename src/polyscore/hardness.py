@@ -32,7 +32,7 @@ from .expfam import (
     gated_quadrature,
     quad_log_integral,  # noqa: F401  re-exported; bench/test_bench.py checks its tracer patches it here
 )
-from .polybasis import PolyCoeffs, enumerate_basis, graded_rank, poly_to_json, row_blocks
+from .polybasis import PolyCoeffs, enumerate_basis, poly_to_json, row_blocks
 from .reports import BoundCheck
 from .sampler import _stream
 
@@ -233,6 +233,19 @@ def hypercube_poly(n: int) -> PolyCoeffs:
     return PolyCoeffs.from_arrays(n, degrees, np.concatenate([[n], np.full(n, -2.0), np.ones(n)]))
 
 
+@lru_cache(maxsize=None)
+def _hypercube_certificate(n: int) -> tuple[np.ndarray, bool]:
+    """G's integer coefficients and whether G is 0 at every vertex, checked once per n.
+
+    G is :func:`hypercube_poly`'s shared read-only polynomial, so its vertex
+    check depends on n only; a G that were not integral raises here.
+    """
+    G = hypercube_poly(n)
+    ints = _integer_coeffs(G)
+    ints.setflags(write=False)
+    return ints, not _vertex_values(G.degrees, ints, n).any()
+
+
 # ---------------------------------------------------------------------------
 # encoding into the degree-7 family
 
@@ -279,10 +292,12 @@ def _energy(alpha: float, H: PolyCoeffs, beta: float, G: PolyCoeffs) -> PolyCoef
     """``alpha * H + beta * G`` in one canonicalisation, each coefficient summed as 0 + alpha h + beta g.
 
     Those are the sums the two products and the addition make, without the
-    two intermediate polynomials.
+    two intermediate polynomials; the rows are placed by H's and G's stored
+    ranks, not ranked again.
     """
-    return PolyCoeffs.from_arrays(
-        H.n, np.vstack([H.degrees, G.degrees]), np.concatenate([alpha * H.coeffs, beta * G.coeffs])
+    return PolyCoeffs._ranked(
+        H.n, np.vstack([H.degrees, G.degrees]), np.concatenate([alpha * H.coeffs, beta * G.coeffs]),
+        np.concatenate([H.rank, G.rank]),
     )
 
 
@@ -299,7 +314,7 @@ def encode(C: CnfFormula, alpha: float, beta: float) -> EncodedInstance:
         )
     H = formula_poly(C)
     energy = _energy(alpha, H, beta, hypercube_poly(C.n))
-    rank = graded_rank(energy.degrees)
+    rank = energy.rank
     basis = enumerate_basis(C.n, 7)
     theta = np.zeros(basis.size)
     theta[rank[rank > 0] - 1] = -energy.coeffs[rank > 0]
@@ -366,21 +381,34 @@ def default_params(n: int, m: int, mode: str, scale: float = 1.0) -> PrescribedP
 # exhaustive vertex checks
 
 
-def _iter_vertices(n: int, width: int):
-    """Yield the vertices of {-1,1}^n in binary-counter order, in row blocks for ``width``."""
-    shifts = np.arange(n - 1, -1, -1)
-    for rows in row_blocks(1 << n, width):
-        codes = np.arange(rows.start, rows.stop, dtype=np.int64)
-        bits = (codes[:, None] >> shifts) & 1
-        yield 2 * bits - 1
+def _vertices(codes: np.ndarray, n: int) -> np.ndarray:
+    """The vertices of {-1,1}^n with the given binary codes: bit n - i is x_i, 1 for +1, 0 for -1."""
+    return 2 * ((codes[:, None] >> np.arange(n - 1, -1, -1)) & 1) - 1
 
 
-def _falsified_counts(C: CnfFormula, verts: np.ndarray) -> np.ndarray:
-    """Falsified clauses per vertex: one (vertices, m, 3) gather, so callers size blocks by 3m."""
+def _falsified_counts(C: CnfFormula) -> np.ndarray:
+    """Falsified clauses at every vertex, int64, in code order (vertex c at entry c).
+
+    A clause is false exactly at the codes whose bits under its three-bit
+    mask (its variables) read its false pattern: 0 for ``+i``, 1 for ``-i``.
+    Split a code into its high and low bits and that test is one test per
+    half, so with F[j, h] and G[j, l] clause j's tests on the halves, the
+    counts are F^T G: two tables of (clauses x 2^(n/2)) booleans and one
+    product per block of clauses, exact in double since no count passes m.
+    """
+    n = C.n
     lits = np.array(C.clauses, dtype=np.int64).reshape(C.m, 3)
-    # a literal holds where its variable's sign matches its own; gathered as bools
-    satisfied = ((verts > 0)[:, np.abs(lits) - 1] == (lits > 0)).any(axis=2)
-    return C.m - satisfied.sum(axis=1)
+    bit = 1 << (n - np.abs(lits))  # x_i is bit n - i
+    mask, false = bit.sum(axis=1)[:, None], (bit * (lits < 0)).sum(axis=1)[:, None]
+    lo = n // 2
+    high = np.arange(1 << (n - lo), dtype=np.int64) << lo
+    low = np.arange(1 << lo, dtype=np.int64)
+    k = np.zeros((len(high), len(low)))
+    for rows in row_blocks(C.m, len(high)):
+        F = ((high ^ false[rows]) & mask[rows]) >> lo == 0
+        G = (low ^ false[rows]) & mask[rows] & (len(low) - 1) == 0
+        k += F.T.astype(float) @ G.astype(float)
+    return k.astype(np.int64).ravel()
 
 
 def _check_scan_size(n: int):
@@ -389,17 +417,25 @@ def _check_scan_size(n: int):
 
 
 def satisfying_assignments(C: CnfFormula) -> list[tuple[int, ...]]:
-    """All vertices of {-1,1}^n satisfying the formula, by exhaustive scan."""
+    """All vertices of {-1,1}^n satisfying the formula, in code order, by exhaustive scan."""
     _check_scan_size(C.n)
+    codes = np.flatnonzero(_falsified_counts(C) == 0)
     out: list[tuple[int, ...]] = []
-    for verts in _iter_vertices(C.n, max(3 * C.m, 1)):
-        sat = _falsified_counts(C, verts) == 0
-        out.extend(tuple(int(v) for v in row) for row in verts[sat])
+    for rows in row_blocks(len(codes), C.n):
+        out.extend(map(tuple, _vertices(codes[rows], C.n).tolist()))
     return out
 
 
+def _integer_coeffs(f: PolyCoeffs) -> np.ndarray:
+    """f's coefficients as int64; any that is not an integer raises ValueError."""
+    ints = np.rint(f.coeffs).astype(np.int64)
+    if not np.array_equal(ints, f.coeffs):
+        raise ValueError("expected integer coefficients")
+    return ints
+
+
 def _vertex_values(degrees: np.ndarray, ints: np.ndarray, n: int) -> np.ndarray:
-    """Exact int64 values at the 2^n vertices, in the binary-counter order of :func:`_iter_vertices`.
+    """Exact int64 values at the 2^n vertices, in code order (vertex c at entry c, as in :func:`_vertices`).
 
     At a vertex a monomial is (-1)^(number of its odd exponents on -1
     coordinates), so the values are the Walsh-Hadamard transform of the
@@ -483,17 +519,16 @@ def verify_roots(inst: EncodedInstance, seed: int = 0) -> dict:
     C = inst.formula
     _check_scan_size(C.n)
     H, G = inst.H, hypercube_poly(C.n)
-    h_ints, g_ints = (np.rint(f.coeffs).astype(np.int64) for f in (H, G))
-    if not (np.array_equal(h_ints, H.coeffs) and np.array_equal(g_ints, G.coeffs)):
-        raise ValueError("expected integer coefficients")
+    h_ints = _integer_coeffs(H)
+    g_ints, g_vanishes = _hypercube_certificate(C.n)
     if np.abs(h_ints).max(initial=0) + 8 * C.m >= _MODULUS:
         raise ValueError(
             f"coefficients of H - (sum of clause squares) may reach the modulus {_MODULUS}: "
             f"max|H| = {np.abs(h_ints).max()}, m = {C.m}"
         )
-    k = np.concatenate([_falsified_counts(C, verts) for verts in _iter_vertices(C.n, max(3 * C.m, 1))])
+    k = _falsified_counts(C)
     hv = _vertex_values(H.degrees, h_ints, C.n)
-    vertex_identity = bool(not _vertex_values(G.degrees, g_ints, C.n).any() and np.array_equal(hv, 64 * k))
+    vertex_identity = bool(g_vanishes and np.array_equal(hv, 64 * k))
     roots_match = bool(np.array_equal(hv == 0, k == 0))
     n_sat = int(np.count_nonzero(k == 0))
     min_unsat_k = int(k[k > 0].min()) if n_sat < len(k) else None

@@ -419,6 +419,8 @@ class PolyCoeffs:
     by :meth:`stack`), where a row is kept while any column is nonzero.
     Both arrays are read-only; build instances through :meth:`from_arrays`
     or :meth:`make`, which canonicalise.  Arithmetic returns new objects.
+    Canonicalisation stores the rows' graded ranks as :attr:`rank`, so
+    sums and scalar multiples of canonical polynomials are not ranked again.
     """
 
     n: int
@@ -442,19 +444,25 @@ class PolyCoeffs:
             raise ValueError(f"exponent rows {deg.shape} and coefficients {coef.shape} do not fit n={n}")
         if deg.size and deg.min() < 0:
             raise ValueError("exponents must be nonnegative")
-        rank = graded_rank(deg)
+        return cls._ranked(n, deg, coef, graded_rank(deg))
+
+    @classmethod
+    def _ranked(cls, n: int, deg: np.ndarray, coef: np.ndarray, rank: np.ndarray) -> "PolyCoeffs":
+        """:meth:`from_arrays` past its checks, for rows whose graded ranks are known; keeps them."""
         if (rank[1:] > rank[:-1]).all():
             coef = coef + 0.0
         else:
-            _, first, slot = np.unique(rank, return_index=True, return_inverse=True)
+            rank, first, slot = np.unique(rank, return_index=True, return_inverse=True)
             summed = np.zeros((len(first),) + coef.shape[1:])
             np.add.at(summed, slot, coef)
             deg, coef = deg[first], summed
         keep = (coef != 0.0).any(axis=tuple(range(1, coef.ndim)))
-        deg, coef = deg[keep], coef[keep]
-        deg.setflags(write=False)
-        coef.setflags(write=False)
-        return cls(n, deg, coef)
+        deg, coef, rank = deg[keep], coef[keep], rank[keep]
+        for a in (deg, coef, rank):
+            a.setflags(write=False)
+        out = cls(n, deg, coef)
+        out.__dict__["rank"] = rank  # fills the cached property
+        return out
 
     @classmethod
     def make(cls, n: int, terms: Mapping[MultiIndex, float]) -> "PolyCoeffs":
@@ -480,7 +488,16 @@ class PolyCoeffs:
         table = np.zeros((rows[-1], edges[-1]))
         for c, r, k in zip(cols, rows, edges):
             table[r : r + len(c), k : k + c.shape[1]] = c
-        return cls.from_arrays(polys[0].n, np.vstack([f.degrees for f in polys]), table)
+        return cls._ranked(polys[0].n, np.vstack([f.degrees for f in polys]), table,
+                           np.concatenate([f.rank for f in polys]))
+
+    @cached_property
+    def rank(self) -> np.ndarray:
+        """:func:`graded_rank` of ``degrees``, strictly increasing and read-only: stored by
+        canonicalisation, computed on first read for an instance built directly."""
+        rank = graded_rank(self.degrees)
+        rank.setflags(write=False)
+        return rank
 
     @property
     def terms(self) -> dict[MultiIndex, float]:
@@ -504,8 +521,9 @@ class PolyCoeffs:
     def __add__(self, other: "PolyCoeffs") -> "PolyCoeffs":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        return PolyCoeffs.from_arrays(
-            self.n, np.vstack([self.degrees, other.degrees]), np.concatenate([self.coeffs, other.coeffs])
+        return PolyCoeffs._ranked(
+            self.n, np.vstack([self.degrees, other.degrees]), np.concatenate([self.coeffs, other.coeffs]),
+            np.concatenate([self.rank, other.rank]),
         )
 
     def __neg__(self) -> "PolyCoeffs":
@@ -516,7 +534,7 @@ class PolyCoeffs:
 
     def __mul__(self, other):
         if not isinstance(other, PolyCoeffs):
-            return PolyCoeffs.from_arrays(self.n, self.degrees, float(other) * self.coeffs)
+            return PolyCoeffs._ranked(self.n, self.degrees, float(other) * self.coeffs, self.rank)
         if self.n != other.n:
             raise ValueError("dimension mismatch")
         degrees = self.degrees[:, None, :] + other.degrees[None, :, :]

@@ -377,8 +377,13 @@ def diagnostics(s: SampleSet, p: ParamVector, grid) -> dict:
 
 
 def save_samples(s: SampleSet, path) -> None:
+    """Write the header line, then one row of ``%.17g`` values per sample: the bytes of
+    ``np.savetxt(path, s.data, fmt="%.17g", header=header, comments="")``, formatted in one
+    operation instead of one per row."""
     header = f"polyscore-samples v1 n={s.n} N={s.N} seed={s.seed}"
-    np.savetxt(path, s.data, fmt="%.17g", header=header, comments="")
+    row = " ".join(["%.17g"] * s.n) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + row * len(s.data) % tuple(s.data.ravel().tolist()))
 
 
 def load_samples(path) -> SampleSet:

@@ -9,6 +9,7 @@ from polyscore.estimators import (
     FitReport,
     NonConvergenceError,
     SingularGramError,
+    _median,
     convergence_study,
     fit_mle,
     fit_score_matching,
@@ -307,6 +308,21 @@ class TestConvergenceStudy:
         for N in (100, 1000):
             ratio = sm.medians[N] / mle.medians[N]
             assert 0.1 <= ratio <= 10.0
+
+    @pytest.mark.parametrize("trials", [1, 3, 4])
+    def test_medians_are_numpys(self, trials):
+        result = convergence_study(_gaussian_theta_star(), [50, 100], trials=trials, estimator="SM", seed=4)
+        for N in (50, 100):
+            want = np.median([r["error_sq"] for r in result.rows if r["N"] == N])
+            assert np.float64(result.medians[N]).tobytes() == want.tobytes()
+
+    def test_median_of_awkward_values(self):
+        rng = np.random.default_rng(2)
+        for size in (1, 2, 5, 6, 40, 41):
+            for v in (rng.normal(size=size) * 1e300, rng.uniform(size=size), np.full(size, 0.1)):
+                assert np.float64(_median(list(v))).tobytes() == np.median(v).tobytes()
+        assert math.isnan(_median([1.0, math.nan, 2.0])) and math.isnan(np.median([1.0, math.nan, 2.0]))
+        assert _median([0.1, 0.2]) == np.median([0.1, 0.2]) == (0.1 + 0.2) / 2
 
     def test_trials_zero_rejected(self):
         with pytest.raises(ValueError, match="trials"):

@@ -30,9 +30,9 @@ from polyscore.hardness import (
     CnfFormula,
     _clause_squares_mod,
     _falsified_counts,
-    _iter_vertices,
     _values_mod,
     _vertex_values,
+    _vertices,
     clause_poly,
     default_params,
     encode,
@@ -50,8 +50,8 @@ from polyscore.hardness import (
     verify_roots,
     zgap_experiment,
 )
-from polyscore import polybasis
-from polyscore.polybasis import PolyCoeffs, poly_from_json
+from polyscore import hardness, polybasis
+from polyscore.polybasis import PolyCoeffs, graded_rank, poly_from_json
 from polyscore.sampler import McmcConfig, sample_mala
 
 
@@ -233,6 +233,19 @@ class TestHypercubePoly:
         assert hypercube_poly(4) is G
         assert not G.degrees.flags.writeable and not G.coeffs.flags.writeable
 
+    def test_vertex_check_runs_once_per_n(self, monkeypatch):
+        calls = []
+        real = hardness._vertex_values
+        monkeypatch.setattr(hardness, "_vertex_values", lambda d, ints, n: calls.append(n) or real(d, ints, n))
+        hardness._hypercube_certificate.cache_clear()
+        for seed in range(3):
+            for n in (5, 6):
+                assert verify_roots(encode(random_formula(n, 2 * n, seed), 1.0, 2.0), seed=seed)["holds"]
+        # one transform of H per call, and one of G per n
+        assert calls == [5, 5, 6, 6] + [5, 6] * 2
+        ints, vanishes = hardness._hypercube_certificate(5)
+        assert vanishes and np.array_equal(ints, hypercube_poly(5).coeffs) and not ints.flags.writeable
+
     def test_coefficient_bound(self):
         # non-constant coefficients only; the constant term never reaches theta
         for n in (1, 2, 5):
@@ -294,6 +307,13 @@ class TestEncode:
             # the one-pass expansion has the bits of the polynomial arithmetic
             want = alpha * inst.H + beta * hypercube_poly(n)
             assert inst.energy == want and np.array_equal(np.signbit(inst.energy.coeffs), np.signbit(want.coeffs))
+
+    def test_theta_placed_by_the_stored_rank(self):
+        inst = encode(random_formula(8, 50, seed=4), 1.5, 3.0)
+        assert np.array_equal(inst.energy.rank, graded_rank(inst.energy.degrees))
+        want = dict(zip(map(tuple, inst.energy.degrees.tolist()), (-inst.energy.coeffs).tolist()))
+        theta = dict(zip(inst.theta.basis.indices, inst.theta.theta.tolist()))
+        assert theta == {idx: want.get(idx, 0.0) for idx in inst.theta.basis.indices}
 
     def test_degree_is_seven(self):
         inst = encode(load_fixture("clause1"), 1.0, 1.0)
@@ -388,28 +408,54 @@ def _falsified_by_definition(C, verts):
     return k
 
 
+def _all_vertices(n):
+    return _vertices(np.arange(1 << n), n)
+
+
 class TestFalsifiedCounts:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n=st.integers(3, 9), m=st.integers(0, 60), seed=st.integers(0, 2**31 - 1))
     def test_random_formulas(self, n, m, seed):
         C = random_formula(n, m, seed)
-        verts = np.vstack(list(_iter_vertices(n, 1)))
-        assert np.array_equal(_falsified_counts(C, verts), _falsified_by_definition(C, verts))
+        got = _falsified_counts(C)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _falsified_by_definition(C, _all_vertices(n)))
 
     def test_empty_formula(self):
-        verts = np.vstack(list(_iter_vertices(4, 1)))
-        k = _falsified_counts(CnfFormula(4, ()), verts)
+        k = _falsified_counts(CnfFormula(4, ()))
         assert k.shape == (16,) and not k.any()
 
-    def test_blocks_of_a_large_formula(self):
-        # blocks sized by the 3m gathered literals: n = 12, m = 120 spans several
+    def test_every_clause_on_three_variables(self):
+        # n = 3: each of the 8 sign patterns is false at exactly one vertex,
+        # the one on the side every literal rejects
+        verts = _all_vertices(3)
+        for signs in itertools.product((1, -1), repeat=3):
+            C = CnfFormula(3, (tuple(s * (i + 1) for i, s in enumerate(signs)),))
+            k = _falsified_counts(C)
+            assert k.tolist() == [int(np.array_equal(v, -np.array(signs))) for v in verts]
+        every = CnfFormula(3, tuple(tuple(s * (i + 1) for i, s in enumerate(signs))
+                                    for signs in itertools.product((1, -1), repeat=3)))
+        assert _falsified_counts(every).tolist() == [1] * 8
+
+    def test_duplicated_clauses_count_each_copy(self):
+        # pad_with_duplicates repeats the first clause: each copy is counted,
+        # also when the copies list their literals in another order
+        C = random_formula(6, 10, seed=3)
+        padded = pad_with_duplicates(C, 25)
+        reordered = CnfFormula(6, C.clauses + (C.clauses[0][::-1],) * 15)
+        verts = _all_vertices(6)
+        want = _falsified_by_definition(padded, verts)
+        assert np.array_equal(_falsified_counts(padded), want)
+        assert np.array_equal(_falsified_counts(reordered), want)
+        first = _falsified_by_definition(CnfFormula(6, C.clauses[:1]), verts)
+        assert np.array_equal(want - _falsified_by_definition(C, verts), 15 * first)
+
+    def test_a_large_formula(self):
         C = random_formula(12, 120, seed=9)
-        blocks = list(_iter_vertices(12, 3 * C.m))
-        assert len(blocks) > 1
-        got = np.concatenate([_falsified_counts(C, v) for v in blocks])
-        verts = np.vstack(blocks)
-        assert len(verts) == 1 << 12
-        assert np.array_equal(got, _falsified_by_definition(C, verts))
+        k = _falsified_counts(C)
+        assert k.shape == (1 << 12,)
+        assert np.array_equal(k, _falsified_by_definition(C, _all_vertices(12)))
+        assert k.sum() == 120 * (1 << 9)  # each clause is false on 2^(n - 3) vertices
 
 
 class TestVerifyRoots:
@@ -553,7 +599,7 @@ class TestVerifyRoots:
         # each of the 4096 vertices must be the exact integer H(v)
         inst = encode(random_formula(12, 120, seed=9), 1.0, 2.0)
         got = _vertex_values(inst.H.degrees, np.rint(inst.H.coeffs).astype(np.int64), 12)
-        verts = np.vstack(list(_iter_vertices(12, 1)))
+        verts = _all_vertices(12)
         assert got.dtype == np.int64 and len(got) == len(verts) == 1 << 12
         want = formula_poly(inst.formula).evaluate(verts.astype(float))
         assert np.array_equal(got, np.rint(want).astype(np.int64))
@@ -567,7 +613,7 @@ class TestVerifyRoots:
         rows = data.draw(st.lists(st.lists(st.integers(0, 7), min_size=n, max_size=n), min_size=K, max_size=K))
         ints = np.array(data.draw(st.lists(st.integers(-(2**56), 2**56), min_size=K, max_size=K)), dtype=np.int64)
         degrees = np.array(rows, dtype=np.int64).reshape(K, n)
-        verts = np.vstack(list(_iter_vertices(n, 1)))
+        verts = _all_vertices(n)
         parity = ((verts < 0).astype(np.int64) @ (degrees % 2).T) & 1
         assert np.array_equal(_vertex_values(degrees, ints, n), (1 - 2 * parity) @ ints)
 

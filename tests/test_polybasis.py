@@ -508,6 +508,28 @@ class TestPolyCoeffsProperties:
         assert abs(l2_cube_inner(f, g) - want) <= 1e-12 * scale
 
     @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_stored_rank_is_graded_rank(self, data):
+        n, rows, coeffs = data.draw(_raw_terms())
+        f = PolyCoeffs.from_arrays(n, rows, coeffs)
+        g = PolyCoeffs.from_arrays(*data.draw(_raw_terms(n=n)))
+        bare = PolyCoeffs(n, f.degrees, f.coeffs)
+        assert "rank" not in bare.__dict__  # computed on first read
+        made = [f, g, f + g, f - g, -f, 2.5 * f, 0.0 * f, f * g, f.partial(data.draw(st.integers(0, n - 1))),
+                PolyCoeffs.stack([f, g]), PolyCoeffs.stack([f]), bare]
+        for h in made:
+            assert h.rank.dtype == np.int64 and not h.rank.flags.writeable
+            assert np.array_equal(h.rank, graded_rank(h.degrees))
+            assert h.rank is h.rank
+        # sums, multiples and stacks placed by the stored ranks are the ones ranking afresh gives
+        assert f + g == PolyCoeffs.from_arrays(n, np.vstack([f.degrees, g.degrees]), np.concatenate([f.coeffs, g.coeffs]))
+        assert bare + g == f + g
+        assert 2.5 * f == PolyCoeffs.from_arrays(n, f.degrees, 2.5 * f.coeffs)
+        table = np.zeros((len(f.degrees) + len(g.degrees), 2))
+        table[: len(f.degrees), 0], table[len(f.degrees) :, 1] = f.coeffs, g.coeffs
+        assert PolyCoeffs.stack([f, g]) == PolyCoeffs.from_arrays(n, np.vstack([f.degrees, g.degrees]), table)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data(), seed=st.integers(0, 2**31 - 1))
     def test_shared_rows_match_scalar_columns(self, data, seed):
         width = data.draw(st.integers(1, 3))

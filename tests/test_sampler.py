@@ -375,6 +375,23 @@ class TestFileFormat:
         save_samples(s, path)
         assert path.read_text().splitlines()[0] == "polyscore-samples v1 n=1 N=2 seed=7"
 
+    @pytest.mark.parametrize("n, N", [(1, 0), (3, 0), (1, 7), (2, 3000), (4, 250)])
+    def test_bytes_match_savetxt(self, tmp_path, n, N):
+        data = np.random.default_rng(n * N).normal(size=(N, n)) * 10.0 ** np.arange(-150, 150, 300 / n)
+        if N:
+            data[0, 0], data[-1, -1] = -0.0, 1e-300
+        s = SampleSet(n=n, N=N, data=data, seed=3)
+        path = tmp_path / "d.txt"
+        save_samples(s, path)
+        want = tmp_path / "want.txt"
+        np.savetxt(want, s.data, fmt="%.17g", header=f"polyscore-samples v1 n={n} N={N} seed=3", comments="")
+        assert path.read_bytes() == want.read_bytes()
+        if N == 0:
+            assert path.read_bytes() == f"polyscore-samples v1 n={n} N=0 seed=3\n".encode()
+        else:
+            lines = path.read_bytes().split(b"\n")
+            assert lines[1].split()[0] == b"-0" and lines[-2].split()[-1] == b"1e-300" and lines[-1] == b""
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("something else\n0.0\n")
