@@ -9,9 +9,12 @@ only ``meta`` varies.
 
 A command only computes: it returns ``(resolved, report, exit_code)``, or
 ``None`` once it has written plain text (``basis --format text``) or CSV
-(``study --format csv``) itself.  :func:`main` reads the clock, writes the
-envelope, and builds ``config`` by one rule: every parsed flag except
-``--out``, argparse defaults applied, updated with what the command resolved.
+(``study --format csv``) itself.  :func:`main` runs ``cmd_<command>``,
+looked up by name when it is called, reads the clock, writes the envelope
+through ``json.dumps`` with :func:`polyscore.reports.default` (numpy values
+and dataclasses are written as they are, not copied first), and builds
+``config`` by one rule: every parsed flag except ``--out``, argparse
+defaults applied, updated with what the command resolved.
 The resolved values are ``fit``'s quadrature ``grid`` spec (null for SM),
 ``encode``'s ``alpha`` and ``beta``, and ``study``'s parsed ``Ns`` list and
 ``family``; ``basis`` and ``verify`` resolve nothing.  A flag a command does
@@ -48,6 +51,7 @@ from .expfam import (
     build_grid,
     family_grid,
     load_param,
+    random_params,
     verify_1d_moment_bound,
     verify_int_concentration,
 )
@@ -73,7 +77,7 @@ from .polybasis import (
     legendre_indices,
     to_legendre,
 )
-from .reports import BoundCheck, to_jsonable
+from .reports import BoundCheck, default
 from .sampler import _stream, load_samples
 
 EXIT_OK = 0
@@ -92,15 +96,15 @@ def _write(out: str | None, text: str) -> None:
 
 def _emit(out: str | None, config: dict, report: dict, t0: float) -> None:
     doc = {
-        "config": to_jsonable(config),
-        "report": to_jsonable(report),
+        "config": config,
+        "report": report,
         "meta": {
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "wall_time_s": time.perf_counter() - t0,
             "version": __version__,
         },
     }
-    _write(out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write(out, json.dumps(doc, sort_keys=True, indent=2, default=default) + "\n")
 
 
 def _family_flags(p: argparse.ArgumentParser, need_B: bool = True):
@@ -173,16 +177,7 @@ def cmd_fit(args):
     else:
         grid, grid_spec = _resolve_grid(args, basis, args.B)
         fit = fit_mle(samples, basis, grid, tol=args.tol)
-    report = {
-        "estimator": fit.estimator,
-        "theta_hat": fit.theta_hat,
-        "loss": fit.loss,
-        "gram_condition": fit.gram_condition,
-        "N": fit.N,
-        "notes": fit.notes,
-        "monomials": basis.monomial_names(),
-    }
-    return {"grid": grid_spec}, report, EXIT_OK
+    return {"grid": grid_spec}, {**vars(fit), "monomials": basis.monomial_names()}, EXIT_OK
 
 
 def cmd_encode(args):
@@ -212,8 +207,6 @@ def _suite_polybasis(args) -> dict:
 
 
 def _suite_bounds(args) -> dict:
-    from .expfam import random_params
-
     basis = enumerate_basis(args.n, args.d)
     p = random_params(args.n, args.d, args.B, seed=args.seed)
     if args.suite == "all" and args.radius is None:  # a lone --points-per-axis is the hardness suite's
@@ -315,21 +308,20 @@ def cmd_study(args):
         notes.append("slope from a single trial per N; the confidence interval is wide")
     if len(Ns) < 2:
         notes.append("a rate slope needs at least two sample sizes")
-    results = {}
-    csv_parts: list[str] = []
-    for name in estimators:
-        res = convergence_study(theta_star, Ns, args.trials, estimator=name, seed=args.seed)
-        results[name] = {
+    studies = [convergence_study(theta_star, Ns, args.trials, estimator=name, seed=args.seed)
+               for name in estimators]
+    if args.format == "csv":
+        _write(args.out, study_csv(*studies))
+        return None
+    results = {
+        res.estimator: {
             "slope": res.slope,
             "medians": {str(k): v for k, v in res.medians.items()},
             "Ns": list(res.Ns),
             "trials": res.trials,
         }
-        table = study_csv(res)
-        csv_parts.append(table if not csv_parts else table.split("\n", 1)[1])
-    if args.format == "csv":
-        _write(args.out, "".join(csv_parts))
-        return None
+        for res in studies
+    }
     resolved = {"Ns": Ns, "family": {"n": theta_star.n, "d": theta_star.d, "B": theta_star.B}}
     return resolved, {"estimators": results, "notes": notes}, EXIT_OK
 
@@ -347,10 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     state on the parser.  Building it costs about 1 ms against tens of
     microseconds for a parse, so callers that run :func:`main` many times in
     one process (tests, benchmarks, scripts) pay it once; a cold ``polyscore``
-    process builds it once either way.  What the build reads is frozen with
-    it: each subcommand's ``cmd_*`` function, bound by ``set_defaults``, and
-    the default ``--scale`` of ``verify``.  A wrapper put on ``cli.cmd_*``
-    after the first :func:`main` call is therefore not seen by later calls.
+    process builds it once either way.  The tree names no command function:
+    :func:`main` looks up ``cmd_<command>`` in this module at call time.
     """
     parser = argparse.ArgumentParser(
         prog="polyscore",
@@ -362,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     _family_flags(p, need_B=False)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("fit", help="fit a family member to a samples file")
     p.add_argument("--estimator", choices=["sm", "mle"], required=True)
@@ -371,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     _grid_flags(p)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("encode", help="compile a DIMACS 3-CNF into a family member")
     p.add_argument("--cnf", type=str, required=True)
@@ -380,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["zeroth", "first", "sampling"], default=None)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=["polybasis", "bounds", "hardness", "all"], required=True)
@@ -395,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corrupt", type=str, default=None)
     _grid_flags(p)
     p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("study", help="convergence-rate study against sample size")
     p.add_argument("--estimator", choices=["sm", "mle", "both"], default="both")
@@ -405,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=cmd_study)
 
     return parser
 
@@ -425,11 +410,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         t0 = time.perf_counter()
-        ran = args.func(args)
+        ran = globals()[f"cmd_{args.command}"](args)
         if ran is None:
             return EXIT_OK
         resolved, report, code = ran
-        flags = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+        flags = {k: v for k, v in vars(args).items() if k != "out"}
         _emit(args.out, {**flags, **resolved}, report, t0)
         return code
     except SystemExit as e:

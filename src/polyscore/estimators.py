@@ -61,7 +61,6 @@ class FitReport:
     estimator: str
     gram_condition: float
     N: int
-    wall_time: float
     notes: list[str] = field(default_factory=list)
 
     def __post_init__(self):
@@ -91,7 +90,6 @@ def fit_score_matching(s: SampleSet, basis: MonomialBasis) -> FitReport:
     """
     if s.N < 1:
         raise ValueError("need at least one sample")
-    t0 = time.perf_counter()
     st = s.stats(basis)
     G, b = st.gram, st.sm_linear
     notes = []
@@ -121,7 +119,6 @@ def fit_score_matching(s: SampleSet, basis: MonomialBasis) -> FitReport:
         estimator="SM",
         gram_condition=max(cond, 1.0),
         N=s.N,
-        wall_time=time.perf_counter() - t0,
         notes=notes,
     )
 
@@ -179,7 +176,6 @@ def fit_mle(
     """
     if s.N < 1:
         raise ValueError("need at least one sample")
-    t0 = time.perf_counter()
     theta = np.zeros(basis.size) if init is None else np.asarray(init, dtype=float).copy()
     emp = s.stats(basis)
     loss, grad, mom = _mle_objective(_as_member(basis, theta), emp, grid, check=True)
@@ -221,7 +217,6 @@ def fit_mle(
         estimator="MLE",
         gram_condition=1.0,
         N=s.N,
-        wall_time=time.perf_counter() - t0,
         notes=notes,
     )
 
@@ -243,14 +238,15 @@ class StudyResult:
     slope: float
 
 
-def study_csv(result: StudyResult) -> str:
+def study_csv(*results: StudyResult) -> str:
+    """One CSV table: a header, then each result's rows in turn."""
     buf = io.StringIO()
     writer = csv.DictWriter(
         buf, fieldnames=["estimator", "n", "d", "B", "N", "trial", "error_sq", "wall_time_s"]
     )
     writer.writeheader()
-    for row in result.rows:
-        writer.writerow(row)
+    for result in results:
+        writer.writerows(result.rows)
     return buf.getvalue()
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 import numpy as np
@@ -254,19 +254,17 @@ def _hypercube_certificate(n: int) -> tuple[np.ndarray, bool]:
 class EncodedInstance:
     """A formula compiled to a degree-7 family member.
 
-    ``theta`` holds the negated non-constant coefficients of the energy
-    ``alpha * H_C + beta * G``; the energy's constant term is recorded in
-    ``dropped_constant``, so the formula density's log-partition equals
-    ``log Z(theta) - dropped_constant``.  ``H`` is H_C expanded, with
-    integer coefficients; :func:`verify_roots` certifies exactly these.
+    ``energy`` is ``alpha * H_C + beta * G``.  ``theta``, built on first read,
+    holds its negated non-constant coefficients and ``dropped_constant`` its
+    constant term, so the formula density's log-partition equals
+    ``log Z(theta) - dropped_constant``.  ``H`` is H_C expanded, with integer
+    coefficients; :func:`verify_roots` certifies exactly these.
     """
 
     formula: CnfFormula
     alpha: float
     beta: float
-    theta: ParamVector
     energy: PolyCoeffs
-    dropped_constant: float
     H: PolyCoeffs
 
     @property
@@ -279,13 +277,25 @@ class EncodedInstance:
 
     @property
     def B(self) -> float:
-        return self.theta.B
+        return 64.0 * self.m * self.alpha + 2.0 * self.beta
+
+    @property
+    def dropped_constant(self) -> float:
+        return self.energy.constant_term
+
+    @cached_property
+    def theta(self) -> ParamVector:
+        basis, rank = enumerate_basis(self.n, 7), self.energy.rank
+        theta = np.zeros(basis.size)
+        theta[rank[rank > 0] - 1] = -self.energy.coeffs[rank > 0]
+        return ParamVector(basis, theta, self.B)
 
     @property
     def log_density(self) -> PolyCoeffs:
         """-energy - sum_i x_i^8, the energy's constant kept: near 0 at the wells, with the
         formula density's own log Z."""
-        return self.theta.log_density - PolyCoeffs.constant(self.n, self.dropped_constant)
+        wells = PolyCoeffs.from_arrays(self.n, 8 * np.eye(self.n, dtype=np.int64), -np.ones(self.n))
+        return -self.energy + wells
 
 
 def _energy(alpha: float, H: PolyCoeffs, beta: float, G: PolyCoeffs) -> PolyCoeffs:
@@ -303,24 +313,14 @@ def _energy(alpha: float, H: PolyCoeffs, beta: float, G: PolyCoeffs) -> PolyCoef
 
 def encode(C: CnfFormula, alpha: float, beta: float) -> EncodedInstance:
     """Compile ``alpha * H_C + beta * G`` into a family member of degree 7."""
-    alpha = float(alpha)
-    beta = float(beta)
+    alpha, beta = float(alpha), float(beta)
     if alpha < 0 or beta < 0:
         raise ValueError(f"couplings must be nonnegative, got alpha={alpha}, beta={beta}")
-    B = 64.0 * C.m * alpha + 2.0 * beta
-    if B < 1.0:
-        raise ValueError(
-            f"couplings too small: box radius 64*m*alpha + 2*beta = {B} < 1"
-        )
     H = formula_poly(C)
-    energy = _energy(alpha, H, beta, hypercube_poly(C.n))
-    rank = energy.rank
-    basis = enumerate_basis(C.n, 7)
-    theta = np.zeros(basis.size)
-    theta[rank[rank > 0] - 1] = -energy.coeffs[rank > 0]
-    return EncodedInstance(
-        C, alpha, beta, ParamVector(basis, theta, B), energy, energy.constant_term, H
-    )
+    inst = EncodedInstance(C, alpha, beta, _energy(alpha, H, beta, hypercube_poly(C.n)), H)
+    if inst.B < 1.0:
+        raise ValueError(f"couplings too small: box radius 64*m*alpha + 2*beta = {inst.B} < 1")
+    return inst
 
 
 def encoded_to_json(inst: EncodedInstance) -> dict:

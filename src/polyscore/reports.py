@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BoundCheck", "to_jsonable", "canonical_json"]
+__all__ = ["BoundCheck", "default", "canonical_json"]
 
 
 @dataclass(frozen=True)
@@ -29,25 +29,21 @@ class BoundCheck:
     note: str = ""
 
 
-def to_jsonable(obj):
-    """Recursively convert numpy scalars/arrays and dataclasses to JSON types."""
+def default(obj):
+    """``json.dumps``' hook for what it cannot write itself, without copying the report.
+
+    An ndarray becomes its ``tolist()`` (a 0-d array its scalar), a numpy
+    scalar its ``item()``, and a dataclass instance the map of its fields,
+    whose values ``json.dumps`` then writes in turn.  Dict keys are left to
+    ``json.dumps``, which sorts them as given; the reports key by ``str``.
+    """
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return to_jsonable(dataclasses.asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def canonical_json(obj) -> str:
     """Deterministic serialization used for byte-identical report comparison."""
-    return json.dumps(to_jsonable(obj), sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=default)

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface and its exit-code contract."""
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -13,11 +14,13 @@ import numpy as np
 import pytest
 
 import polyscore
+from polyscore import cli
 from polyscore.cli import build_parser, main
 from polyscore.errors import PolyscoreError
 from polyscore.expfam import ParamVector, family_grid, param_to_json
 from polyscore.hardness import default_params
 from polyscore.polybasis import enumerate_basis
+from polyscore.reports import BoundCheck, canonical_json
 from polyscore.sampler import SampleSet, sample_exact_separable, save_samples
 
 
@@ -450,7 +453,7 @@ class TestConfigRule:
         code, _, _ = run(capsys, argv + ["--out", str(out_path)])
         assert code == 0
         flags = vars(build_parser().parse_args(argv))
-        del flags["func"], flags["out"]
+        del flags["out"]
         expected = json.loads(json.dumps({**flags, **resolved()}))
         assert json.loads(out_path.read_text())["config"] == expected
 
@@ -498,6 +501,21 @@ class TestParserReuse:
             code, out, _ = run(capsys, argv)
             assert code == 0 and out.startswith("usage: polyscore")
 
+    def test_commands_are_looked_up_at_call_time(self, capsys, monkeypatch):
+        argv = ["basis", "--n", "1", "--d", "3", "--format", "json"]
+        assert run(capsys, argv)[0] == 0  # the parser is built and cached
+        seen = []
+        original = cli.cmd_basis
+
+        def wrapper(args):
+            seen.append(args.command)
+            return original(args)
+
+        monkeypatch.setattr(cli, "cmd_basis", wrapper)
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and seen == ["basis"]
+        assert json.loads(out)["report"]["M"] == 4
+
 
 class TestDeterminism:
     def test_verify_polybasis_byte_identical(self, capsys):
@@ -522,6 +540,58 @@ class TestDeterminism:
         _, out1, _ = run(capsys, args + ["--seed", "1"])
         _, out2, _ = run(capsys, args + ["--seed", "2"])
         assert strip_meta(out1) != strip_meta(out2)
+
+
+def _to_jsonable(obj):
+    """The copying conversion reports went through before ``reports.default``: the byte reference."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _to_jsonable(dataclasses.asdict(obj))
+    if isinstance(obj, dict):
+        return {str(k): _to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_to_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_to_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    return obj
+
+
+def _payload() -> dict:
+    check = BoundCheck("c", np.float64(0.1), np.float32(0.3), np.bool_(True), note="n")
+    return {
+        "f64": np.float64(1 / 3), "f32": np.float32(0.1), "i64": np.int64(-7), "b": np.bool_(False),
+        "matrix": np.array([[1.5, -0.0], [np.inf, -np.inf]]), "ints": np.arange(3),
+        "nested": {"checks": [check, {"inner": check}]}, "pair": (1, np.float64(2.5)),
+        "by_int": {1: "a", 2: np.int64(3)}, "nan": float("nan"), "neg_zero": -0.0,
+        "inf": [float("inf"), -float("inf")], "none": None,
+    }
+
+
+class TestSerialization:
+    """Reports go to JSON through one ``default`` hook, with the bytes of converting them first."""
+
+    def test_canonical_json_bytes(self):
+        want = json.dumps(_to_jsonable(_payload()), sort_keys=True, separators=(",", ":"))
+        assert canonical_json(_payload()) == want
+
+    def test_document_bytes(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "cmd_basis", lambda args: ({"given": (np.int64(1),)}, _payload(), 0))
+        code, out, _ = run(capsys, ["basis", "--n", "1", "--d", "3"])
+        assert code == 0
+        flags = {"command": "basis", "n": 1, "d": 3, "format": "text", "given": (np.int64(1),)}
+        doc = {"config": _to_jsonable(flags), "report": _to_jsonable(_payload()),
+               "meta": json.loads(out)["meta"]}
+        assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_zero_dimensional_array_is_its_scalar(self):
+        with pytest.raises(TypeError):
+            _to_jsonable({"a": np.array(1.5)})
+        assert canonical_json({"a": np.array(1.5), "b": np.array(True)}) == '{"a":1.5,"b":true}'
 
 
 class TestModuleEntryPoint:

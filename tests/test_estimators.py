@@ -9,6 +9,7 @@ from polyscore.estimators import (
     FitReport,
     NonConvergenceError,
     SingularGramError,
+    StudyResult,
     _median,
     convergence_study,
     fit_mle,
@@ -282,12 +283,12 @@ class TestFitReport:
         with pytest.raises(ValueError, match="finite"):
             FitReport(
                 theta_hat=np.array([np.nan]), loss=0.0, estimator="SM",
-                gram_condition=1.0, N=1, wall_time=0.0,
+                gram_condition=1.0, N=1,
             )
         with pytest.raises(ValueError, match="gram_condition"):
             FitReport(
                 theta_hat=np.array([0.0]), loss=0.0, estimator="SM",
-                gram_condition=0.5, N=1, wall_time=0.0,
+                gram_condition=0.5, N=1,
             )
 
 
@@ -339,6 +340,20 @@ class TestConvergenceStudy:
         lines = text.strip().splitlines()
         assert lines[0] == "estimator,n,d,B,N,trial,error_sq,wall_time_s"
         assert len(lines) == 1 + 4
+
+    def test_csv_of_two_results_is_one_table(self):
+        def result(estimator, errors):
+            rows = [{"estimator": estimator, "n": 1, "d": 1, "B": 1.0, "N": 10, "trial": k,
+                     "error_sq": e, "wall_time_s": 0.5} for k, e in enumerate(errors)]
+            return StudyResult(estimator, 1, 1, 1.0, (10,), len(rows), rows, {10: errors[0]}, math.nan)
+
+        lines = study_csv(result("SM", [0.25, 0.5]), result("MLE", [0.125])).splitlines()
+        assert lines == [
+            "estimator,n,d,B,N,trial,error_sq,wall_time_s",
+            "SM,1,1,1.0,10,0,0.25,0.5",
+            "SM,1,1,1.0,10,1,0.5,0.5",
+            "MLE,1,1,1.0,10,0,0.125,0.5",
+        ]
 
     def test_deterministic_given_seed(self):
         p_star = _gaussian_theta_star()

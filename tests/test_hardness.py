@@ -9,7 +9,6 @@ falsified clauses, and well-shape corrections are O(alpha/beta) or smaller.
 import dataclasses
 import itertools
 import math
-import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -320,6 +319,16 @@ class TestEncode:
         assert inst.theta.basis.d == 7
         assert inst.energy.degree == 6
 
+    @pytest.mark.parametrize("fixture, alpha, beta", [("clause1", 2.5, 1.0), ("uniq3", 0.3, 7.0)])
+    def test_theta_is_built_only_when_read(self, fixture, alpha, beta):
+        inst = encode(load_fixture(fixture), alpha, beta)
+        assert verify_roots(inst, seed=1)["holds"]
+        density = inst.log_density
+        assert "theta" not in inst.__dict__
+        # the density without theta: -energy - sum_i x_i^8, the rows theta's own density gives
+        assert density == inst.theta.log_density - PolyCoeffs.constant(inst.n, inst.dropped_constant)
+        assert inst.theta.B == inst.B == 64.0 * inst.m * alpha + 2.0 * beta
+
     def test_negative_couplings_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             encode(load_fixture("clause1"), -1.0, 1.0)
@@ -459,21 +468,6 @@ class TestFalsifiedCounts:
 
 
 class TestVerifyRoots:
-    def test_probe_evaluation_stays_in_cache_sized_blocks(self):
-        # in one piece a (1000, K) monomial matrix, K near 900 here,
-        # takes about 7 MB per temporary; blocks of 2^16 // K rows stay under 2 MB
-        inst = encode(random_formula(12, 120, seed=7), 1, 2)
-        X = np.random.default_rng(7).uniform(-2.0, 2.0, (1000, 12))
-        want = inst.energy.evaluate(X)  # warms the cached gather and block size
-        tracemalloc.start()
-        try:
-            got = inst.energy.evaluate(X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(got, want)
-        assert peak < 2 * 2**20
-
     def test_single_clause(self):
         inst = encode(load_fixture("clause1"), 2.5, 1.0)
         rep = verify_roots(inst, seed=3)

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,6 +309,23 @@ class TestPolyCoeffs:
             want = np.ascontiguousarray(_full_power_product(X, dmax, F.degrees)) @ F.coeffs
             got = F(X)
             assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_evaluation_memory_stays_in_cache_sized_blocks(self):
+        # in one piece a (1000, K) monomial matrix, K near 900 here,
+        # takes about 7 MB per temporary; blocks of 2^16 // K rows stay under 2 MB
+        from polyscore.hardness import encode, random_formula
+
+        inst = encode(random_formula(12, 120, seed=7), 1, 2)
+        X = np.random.default_rng(7).uniform(-2.0, 2.0, (1000, 12))
+        want = inst.energy.evaluate(X)  # warms the cached gather and block size
+        tracemalloc.start()
+        try:
+            got = inst.energy.evaluate(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < 2 * 2**20
 
     def test_block_rows_floor_at_eight(self):
         basis = enumerate_basis(12, 7)  # 50387 rows, more than 2^16 / 8
