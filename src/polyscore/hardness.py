@@ -16,7 +16,6 @@ supplied couplings.  Nothing is asserted silently: every claim lands in a
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -32,7 +31,7 @@ from .expfam import (
     gated_quadrature,
     quad_log_integral,  # noqa: F401  re-exported; bench/test_bench.py checks its tracer patches it here
 )
-from .polybasis import PolyCoeffs, enumerate_basis, poly_to_json, row_blocks
+from .polybasis import PolyCoeffs, enumerate_basis, graded_indices, poly_to_json, row_blocks, support_rank
 from .reports import BoundCheck
 from .sampler import _stream
 
@@ -200,29 +199,43 @@ def clause_poly(clause: Clause, n: int) -> PolyCoeffs:
     return formula_poly(CnfFormula(n, (tuple(clause),)))  # type: ignore[arg-type]
 
 
-# exponents (e_1, e_2, e_3) of the 27 terms of a clause's product of three
-# squared literal factors
-_CLAUSE_EXPONENTS = np.array(list(itertools.product(range(3), repeat=3)), dtype=np.int64)
+# exponents (e_1, e_2, e_3) of the 27 terms of a product of three squared
+# literal factors, in graded-lex order: on three ascending variables each
+# clause's terms then rank in ascending order
+_CLAUSE_EXPONENTS = np.array([e for e in graded_indices(3, 6) if max(e) <= 2], dtype=np.int64)
 
 
 def formula_poly(C: CnfFormula) -> PolyCoeffs:
     """Sum of the clause polynomials; zero exactly on satisfying vertices.
 
     Each clause is the outer product of its literals' coefficient vectors,
-    (x - s)^2 = 1 - 2 s x + x^2 for a literal of sign s; the 27 terms of
-    every clause go to :meth:`PolyCoeffs.from_arrays` at once, which sums
-    them by graded-lex rank.  The coefficients are integers, exact in double.
+    (x - s)^2 = 1 - 2 s x + x^2 for a literal of sign s.  With its literals
+    sorted by variable, its 27 terms are the rows of one fixed exponent
+    table on those three positions, so each term is ranked from that support
+    (:func:`~polyscore.polybasis.support_rank`) and no dense row is built
+    for it.  One stable sort of the ranks groups equal terms,
+    ``np.add.reduceat`` sums each group in input order, and only the
+    distinct exponent rows are built.  The coefficients are integers, exact
+    in double.
     """
-    lits = np.array(C.clauses, dtype=np.int64).reshape(-1, 3)
+    if not C.m:
+        return PolyCoeffs.zero(C.n)
+    lits = np.array(C.clauses, dtype=np.int64)
+    lits = np.take_along_axis(lits, np.argsort(np.abs(lits), axis=1), axis=1)
     sign = np.sign(lits)
     factors = np.stack([np.ones_like(sign), -2 * sign, np.ones_like(sign)], axis=-1)
     E = _CLAUSE_EXPONENTS
     coeffs = factors[:, 0, E[:, 0]] * factors[:, 1, E[:, 1]] * factors[:, 2, E[:, 2]]
-    expo = np.zeros((len(lits), len(E), C.n), dtype=np.int64)
-    rows, terms = np.ogrid[: len(lits), : len(E)]
-    for j in range(3):
-        expo[rows, terms, np.abs(lits[:, j, None]) - 1] = E[:, j]
-    return PolyCoeffs.from_arrays(C.n, expo.reshape(-1, C.n), coeffs.ravel())
+    pos = np.repeat(np.abs(lits) - 1, len(E), axis=0)
+    expo = np.tile(E, (C.m, 1))
+    rank = support_rank(C.n, pos, expo)
+    by_rank = np.argsort(rank, kind="stable")
+    rank = rank[by_rank]
+    starts = np.flatnonzero(np.r_[True, rank[1:] != rank[:-1]])
+    first = by_rank[starts]
+    degrees = np.zeros((len(starts), C.n), dtype=np.int64)
+    degrees.ravel()[pos[first] + np.arange(0, degrees.size, C.n)[:, None]] = expo[first]
+    return PolyCoeffs._ranked(C.n, degrees, np.add.reduceat(coeffs.ravel()[by_rank], starts), rank[starts])
 
 
 @lru_cache(maxsize=None)
@@ -314,8 +327,8 @@ def _energy(alpha: float, H: PolyCoeffs, beta: float, G: PolyCoeffs) -> PolyCoef
 def encode(C: CnfFormula, alpha: float, beta: float) -> EncodedInstance:
     """Compile ``alpha * H_C + beta * G`` into a family member of degree 7."""
     alpha, beta = float(alpha), float(beta)
-    if alpha < 0 or beta < 0:
-        raise ValueError(f"couplings must be nonnegative, got alpha={alpha}, beta={beta}")
+    if not (0.0 <= alpha < math.inf and 0.0 <= beta < math.inf):
+        raise ValueError(f"couplings must be finite and nonnegative, got alpha={alpha}, beta={beta}")
     H = formula_poly(C)
     inst = EncodedInstance(C, alpha, beta, _energy(alpha, H, beta, hypercube_poly(C.n)), H)
     if inst.B < 1.0:
@@ -439,20 +452,24 @@ def _vertex_values(degrees: np.ndarray, ints: np.ndarray, n: int) -> np.ndarray:
 
     At a vertex a monomial is (-1)^(number of its odd exponents on -1
     coordinates), so the values are the Walsh-Hadamard transform of the
-    coefficients summed by odd-exponent mask (variable 1 the top bit): n
-    butterfly passes, every partial sum bounded by sum |c|.  The -1
-    coordinates of code c are its zero bits, so vertex c reads entry
-    2^n - 1 - c.
+    coefficients summed by odd-exponent mask (variable 1 the top bit), every
+    partial sum bounded by sum |c|.  Each of the n butterfly passes reads the
+    two contiguous halves of the array, whose entries differ in the top bit,
+    and writes a + b and a - b interleaved: that moves the top bit to the
+    bottom, so every bit takes one pass and after n passes the order is
+    back.  The -1 coordinates of code c are its zero bits, so vertex c reads
+    entry 2^n - 1 - c.
     """
     mask = (degrees % 2) @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
     f = np.zeros(1 << n, dtype=np.int64)
     np.add.at(f, mask, ints)
-    for i in range(n):
-        pairs = f.reshape(-1, 2, 1 << i)  # entries differing in bit i
-        a, b = pairs[:, 0], pairs[:, 1]
-        a += b
-        b *= -2
-        b += a  # (a, b) -> (a + b, a - b)
+    g = np.empty_like(f)
+    half = len(f) // 2
+    for _ in range(n):
+        pairs = g.reshape(half, 2)
+        np.add(f[:half], f[half:], out=pairs[:, 0])
+        np.subtract(f[:half], f[half:], out=pairs[:, 1])
+        f, g = g, f
     return f[::-1]
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "PolyCoeffs",
     "enumerate_basis",
     "graded_rank",
+    "support_rank",
     "eval_suffstats",
     "eval_jacobian",
     "eval_laplacian",
@@ -172,6 +173,49 @@ def graded_rank(degrees) -> np.ndarray:
         r, i = np.argwhere(binoms < 0)[0]
         raise OverflowError(f"C({a[r, i]}, {k[i]}) does not fit in int64")
     return binoms.sum(axis=1)
+
+
+def support_rank(n: int, positions, exponents) -> np.ndarray:
+    """:func:`graded_rank` of rows in n variables given by their support.
+
+    Row r holds ``exponents[r]`` at the strictly ascending ``positions[r]``
+    (0-based) and 0 elsewhere; a listed exponent may be 0.  Between two
+    listed positions the tail total t_i of :func:`graded_rank` is constant,
+    and by the hockey-stick identity sum_{k=a..b} C(t - 1 + k, k) =
+    C(t + b, b) - C(t + a - 1, a - 1), so each stretch costs two reads of the
+    cached Pascal table: 2s reads for s listed positions, whatever n is.  A
+    row whose largest read, C(|e| + n, n), passes int64 is summed in Python
+    integers, and a rank past int64 raises OverflowError.
+    """
+    pos = np.asarray(positions, dtype=np.int64)
+    exp = np.asarray(exponents, dtype=np.int64)
+    if pos.ndim != 2 or pos.shape != exp.shape:
+        raise ValueError(f"positions {pos.shape} and exponents {exp.shape} must be equal (N, s) arrays")
+    N, s = pos.shape
+    if N == 0 or s == 0:
+        return np.zeros(N, dtype=np.int64)
+    pos, exp = np.ascontiguousarray(pos.T), np.ascontiguousarray(exp.T)  # (s, N): one row per listed position
+    if (pos[0] < 0).any() or (pos[-1] >= n).any() or (pos[1:] <= pos[:-1]).any():
+        raise ValueError(f"positions must ascend strictly within 0..{n - 1}")
+    if (exp < 0).any():
+        raise ValueError("exponents must be nonnegative")
+    tails = exp.copy()  # the constant t of each stretch: the total from its listed position on
+    for i in range(s - 2, -1, -1):
+        tails[i] += tails[i + 1]
+    # the stretch ending at listed position p sums k = a..b, a = n - p, b = n - 1 - (previous p) (n at the first)
+    top = np.vstack([np.full((1, N), n), n - 1 - pos[:-1]])
+    low = n - 1 - pos
+    table = _pascal(1 << int(tails[0].max() + n).bit_length(), n + 1)
+    upper = table.take((tails + top) * (n + 1) + top)  # C(t + b, b); low is a - 1
+    rank = (upper - table.take((tails + low) * (n + 1) + low)).sum(axis=0)
+    # C(|e| + n, n) is each row's largest read; past int64 the rank may still fit
+    for r in np.flatnonzero(upper[0] < 0):
+        exact = sum(math.comb(t + b, b) - math.comb(t + a, a)
+                    for t, b, a in zip(tails[:, r].tolist(), top[:, r].tolist(), low[:, r].tolist()))
+        if exact > np.iinfo(np.int64).max:
+            raise OverflowError(f"graded rank {exact} of row {r} does not fit in int64")
+        rank[r] = exact
+    return rank
 
 
 @lru_cache(maxsize=None)

@@ -217,6 +217,16 @@ class TestEncode:
         code, _, _ = run(capsys, ["encode", "--cnf", "missing.cnf", "--alpha", "1", "--beta", "1"])
         assert code == 1
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    def test_non_finite_couplings_exit_2_without_a_document(self, capsys, tmp_path, flag, bad):
+        couplings = {"--alpha": "1", "--beta": "2", flag: bad}
+        out = tmp_path / "encode.json"
+        argv = ["encode", "--cnf", fixture_path("uniq3"), "--out", str(out)]
+        code, stdout, err = run(capsys, argv + [f"{k}={v}" for k, v in couplings.items()])
+        assert code == 2 and "finite" in err
+        assert stdout == "" and not out.exists()
+
     def test_coupling_flags_validated(self, capsys):
         code, _, err = run(capsys, ["encode", "--cnf", self.CNF, "--alpha", "1"])
         assert code == 2 and "together" in err

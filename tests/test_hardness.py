@@ -77,6 +77,17 @@ def vertex_weights(C: CnfFormula, alpha: float):
     return out
 
 
+def squared_literal_product(clause, n: int) -> PolyCoeffs:
+    """(x_i - 1)^2 per positive literal, (x_i + 1)^2 per negative one, multiplied out term by term."""
+    zero = (0,) * n
+    out = PolyCoeffs.constant(n, 1.0)
+    for lit in clause:
+        e = tuple(int(k == abs(lit) - 1) for k in range(n))
+        factor = PolyCoeffs.make(n, {e: 1.0, zero: -1.0 if lit > 0 else 1.0})
+        out = out * factor * factor
+    return out
+
+
 def flip_literals(C: CnfFormula) -> CnfFormula:
     return CnfFormula(C.n, tuple(tuple(-lit for lit in c) for c in C.clauses))
 
@@ -186,17 +197,10 @@ class TestClausePoly:
 
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_equals_the_product_of_squared_literal_factors(self, n):
-        # (x_i - 1)^2 per positive literal, (x_i + 1)^2 per negative one
-        zero = (0,) * n
         for vars_ in itertools.permutations(range(1, n + 1), 3):
             for signs in itertools.product((-1, 1), repeat=3):
                 clause = tuple(v * s for v, s in zip(vars_, signs))
-                want = PolyCoeffs.constant(n, 1.0)
-                for lit in clause:
-                    e = tuple(int(k == abs(lit) - 1) for k in range(n))
-                    factor = PolyCoeffs.make(n, {e: 1.0, zero: -1.0 if lit > 0 else 1.0})
-                    want = want * factor * factor
-                assert clause_poly(clause, n) == want
+                assert clause_poly(clause, n) == squared_literal_product(clause, n)
 
     def test_formula_poly_sums(self):
         C = load_fixture("uniq3")
@@ -206,14 +210,19 @@ class TestClausePoly:
         assert F.evaluate(x) == pytest.approx(total, rel=1e-12)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(n=st.integers(3, 12), m=st.integers(0, 60), seed=st.integers(0, 2**31 - 1))
+    @given(n=st.integers(3, 20), m=st.integers(0, 60), seed=st.integers(0, 2**31 - 1))
     def test_formula_poly_is_the_sum_of_clause_polys(self, n, m, seed):
-        # integer coefficients: the scatter-add and the term-by-term sum agree exactly
+        # the reference multiplies each clause's squared literal factors out by PolyCoeffs
+        # arithmetic and shares no expansion code with formula_poly; with integer
+        # coefficients the grouped sums and the term-by-term sum agree exactly
         C = random_formula(n, m, seed)
-        total = PolyCoeffs.zero(n)
+        want = PolyCoeffs.zero(n)
         for c in C.clauses:
-            total = total + clause_poly(c, n)
-        assert dict(formula_poly(C).terms) == dict(total.terms)
+            want = want + squared_literal_product(c, n)
+        got = formula_poly(C)
+        assert np.array_equal(got.degrees, want.degrees)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        assert np.array_equal(got.rank, want.rank)
 
 
 class TestHypercubePoly:
@@ -332,6 +341,14 @@ class TestEncode:
     def test_negative_couplings_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             encode(load_fixture("clause1"), -1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["alpha", "beta"])
+    def test_non_finite_couplings_rejected(self, which, bad):
+        # a NaN coupling would give B = nan, an infinite one a certificate over inf * H
+        couplings = {"alpha": 1.0, "beta": 2.0, which: bad}
+        with pytest.raises(ValueError, match="finite"):
+            encode(load_fixture("uniq3"), **couplings)
 
     def test_too_small_couplings_rejected(self):
         with pytest.raises(ValueError, match="too small"):

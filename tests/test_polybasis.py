@@ -37,6 +37,7 @@ from polyscore.polybasis import (
     poly_to_json,
     row_blocks,
     sample_stats,
+    support_rank,
     to_legendre,
 )
 from polyscore.sampler import SampleSet
@@ -107,6 +108,46 @@ class TestGradedRank:
         full = graded_indices(3, 6)
         assert graded_rank(rows).tolist() == [full.index(tuple(r)) for r in rows.tolist()]
         assert graded_rank(np.zeros((0, 3), dtype=int)).shape == (0,)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 20), rows=st.integers(1, 6))
+    def test_support_rank_is_the_rank_of_the_dense_row(self, data, n, rows):
+        # 0-3 listed positions, or all n; a listed exponent may be 0
+        s = n if data.draw(st.booleans()) else data.draw(st.integers(0, min(3, n)))
+        support = st.sets(st.integers(0, n - 1), min_size=s, max_size=s).map(sorted)
+        pos = np.array(data.draw(st.lists(support, min_size=rows, max_size=rows)), dtype=np.int64).reshape(rows, s)
+        exp = np.array(data.draw(st.lists(st.integers(0, 7), min_size=rows * s, max_size=rows * s)),
+                       dtype=np.int64).reshape(rows, s)
+        dense = np.zeros((rows, n), dtype=np.int64)
+        np.put_along_axis(dense, pos, exp, axis=1)
+        # graded_rank's sum in Python integers
+        exact = [sum(math.comb(sum(row[j:]) + n - j - 1, n - j) for j in range(n)) for row in dense.tolist()]
+        if max(exact) > np.iinfo(np.int64).max:
+            with pytest.raises(OverflowError):
+                support_rank(n, pos, exp)
+        else:
+            assert support_rank(n, pos, exp).tolist() == graded_rank(dense).tolist() == exact
+
+    def test_support_rank_of_the_constant_and_of_overflowing_rows(self):
+        assert support_rank(4, np.zeros((2, 0)), np.zeros((2, 0))).tolist() == [0, 0]
+        assert support_rank(4, [[0, 3]], [[0, 0]]).tolist() == [0]
+        assert support_rank(4, np.zeros((0, 2)), np.zeros((0, 2))).shape == (0,)
+        # x1^64 in 20 variables ranks at C(83, 20) < 2^63, although the read C(84, 20) is past it
+        first = np.zeros((1, 20), dtype=np.int64)
+        first[0, 0] = 64
+        assert support_rank(20, [[0]], [[64]]).tolist() == graded_rank(first).tolist() == [math.comb(83, 20)]
+        # x1^40 in 40 variables ranks past C(79, 40) > 2^63
+        big = np.zeros((1, 40), dtype=np.int64)
+        big[0, 0] = 40
+        for rank in (lambda: graded_rank(big), lambda: support_rank(40, [[0]], [[40]])):
+            with pytest.raises(OverflowError):
+                rank()
+
+    @pytest.mark.parametrize("pos, exp", [([[1, 1]], [[1, 1]]), ([[2, 1]], [[1, 1]]), ([[0, 4]], [[1, 1]]),
+                                          ([[-1, 2]], [[1, 1]]), ([[0, 1]], [[1, -1]]), ([[0, 1]], [[1]])])
+    def test_support_rank_refuses_malformed_supports(self, pos, exp):
+        with pytest.raises(ValueError):
+            support_rank(4, pos, exp)
 
 
 class TestGradedIndices:
