@@ -211,10 +211,7 @@ def log_unnormalized_density(p: ParamVector, x, with_score: bool = False) -> np.
     """log h(x) + <theta, T(x)>; the log partition is deliberately excluded.
 
     With ``with_score`` returns (values, score(p, x)), both read from one
-    evaluation of the member's term table.  ``PolyCoeffs.__call__`` takes
-    a large batch in row blocks, so there the stacked table can round
-    differently from one product over the whole batch (by up to 2.9e-11
-    relative for a (3, 5) member at 20,000 points).
+    evaluation of the member's term table.
     """
     xb, single = _as_batch(x, p.n)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -703,7 +700,7 @@ def _sweep(grid: QuadratureGrid, const: float, parts: list[np.ndarray], mixed: P
             if key not in masks:
                 masks[key] = hit[1][active].T @ hit[2][active] > 0.0
             mass += float(E[masks[key]].sum())
-        if fields is not None:  # in row blocks of 2^16 field values, like PolyCoeffs.__call__'s
+        if fields is not None:  # in row blocks of 2^16 field values
             for rows in row_blocks(len(E), 16 * len(F) * E.shape[1]):
                 # an ndarray even for a scalar reducer, so _LogSum rescales it in place
                 acc.sums[3] = np.asarray(acc.sums[3] + reduce(PF[1][rows] @ slab_fields[a] @ PF[2].T, E[rows]))

@@ -473,21 +473,26 @@ def _vertex_values(degrees: np.ndarray, ints: np.ndarray, n: int) -> np.ndarray:
     return f[::-1]
 
 
-def _values_mod(degrees: np.ndarray, ints: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Integer polynomial ``sum_k ints_k x^degrees_k`` mod :data:`_MODULUS` at each row of z.
+def _values_mod(f: PolyCoeffs, ints: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """f with integer coefficients ``ints`` mod :data:`_MODULUS` at each row of z.
 
-    z holds residues in [0, p); every product of two residues is reduced at
-    once, so no int64 intermediate exceeds 2^62, and the sum of the terms'
-    residues stays below 2^63 for fewer than 2^32 terms.
+    z holds residues in [0, p).  The residue powers are laid out as
+    ``PolyCoeffs._monomials`` lays out its power table, and each term
+    multiplies only the factors of its nonzero exponents (``f._gather``).
+    Every product of two residues is reduced at once, so no int64
+    intermediate exceeds 2^62, and the sum of the terms' residues stays
+    below 2^63 for fewer than 2^32 terms.
     """
     p = _MODULUS
-    powers = np.ones(z.shape + (int(degrees.max(initial=0)) + 1,), dtype=np.int64)
-    for e in range(1, powers.shape[-1]):
+    dmax, cols = f._gather
+    powers = np.ones((len(z), f.n, dmax + 1), dtype=np.int64)
+    for e in range(1, dmax + 1):
         powers[..., e] = powers[..., e - 1] * z % p
-    terms = np.broadcast_to(ints % p, (len(z), len(ints)))
-    for i in range(z.shape[1]):
-        terms = terms * powers[:, i, degrees[:, i]] % p
-    return terms.sum(axis=1) % p
+    powers = powers.reshape(len(z), -1)  # column i (dmax + 1) + e holds z_i^e
+    terms = ints % p
+    for c in cols:
+        terms = terms * powers.take(c, axis=1) % p
+    return terms.sum(axis=1) % p  # cols has at least one row, so terms is (points, K)
 
 
 def _clause_squares_mod(C: CnfFormula, z: np.ndarray) -> np.ndarray:
@@ -550,10 +555,10 @@ def verify_roots(inst: EncodedInstance, seed: int = 0) -> dict:
     n_sat = int(np.count_nonzero(k == 0))
     min_unsat_k = int(k[k > 0].min()) if n_sat < len(k) else None
     z = _stream(seed, 0).integers(0, _MODULUS, size=(_IDENTITY_POINTS, C.n))
-    h_identity = bool(np.array_equal(_values_mod(H.degrees, h_ints, z), _clause_squares_mod(C, z)))
+    h_identity = bool(np.array_equal(_values_mod(H, h_ints, z), _clause_squares_mod(C, z)))
     wells = (1 - z * z % _MODULUS) % _MODULUS  # 1 - x_i^2
     g_squares = (wells * wells % _MODULUS).sum(axis=1) % _MODULUS
-    g_identity = bool(np.array_equal(_values_mod(G.degrees, g_ints, z), g_squares))
+    g_identity = bool(np.array_equal(_values_mod(G, g_ints, z), g_squares))
     energy_identity = bool(inst.energy == _energy(inst.alpha, H, inst.beta, G))
     positive = h_identity and g_identity and energy_identity and inst.alpha >= 0.0 and inst.beta > 0.0
     report = {

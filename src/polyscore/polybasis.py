@@ -157,7 +157,10 @@ def graded_rank(degrees) -> np.ndarray:
     them, and after the rows of its own degree that agree with it before
     some position i and carry more there; with t_i the total of positions
     i.., there are C(t_i - e_i - 1 + k_i, k_i) of those, k_i = n - 1 - i.
-    The binomials come from a cached int64 Pascal table.
+    The binomials come from a cached int64 Pascal table.  A rank is below
+    C(|e| + n, n); a row where that bound passes int64 is ranked by
+    :func:`support_rank`, which sums it in Python integers and raises
+    OverflowError only for a rank past int64.
     """
     deg = np.asarray(degrees, dtype=np.int64)
     N, n = deg.shape
@@ -168,11 +171,12 @@ def graded_rank(degrees) -> np.ndarray:
     # for j = 0 .. n - 1; j = 0 counts the rows of lower degree
     k = np.arange(n, 0, -1)
     a = tails + (k - 1)
-    binoms = _pascal(1 << int(a.max()).bit_length(), n + 1).take(a * (n + 1) + k)  # table[a, k]
-    if (binoms < 0).any():
-        r, i = np.argwhere(binoms < 0)[0]
-        raise OverflowError(f"C({a[r, i]}, {k[i]}) does not fit in int64")
-    return binoms.sum(axis=1)
+    table = _pascal(1 << int(tails[:, 0].max() + n).bit_length(), n + 1)
+    rank = table.take(a * (n + 1) + k).sum(axis=1)  # table[a, k]; every read is below the bound
+    wide = np.flatnonzero(table.take((tails[:, 0] + n) * (n + 1) + n) < 0)  # C(|e| + n, n) past int64
+    if len(wide):
+        rank[wide] = support_rank(n, np.broadcast_to(np.arange(n), (len(wide), n)), deg[wide])
+    return rank
 
 
 def support_rank(n: int, positions, exponents) -> np.ndarray:
@@ -213,7 +217,8 @@ def support_rank(n: int, positions, exponents) -> np.ndarray:
         exact = sum(math.comb(t + b, b) - math.comb(t + a, a)
                     for t, b, a in zip(tails[:, r].tolist(), top[:, r].tolist(), low[:, r].tolist()))
         if exact > np.iinfo(np.int64).max:
-            raise OverflowError(f"graded rank {exact} of row {r} does not fit in int64")
+            raise OverflowError(f"graded rank {exact} of exponents {exp[:, r].tolist()} "
+                                f"at positions {pos[:, r].tolist()} does not fit in int64")
         rank[r] = exact
     return rank
 
@@ -296,11 +301,6 @@ def row_blocks(total: int, width: int) -> Iterator[slice]:
     The package's one chunk rule, for samples, grid nodes and hypercube
     vertices: with about ``width`` values per row, each temporary of a block
     stays near 8 MB, and fixed blocks keep streamed sums deterministic.
-    Polynomial evaluation (``PolyCoeffs.__call__``) blocks finer, to stay in
-    L2: 2^16 // K rows for K terms, rounded down to a multiple of 8 (at
-    least 8), and a lone last row joins the block before it; with the
-    OpenBLAS build it was measured on (README), a 1-D polynomial's blocks
-    then round as one single-threaded matvec over the whole batch does.
     """
     block = max(1, (1 << 20) // width)
     return (slice(lo, min(lo + block, total)) for lo in range(0, total, block))
@@ -633,11 +633,6 @@ class PolyCoeffs:
         cols[slot, k] = i * (dmax + 1) + self.degrees[k, i]
         return dmax, cols
 
-    @cached_property
-    def _block_rows(self) -> int:
-        """Rows per evaluation block: 2^16 // K rounded down to a multiple of 8, at least 8."""
-        return max(8, ((1 << 16) // max(len(self.degrees), 1)) & -8)
-
     def _monomials(self, x: np.ndarray) -> np.ndarray:
         """The values x^degrees[k], shape (N, K), at a batch (N, n) of float points, unchecked.
 
@@ -656,26 +651,8 @@ class PolyCoeffs:
         return mono
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Values at a batch (N, n) of float points, unchecked: the monomials times the coefficients.
-
-        A batch that fits one block of :attr:`_block_rows` rows is one
-        product; a longer one goes block by block, so each block's (rows, K)
-        monomial matrix stays near 512 kB, inside L2.  The blocks start on
-        multiples of 8 rows, and a lone last row joins the block before it,
-        because numpy takes a one-row product as a dot, which rounds
-        differently.  With numpy 2.4.6's OpenBLAS 0.3.31 at 1 thread, that
-        gives a 1-D polynomial the bits of one product over the whole batch;
-        this was measured, not promised: more threads, stacked coefficients
-        past OpenBLAS's small-matrix path, or another BLAS can change last
-        bits (README).
-        """
-        N = len(x)
-        if N <= self._block_rows + 1:
-            return self._monomials(x) @ self.coeffs
-        edges, out = [*range(0, N - 1, self._block_rows), N], np.empty((N,) + self.coeffs.shape[1:])
-        for lo, hi in zip(edges, edges[1:]):
-            out[lo:hi] = self._monomials(x[lo:hi]) @ self.coeffs
-        return out
+        """Values at a batch (N, n) of float points, unchecked: the monomials times the coefficients."""
+        return self._monomials(x) @ self.coeffs
 
     def evaluate(self, x) -> np.ndarray | float:
         """Evaluate at a point (n,) or batch (N, n)."""

@@ -591,11 +591,21 @@ class TestVerifyRoots:
             assert rep["H_identity"] and rep["G_identity"] and rep["energy_identity"] and rep["holds"]
         z = np.random.default_rng(0).integers(0, 2**31 - 1, size=(50, 12))
         h_ints = np.rint(inst.H.coeffs).astype(np.int64)
-        assert np.array_equal(_values_mod(inst.H.degrees, h_ints, z), _clause_squares_mod(C, z))
+        assert np.array_equal(_values_mod(inst.H, h_ints, z), _clause_squares_mod(C, z))
         # against Python's exact integers, on a few points
         for row in z[:3].tolist():
             want = sum(math.prod((row[abs(l) - 1] - (1 if l > 0 else -1)) ** 2 for l in c) for c in C.clauses)
             assert _clause_squares_mod(C, np.array([row]))[0] == want % (2**31 - 1)
+
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_values_mod_is_the_integer_value(self, n):
+        # H's terms multiply only their support's residues; Python's exact integers multiply every axis
+        H = formula_poly(random_formula(n, 5 * n, seed=n))
+        ints = np.rint(H.coeffs).astype(np.int64)
+        z = np.random.default_rng(n).integers(0, 2**31 - 1, size=(4, n))
+        want = [sum(c * math.prod(v**e for v, e in zip(row, deg)) for c, deg in zip(ints.tolist(), H.degrees.tolist()))
+                % (2**31 - 1) for row in z.tolist()]
+        assert _values_mod(H, ints, z).tolist() == want
 
     def test_encode_and_verify_build_no_basis_rows(self, monkeypatch):
         # a fresh basis cache, so rows another test read do not count

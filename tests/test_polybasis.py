@@ -3,7 +3,6 @@
 import dataclasses
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyscore.estimators import sm_loss
-from polyscore.expfam import ParamVector, build_grid, moments, random_params, score
+from polyscore.expfam import ParamVector, build_grid, log_unnormalized_density, moments, random_params, score
 from polyscore.fisher import fisher_info, gram_matrix, sm_moment_inputs
 from polyscore.polybasis import (
     MonomialBasis,
@@ -123,8 +122,9 @@ class TestGradedRank:
         # graded_rank's sum in Python integers
         exact = [sum(math.comb(sum(row[j:]) + n - j - 1, n - j) for j in range(n)) for row in dense.tolist()]
         if max(exact) > np.iinfo(np.int64).max:
-            with pytest.raises(OverflowError):
-                support_rank(n, pos, exp)
+            for rank in (lambda: support_rank(n, pos, exp), lambda: graded_rank(dense)):
+                with pytest.raises(OverflowError):
+                    rank()
         else:
             assert support_rank(n, pos, exp).tolist() == graded_rank(dense).tolist() == exact
 
@@ -140,6 +140,12 @@ class TestGradedRank:
         big = np.zeros((1, 40), dtype=np.int64)
         big[0, 0] = 40
         for rank in (lambda: graded_rank(big), lambda: support_rank(40, [[0]], [[40]])):
+            with pytest.raises(OverflowError):
+                rank()
+        # x20^64 in 20 variables ranks at 10,735,998,891,545,372,444 > 2^63, while every binomial of its sum fits
+        last = np.zeros((1, 20), dtype=np.int64)
+        last[0, 19] = 64
+        for rank in (lambda: graded_rank(last), lambda: support_rank(20, [[19]], [[64]])):
             with pytest.raises(OverflowError):
                 rank()
 
@@ -285,7 +291,7 @@ def _full_power_product(X, dmax, degrees):
         P[:, :, e] = P[:, :, e - 1] * X
     vals = P[:, 0, degrees[:, 0]]
     for i in range(1, degrees.shape[1]):
-        vals = vals * P[:, i, degrees[:, i]]
+        vals *= P[:, i, degrees[:, i]]
     return vals
 
 
@@ -331,48 +337,28 @@ class TestPolyCoeffs:
         assert np.array_equal(f(X), want)
 
     @pytest.mark.parametrize("stacked", [False, True])
-    def test_row_blocks_keep_the_whole_batch_bits(self, stacked):
-        # past one block, __call__ walks 8-aligned blocks of 2^16 // K rows;
-        # each row rounds as in one row-major product over the whole batch.
-        # Measured with numpy's OpenBLAS 0.3.31; the N here keep the stacked
-        # whole-batch product on its small-matrix path (see README)
+    def test_call_is_the_whole_batch_product(self, stacked):
+        # every batch is one product: each row rounds as in one row-major
+        # product over the whole batch, whatever N and the BLAS thread count
         from polyscore.hardness import encode, random_formula
 
         f = encode(random_formula(12, 60, seed=3), 1.0, 2.0).energy
         F = PolyCoeffs.stack([f, f.partial(0), f.partial(7)]) if stacked else f
-        block = F._block_rows
-        assert block == ((1 << 16) // len(F.degrees)) // 8 * 8 and block >= 8
         dmax, _ = F._gather
-        rng = np.random.default_rng(block)
-        # block + 1 fits one product; 2 * block + 1 ends on a lone row inside the loop
-        for N in (block - 1, block, block + 1, 2 * block + 1, 3 * block + 5):
+        rng = np.random.default_rng(96)
+        for N in (95, 96, 97, 193, 293, 20000):
             X = rng.uniform(-2.0, 2.0, (N, 12))
             want = np.ascontiguousarray(_full_power_product(X, dmax, F.degrees)) @ F.coeffs
             got = F(X)
             assert got.shape == want.shape and np.array_equal(got, want)
 
-    def test_evaluation_memory_stays_in_cache_sized_blocks(self):
-        # in one piece a (1000, K) monomial matrix, K near 900 here,
-        # takes about 7 MB per temporary; blocks of 2^16 // K rows stay under 2 MB
-        from polyscore.hardness import encode, random_formula
-
-        inst = encode(random_formula(12, 120, seed=7), 1, 2)
-        X = np.random.default_rng(7).uniform(-2.0, 2.0, (1000, 12))
-        want = inst.energy.evaluate(X)  # warms the cached gather and block size
-        tracemalloc.start()
-        try:
-            got = inst.energy.evaluate(X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(got, want)
-        assert peak < 2 * 2**20
-
-    def test_block_rows_floor_at_eight(self):
-        basis = enumerate_basis(12, 7)  # 50387 rows, more than 2^16 / 8
-        f = PolyCoeffs.from_arrays(12, basis.degrees, np.ones(basis.size))
-        assert f._block_rows == 8
-        assert PolyCoeffs.zero(3)._block_rows == 1 << 16
+    def test_stacked_density_and_score_are_the_whole_batch_product(self):
+        # the [log p | score] table of a (3, 5) member at 20,000 points
+        p = random_params(3, 5, 1.0, 0)
+        X = np.random.default_rng(0).uniform(-1.0, 1.0, (20000, 3))
+        vals, S = log_unnormalized_density(p, X, with_score=True)
+        want = p._terms._monomials(X) @ p._terms.coeffs
+        assert np.array_equal(vals, want[:, 0]) and np.array_equal(S, want[:, 1:])
 
     @pytest.mark.parametrize("width", [None, 2])
     def test_canonical_input_skips_the_sort(self, width, monkeypatch):
