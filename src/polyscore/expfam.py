@@ -18,11 +18,13 @@ point-shape rule, plus a finiteness check.
 Polynomial log densities, ``PolyCoeffs`` such as :attr:`ParamVector.log_density`,
 go through one sum-factorised oracle, :func:`poly_quadrature` (Orszag 1980).
 ``PolyCoeffs.by_axis`` splits the log density into a constant, the pure
-powers of each axis and the mixed terms that couple axes.  The pure powers
-are summed per axis; on the slab x_1 = t_a of the tensor grid the mixed terms
-are the matrix product P_2 C(t_a) P_3^t of per-axis power tables and the
-slab's coefficient matrix (the mixed rows alone, laid out by :func:`_dense`),
-so no grid point is ever formed and the working set is one K x K slab.  A
+powers of each axis and the mixed terms that couple axes.  On the slab
+x_1 = t_a of the tensor grid the mixed terms are the matrix product
+P_2 C(t_a) P_3^t of per-axis power tables and the slab's coefficient matrix
+(the mixed rows alone, laid out by :func:`_dense`), and the per-axis parts
+join that product as two more columns, so one GEMM gives the slab's log
+values, no grid point is ever formed and the working set is one K x K
+buffer per pass.  A
 certified separable bound, built from the same split, first drops the axis
 indices whose nodes together carry under e^-50 of the integral.  A pass that
 asks only for log Z and the moments of a log density without mixed terms is
@@ -405,24 +407,32 @@ class _LogSum:
     """Streaming log-sum-exp over blocks in a fixed order, so bitwise deterministic.
 
     Holds the running max m and sums kept scaled by exp(-m); callers add each
-    block's weighted terms, the weight sum itself first in ``sums[0]``.
+    block's weighted terms, the weight sum itself first in ``sums[0]``.  This
+    is the package's one rescale of running sums.
     """
 
     def __init__(self, *shapes):
         self.m = -math.inf
         self.sums = [np.zeros(s) for s in shapes]
 
-    def weights(self, logvals: np.ndarray, offset: float = 0.0) -> np.ndarray | None:
-        """exp(logvals + offset - m), written over logvals; None when all are zero.
+    @property
+    def shift(self) -> float:
+        """The s a caller may subtract from a block before :meth:`weights`: m, or 0 before the first finite block."""
+        return self.m if self.m > -math.inf else 0.0
+
+    def weights(self, block: np.ndarray, offset: float = 0.0) -> np.ndarray | None:
+        """exp(block + offset - m) for a block of log values less ``offset``, written over it; None when all are zero.
 
         Raises m, and rescales the sums, when the block holds a larger value.
-        A non-finite log value (a power that overflowed far out, where the
-        base measure's degree wins) gets zero weight.
+        A block pre-shifted by ``offset = shift`` whose largest value did not
+        raise m is exponentiated as it stands, with no subtraction.  A
+        non-finite log value (a power that overflowed far out, where the base
+        measure's degree wins) gets zero weight.
         """
-        top = float(logvals.max())
+        top = float(block.max())
         if not math.isfinite(top):
-            logvals[~np.isfinite(logvals)] = -math.inf
-            top = float(logvals.max())
+            block[~np.isfinite(block)] = -math.inf
+            top = float(block.max())
             if top == -math.inf:
                 return None
         if top + offset > self.m:
@@ -430,8 +440,9 @@ class _LogSum:
             for s in self.sums:
                 s *= scale
             self.m = top + offset
-        logvals -= self.m - offset
-        return np.exp(logvals, out=logvals)
+        if self.m != offset:
+            block -= self.m - offset
+        return np.exp(block, out=block)
 
     def total(self) -> float:
         """The weight sum; raises when every weight underflowed to zero."""
@@ -644,21 +655,24 @@ def _product(grid: QuadratureGrid, const: float, parts: list[np.ndarray], order:
 def _sweep(grid: QuadratureGrid, const: float, parts: list[np.ndarray], mixed: PolyCoeffs, order: int, signs, fields):
     """The slab sweep of :func:`poly_quadrature` over the nodes :func:`_screen` keeps.
 
-    Only the mixed rows are laid out as the dense tensor C (:func:`_dense`);
-    the constant and the per-axis parts are added per axis.  Grids with
-    n < 3 get leading single-node axes at x = 0, so every grid is swept in
-    slabs along its first axis: K slabs of K x K nodes at n = 3, one slab
-    holding the whole grid at n <= 2.  On the slab x_1 = t_a the mixed terms
-    of the log density are P_2 C(t_a) P_3^t, with P_i the axis power tables
-    up to the mixed rows' largest exponent; the log weights join the per-axis
-    parts, and a log-sum-exp streams over the slabs in a fixed order, which
-    makes the result bitwise deterministic.  Each slab's weight sum is the
-    order-0 product 1^t E 1 whatever the order asked for, since the corner of
-    Q_2^t E Q_3 rounds with the tables' width: log Z is the order-0 pass's
-    bit for bit, and ``moments[0, ..., 0]`` is set to exactly 1.  The working
-    set is O(K^2) whatever n is.  Screening changes the sums by under e^-50 of their size;
-    ``nodes`` reports how many nodes it leaves.  Every axis keeps at least
-    the index of its largest lower bound, since every axis has a finite part.
+    Only the mixed rows are laid out as the dense tensor C (:func:`_dense`).
+    Grids with n < 3 get leading single-node axes at x = 0, so every grid is
+    swept in slabs along its first axis: K slabs of K x K nodes at n = 3, one
+    slab holding the whole grid at n <= 2.  On the slab x_1 = t_a one GEMM
+    writes the log values less the log-sum-exp's shift s into a K x K buffer
+    made once per pass: [P_2 C(t_a) | l_2 + l_1(t_a) - s | 1] [P_3 | 1 | l_3]^t,
+    with P_i the axis power tables up to the mixed rows' largest exponent and
+    l_i the per-axis parts, log weights included.  :meth:`_LogSum.weights`
+    turns the buffer into the slab's weights E in place, and the log-sum-exp
+    streams over the slabs in a fixed order, which makes the result bitwise
+    deterministic.  Each slab's weight sum is the order-0 product 1^t (E 1)
+    whatever the order asked for, since the corner of Q_2^t E Q_3 rounds with
+    the tables' width: log Z is the order-0 pass's bit for bit, and
+    ``moments[0, ..., 0]`` is set to exactly 1.  The orthant mass is E's dot
+    with the float mask of the orthants the slab touches.  Screening changes
+    the sums by under e^-50 of their size; ``nodes`` reports how many nodes it
+    leaves.  Every axis keeps at least the index of its largest lower bound,
+    since every axis has a finite part.
     """
     keep = _screen(grid, parts, mixed)
     pad = 3 - grid.n
@@ -668,15 +682,27 @@ def _sweep(grid: QuadratureGrid, const: float, parts: list[np.ndarray], mixed: P
     mixed = _dense(mixed)[(None,) * pad]
     P = [np.vander(t, k, increasing=True) for t, k in zip(nodes, mixed.shape)]
     Q = [np.vander(t, 1 if i < pad else order + 1, increasing=True) for i, t in enumerate(nodes)]
-    ones = [np.ones((len(t), 1)) for t in nodes[1:]]  # Q_2 and Q_3 at order 0
     # hit[i][j, k]: node k of axis i lies on the closed side of orthant j
     hit = [(signs[:, i, None] * t >= 0.0).astype(float) for i, t in enumerate(nodes[pad:])]
     hit = [np.ones((len(signs), 1))] * pad + hit
-    masks = {}  # the (K, K) orthant mask of each pattern of orthants a slab touches
+    # slab_masks[a]: the (K, K) float mask of the orthants that slab a's x_1 lies in, for the slabs in any;
+    # slabs on the same side of every orthant share one
+    masks, slab_masks = {}, {}
+    for a in np.flatnonzero(hit[0].any(axis=0)).tolist():
+        active = hit[0][:, a] > 0.0
+        key = active.tobytes()
+        if key not in masks:
+            masks[key] = (hit[1][active].T @ hit[2][active] > 0.0).astype(float)
+        slab_masks[a] = masks[key]
     slab_mixed = np.tensordot(P[0], mixed, axes=1)  # C(t_a) for every slab a
-    slab_parts = np.add.outer(parts[1], parts[2])
+    D = mixed.shape[2]
+    left = np.ones((len(nodes[1]), D + 2), order="F")  # [P_2 C(t_a) | l_2 + l_1(t_a) - s | 1]
+    mixed_cols, part_col = left[:, :D], left[:, D]  # refilled per slab
+    right = np.vstack([P[2].T, np.ones(len(nodes[2])), parts[2]])  # [P_3 | 1 | l_3]^t, contiguous for the GEMM
+    L = np.empty((len(nodes[1]), len(nodes[2])))  # the slab's shifted log values, then its weights
+    ones = [np.ones(len(t)) for t in nodes[1:]]
     # z sums w f over all nodes, S sums w f x^e, mass sums w f over the orthants' nodes
-    acc = _LogSum((1, 1), [q.shape[1] for q in Q], ())
+    acc = _LogSum((), [q.shape[1] for q in Q], ())
     z, S, mass = acc.sums
     if fields is not None:
         F, reduce = fields
@@ -686,20 +712,17 @@ def _sweep(grid: QuadratureGrid, const: float, parts: list[np.ndarray], mixed: P
         slab_fields = np.tensordot(PF[0], F, axes=(1, 1))  # F(t_a) for every slab a
         acc.sums.append(np.zeros(()))  # the reducer's sums, shaped by its first output
     for a, part in enumerate(parts[0]):
-        L = P[1] @ slab_mixed[a] @ P[2].T
-        L += slab_parts
-        E = acc.weights(L, part)
+        s = acc.shift
+        np.matmul(P[1], slab_mixed[a], out=mixed_cols)
+        np.add(parts[1], part - s, out=part_col)
+        E = acc.weights(np.matmul(left, right, out=L), s)
         if E is None:
             continue
-        z += ones[0].T @ E @ ones[1]
+        z += ones[0] @ (E @ ones[1])
         if order:
             S += np.multiply.outer(Q[0][a], Q[1].T @ E @ Q[2])
-        active = hit[0][:, a] > 0.0
-        if active.any():
-            key = active.tobytes()  # slabs on the same side of every orthant share a mask
-            if key not in masks:
-                masks[key] = hit[1][active].T @ hit[2][active] > 0.0
-            mass += float(E[masks[key]].sum())
+        if a in slab_masks:
+            mass += np.vdot(E, slab_masks[a])
         if fields is not None:  # in row blocks of 2^16 field values
             for rows in row_blocks(len(E), 16 * len(F) * E.shape[1]):
                 # an ndarray even for a scalar reducer, so _LogSum rescales it in place
@@ -805,8 +828,13 @@ def auto_radius(p: ParamVector) -> float:
     return float(t[np.argmax(ok)])
 
 
+@lru_cache(maxsize=None)
 def family_radius(basis: MonomialBasis, B: float) -> float:
-    """:func:`auto_radius` at theta = B in every entry, whose envelope dominates every member's of the box."""
+    """:func:`auto_radius` at theta = B in every entry, whose envelope dominates every member's of the box.
+
+    Memoized on (basis, B): a basis hashes as its (n, d), and fits and audits
+    of one box ask for the same radius again.
+    """
     return auto_radius(ParamVector(basis, np.full(basis.size, float(B)), B))
 
 

@@ -47,7 +47,7 @@ from polyscore.hardness import (
     load_fixture,
     satisfying_assignments,
 )
-from polyscore.polybasis import PolyCoeffs, enumerate_basis, eval_jacobian, eval_suffstats
+from polyscore.polybasis import MonomialBasis, PolyCoeffs, enumerate_basis, eval_jacobian, eval_suffstats
 
 LOG_SQRT_PI = 0.5 * math.log(math.pi)
 
@@ -796,6 +796,67 @@ class TestScreening:
         mixed = ParamVector(p.basis, theta, p.B).log_density.by_axis[2]
         assert mixed.degrees.shape == (0, 3) and _dense(mixed).shape == (1, 1, 1)
 
+    @staticmethod
+    def pass_agrees_with_every_node(monkeypatch, grid, f, powers=power_table(3, 2)):
+        """An n = 3 order-2 orthant pass against the per-node reference, at the tolerances above.
+
+        Returns the pass and, for each slab's ``_LogSum.weights`` call, the
+        running max before and after it and whether the slab was skipped.
+        """
+        V = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0]])
+
+        def union(X):
+            return np.any(np.all(X[:, None, :] * V[None] >= 0.0, axis=2), axis=1).astype(float)
+
+        slabs, weights = [], expfam._LogSum.weights
+
+        def spy(self, block, offset=0.0):
+            before = self.m
+            E = weights(self, block, offset)
+            slabs.append((before, self.m, E is None))
+            return E
+
+        monkeypatch.setattr(expfam._LogSum, "weights", spy)
+        out = poly_quadrature(grid, f, order=2, orthants=V)
+        monkeypatch.undo()
+        logz, (mom, mass) = split_reference(grid, f, [powers, union])
+        assert out.log_integral == pytest.approx(logz, rel=1e-14)
+        assert_close_to(out.moments, mom)
+        assert_close_to(out.orthant_mass, mass)
+        return out, slabs
+
+    def test_rising_maximum_agrees_with_every_node(self, monkeypatch):
+        # 3 x_1 + 3 x_1^3 - x_1^4 peaks near x_1 = 2.55, past the box's edge at
+        # 2.5, so nearly every slab raises the log-sum-exp's maximum and
+        # rescales the sums through the pre-shifted block's offset
+        basis = enumerate_basis(3, 3)
+        theta = np.random.default_rng(5).uniform(-0.3, 0.3, basis.size)
+        rows = [tuple(r) for r in basis.degrees]
+        theta[rows.index((1, 0, 0))] = theta[rows.index((3, 0, 0))] = 3.0
+        f = ParamVector(basis, theta, 3.0).log_density
+        _, slabs = self.pass_agrees_with_every_node(monkeypatch, build_grid(3, 2.5, 16), f)
+        rises = sum(after > before for before, after, _ in slabs)
+        assert len(slabs) >= 12 and rises >= len(slabs) - 2
+
+    def test_overflowing_slabs_agree_with_every_node(self, monkeypatch):
+        # on panels out to 2e77, x_i^4 overflows past 1.16e77 (those indices
+        # are screened out) and the mixed row's x_1^6 past 2.6e51: the amgm
+        # bound overflows there too, so those slabs are kept, every value in
+        # them is non-finite and they are skipped; on the other slabs the far
+        # x_2 and x_3 nodes read nan or -inf and get zero weight
+        f = PolyCoeffs.from_arrays(3, [[4, 0, 0], [0, 4, 0], [0, 0, 4], [6, 2, 0], [1, 1, 1]], [-1.0, -1.0, -1.0, -1.0, 0.5])
+        R = 2e77
+        grid = expfam._panel_rule(3, R, 30, ((-R, -1e60), (-1e60, -4.0), (-4.0, 4.0), (4.0, 1e60), (1e60, R)))
+
+        def powers(X):  # nodes past 1e50 have zero weight; x = 0 there keeps their power table finite
+            return power_table(3, 2)(np.where(np.abs(X) < 1e50, X, 0.0))
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.any(grid.axis_nodes**4 == math.inf)
+            out, slabs = self.pass_agrees_with_every_node(monkeypatch, grid, f, powers)
+        assert out.nodes < grid.total_nodes
+        assert sum(skipped for *_, skipped in slabs) >= 8 and not all(skipped for *_, skipped in slabs)
+
     def test_unscreened_members_count_every_node(self):
         # a d = 1 member is a Gaussian with no mixed term; at the box's edge
         # it is down by about e^-49, inside the margin, so every node stays
@@ -938,6 +999,16 @@ class TestRadiusSelection:
     def test_family_radius_at_least_single(self):
         basis = enumerate_basis(1, 3)
         assert family_radius(basis, 1.0) >= auto_radius(zero_params(1, 3))
+
+    def test_family_radius_is_memoized(self, monkeypatch):
+        # a repeat call, with an equal basis built afresh, reads the cache
+        family_radius.cache_clear()
+        calls, real = [], expfam.auto_radius
+        monkeypatch.setattr(expfam, "auto_radius", lambda p: calls.append(p) or real(p))
+        first = family_radius(enumerate_basis(2, 3), 1.5)
+        assert len(calls) == 1
+        assert family_radius(MonomialBasis(2, 3), 1.5) is first
+        assert len(calls) == 1
 
 
 def envelope_radius_reference(p: ParamVector) -> float:
