@@ -168,14 +168,17 @@ def fit_mle(
     Concavity makes the optimum unique and independent of init; iterations
     stop when the gradient's sup norm is at most tol.  A tol below the
     gradient's rounding bound eps (N + nodes) max(1, max|E_hat[T]|) cannot
-    be certified and is refused up front.  The quadrature gate is checked at
-    the start and at the returned optimum, so an under-resolved grid fails
-    loudly rather than silently biasing the fit; the start's check rides its
-    objective pass, and the optimum's reuses that iterate's log Z, so each
-    adds only the doubled grid's pass.
+    be certified and is refused up front, and a tol that is not finite (a
+    NaN one compares false with every bound) with ValueError.  The
+    quadrature gate is checked at the start and at the returned optimum, so
+    an under-resolved grid fails loudly rather than silently biasing the
+    fit; the start's check rides its objective pass, and the optimum's
+    reuses that iterate's log Z, so each adds only the doubled grid's pass.
     """
     if s.N < 1:
         raise ValueError("need at least one sample")
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
     theta = np.zeros(basis.size) if init is None else np.asarray(init, dtype=float).copy()
     emp = s.stats(basis)
     loss, grad, mom = _mle_objective(_as_member(basis, theta), emp, grid, check=True)

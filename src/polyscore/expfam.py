@@ -131,8 +131,8 @@ class ParamVector:
             )
         if not np.all(np.isfinite(theta)):
             raise ValueError("theta must be finite")
-        if self.B < 1:
-            raise ValueError(f"box radius must satisfy B >= 1, got {self.B}")
+        if not 1 <= self.B < math.inf:
+            raise ValueError(f"box radius must be finite and satisfy B >= 1, got {self.B}")
         if theta.size and np.max(np.abs(theta)) > self.B * (1 + 1e-9):
             raise ValueError(
                 f"theta outside the box: max|theta| = {np.max(np.abs(theta))} > B = {self.B}"
@@ -177,7 +177,9 @@ def zero_params(n: int, d: int) -> ParamVector:
 
 
 def random_params(n: int, d: int, B: float, seed: int) -> ParamVector:
-    """theta drawn uniformly from the box of radius B."""
+    """theta drawn uniformly from the box of radius B; a B whose width 2B overflows is refused before drawing."""
+    if not math.isfinite(2.0 * B):
+        raise ValueError(f"box radius B = {B} has no finite width 2B to draw from")
     basis = enumerate_basis(n, d)
     rng = np.random.default_rng(seed)
     return ParamVector(basis, rng.uniform(-B, B, size=basis.size), B)
@@ -347,8 +349,8 @@ def build_grid(
     """
     if n < 1 or n > 3:
         raise ValueError(f"quadrature oracle supports 1 <= n <= 3, got n={n}")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {radius}")
     if refine_width <= 0:
         raise ValueError("refine_width must be positive")
     breaks = {-radius, radius}

@@ -330,7 +330,11 @@ def encode(C: CnfFormula, alpha: float, beta: float) -> EncodedInstance:
     if not (0.0 <= alpha < math.inf and 0.0 <= beta < math.inf):
         raise ValueError(f"couplings must be finite and nonnegative, got alpha={alpha}, beta={beta}")
     H = formula_poly(C)
-    inst = EncodedInstance(C, alpha, beta, _energy(alpha, H, beta, hypercube_poly(C.n)), H)
+    with np.errstate(over="ignore", invalid="ignore"):  # an energy that overflows is refused below
+        inst = EncodedInstance(C, alpha, beta, _energy(alpha, H, beta, hypercube_poly(C.n)), H)
+    if not (math.isfinite(inst.B) and np.isfinite(inst.energy.coeffs).all()):
+        raise ValueError(f"couplings alpha={alpha}, beta={beta} overflow the energy: its box radius "
+                         f"or a coefficient is not finite")
     if inst.B < 1.0:
         raise ValueError(f"couplings too small: box radius 64*m*alpha + 2*beta = {inst.B} < 1")
     return inst

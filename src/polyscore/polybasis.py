@@ -149,47 +149,29 @@ def _cached_basis(n: int, d: int) -> MonomialBasis:
 
 
 def graded_rank(degrees) -> np.ndarray:
-    """Position of each exponent row in graded-lex order, the constant at 0.
-
-    Row k of ``enumerate_basis(n, d).degrees`` has rank k + 1 for every d, so
-    the rank addresses a coefficient vector without listing the basis.  A
-    row ranks after every row of lower total degree, C(|e| + n - 1, n) of
-    them, and after the rows of its own degree that agree with it before
-    some position i and carry more there; with t_i the total of positions
-    i.., there are C(t_i - e_i - 1 + k_i, k_i) of those, k_i = n - 1 - i.
-    The binomials come from a cached int64 Pascal table.  A rank is below
-    C(|e| + n, n); a row where that bound passes int64 is ranked by
-    :func:`support_rank`, which sums it in Python integers and raises
-    OverflowError only for a rank past int64.
-    """
+    """Graded-lex position of each (N, n) exponent row: :func:`support_rank` with every position listed."""
     deg = np.asarray(degrees, dtype=np.int64)
-    N, n = deg.shape
-    if N == 0:
-        return np.zeros(0, dtype=np.int64)
-    tails = np.cumsum(deg[:, ::-1], axis=1)[:, ::-1]
-    # with t_(i+1) = t_i - e_i the terms are C(t_j + k_j - 1, k_j), k_j = n - j,
-    # for j = 0 .. n - 1; j = 0 counts the rows of lower degree
-    k = np.arange(n, 0, -1)
-    a = tails + (k - 1)
-    table = _pascal(1 << int(tails[:, 0].max() + n).bit_length(), n + 1)
-    rank = table.take(a * (n + 1) + k).sum(axis=1)  # table[a, k]; every read is below the bound
-    wide = np.flatnonzero(table.take((tails[:, 0] + n) * (n + 1) + n) < 0)  # C(|e| + n, n) past int64
-    if len(wide):
-        rank[wide] = support_rank(n, np.broadcast_to(np.arange(n), (len(wide), n)), deg[wide])
-    return rank
+    return support_rank(deg.shape[-1], np.broadcast_to(np.arange(deg.shape[-1]), deg.shape), deg)
 
 
 def support_rank(n: int, positions, exponents) -> np.ndarray:
-    """:func:`graded_rank` of rows in n variables given by their support.
+    """Position in graded-lex order, the constant at 0, of rows in n variables given by their support.
 
     Row r holds ``exponents[r]`` at the strictly ascending ``positions[r]``
-    (0-based) and 0 elsewhere; a listed exponent may be 0.  Between two
-    listed positions the tail total t_i of :func:`graded_rank` is constant,
-    and by the hockey-stick identity sum_{k=a..b} C(t - 1 + k, k) =
+    (0-based) and 0 elsewhere; a listed exponent may be 0.  Row k of
+    ``enumerate_basis(n, d).degrees`` has rank k + 1 for every d, so the rank
+    addresses a coefficient vector without listing the basis.  A row e ranks
+    after every row of lower total degree, C(|e| + n - 1, n) of them, and
+    after the rows of its own degree that agree with it before some position
+    i and carry more there; with t_i the total of positions i.., there are
+    C(t_i - e_i - 1 + k_i, k_i) of those, k_i = n - 1 - i.  Written with
+    t_(i+1) = t_i - e_i, the rank is the sum over j = 0 .. n - 1 of
+    C(t_j - 1 + k, k), k = n - j.  Between two listed positions t_j is
+    constant, and by the hockey-stick identity sum_{k=a..b} C(t - 1 + k, k) =
     C(t + b, b) - C(t + a - 1, a - 1), so each stretch costs two reads of the
-    cached Pascal table: 2s reads for s listed positions, whatever n is.  A
-    row whose largest read, C(|e| + n, n), passes int64 is summed in Python
-    integers, and a rank past int64 raises OverflowError.
+    cached int64 Pascal table: 2s reads for s listed positions, whatever n
+    is.  A row whose largest read, C(|e| + n, n), passes int64 is summed in
+    Python integers, and a rank past int64 raises OverflowError.
     """
     pos = np.asarray(positions, dtype=np.int64)
     exp = np.asarray(exponents, dtype=np.int64)
@@ -203,9 +185,8 @@ def support_rank(n: int, positions, exponents) -> np.ndarray:
         raise ValueError(f"positions must ascend strictly within 0..{n - 1}")
     if (exp < 0).any():
         raise ValueError("exponents must be nonnegative")
-    tails = exp.copy()  # the constant t of each stretch: the total from its listed position on
-    for i in range(s - 2, -1, -1):
-        tails[i] += tails[i + 1]
+    # the constant t of each stretch: the total from its listed position on
+    tails = np.cumsum(exp[::-1], axis=0)[::-1]
     # the stretch ending at listed position p sums k = a..b, a = n - p, b = n - 1 - (previous p) (n at the first)
     top = np.vstack([np.full((1, N), n), n - 1 - pos[:-1]])
     low = n - 1 - pos

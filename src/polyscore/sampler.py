@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DivergenceError, InputError
 from .expfam import ParamVector, auto_radius, log_unnormalized_density, moments
-from .polybasis import FamilyStats, MonomialBasis, eval_suffstats, format_monomial, row_mean, sample_stats
+from .polybasis import FamilyStats, MonomialBasis, eval_suffstats, format_monomial, sample_stats
 
 __all__ = [
     "SampleSet",
@@ -347,11 +347,9 @@ def diagnostics(s: SampleSet, p: ParamVector, grid) -> dict:
     se_mean = np.maximum(T.std(axis=0, ddof=1) / math.sqrt(n_eff), 1e-15)
     z_mean = np.abs(emp_mean - mom.mean_T) / se_mean
 
-    def products(Tb):
-        prods = Tb[:, :, None] * Tb[:, None, :]
-        return np.stack([prods, prods * prods], axis=1)
-
-    emp_second, mean_sq = row_mean(products, T, 2 * p.basis.size**2)
+    # E[T_k T_l] and E[T_k^2 T_l^2] as two products over the draws
+    T2 = T * T
+    emp_second, mean_sq = T.T @ T / s.N, T2.T @ T2 / s.N
     var_second = np.maximum(mean_sq - emp_second**2, 0.0) * s.N / (s.N - 1)
     se_second = np.maximum(np.sqrt(var_second / n_eff), 1e-15)
     z_second = np.abs(emp_second - mom.second_T) / se_second

@@ -227,6 +227,14 @@ class TestEncode:
         assert code == 2 and "finite" in err
         assert stdout == "" and not out.exists()
 
+    def test_overflowing_couplings_exit_2_without_a_document(self, capsys, tmp_path):
+        # finite couplings whose energy is not: B and the coefficients overflow, and inf - inf is NaN
+        out = tmp_path / "encode.json"
+        code, stdout, err = run(capsys, ["encode", "--cnf", fixture_path("unsat8"), "--alpha", "1e308",
+                                         "--beta", "1e308", "--out", str(out)])
+        assert code == 2 and "finite" in err and err.startswith("error: ") and err.count("\n") == 1
+        assert stdout == "" and not out.exists()
+
     def test_coupling_flags_validated(self, capsys):
         code, _, err = run(capsys, ["encode", "--cnf", self.CNF, "--alpha", "1"])
         assert code == 2 and "together" in err
@@ -375,6 +383,7 @@ def bad_inputs(tmp_path_factory):
 
 MLE_FIT = ["fit", "--estimator", "mle", "--samples", "{samples}", "--n", "1", "--d", "1"]
 SM_STUDY = ["study", "--estimator", "sm", "--theta-file", "{theta}"]
+BOUNDS_N1_D3 = ["verify", "--suite", "bounds", "--n", "1", "--d", "3"]
 
 
 class TestExitCodes:
@@ -412,6 +421,22 @@ class TestExitCodes:
         files = {"theta": theta_file, "samples": gaussian_samples, **bad_inputs}
         code, out, err = run(capsys, [a.format(**files) for a in argv])
         assert code == expect
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [MLE_FIT[:-1] + ["3", "--points-per-axis", "100", "--radius"],
+                                      BOUNDS_N1_D3 + ["--points-per-axis", "100", "--radius"],
+                                      BOUNDS_N1_D3 + ["--B"], MLE_FIT[:-1] + ["3", "--tol"]],
+                             ids=["fit-radius", "verify-radius", "verify-B", "fit-tol"])
+    def test_non_finite_flag_exits_2(self, capsys, argv, bad, gaussian_samples):
+        code, out, err = run(capsys, [a.format(samples=gaussian_samples) for a in argv] + [bad])
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_box_whose_width_overflows_exits_2(self, capsys):
+        code, out, err = run(capsys, BOUNDS_N1_D3 + ["--B", "1e308"])
+        assert code == 2 and "2B" in err
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 

@@ -257,6 +257,12 @@ class TestFitMle:
         with pytest.raises(NonConvergenceError, match="rounding bound"):
             fit_mle(s, basis, build_grid(1, 6.0, 200), tol=1e-15)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tol_refused(self, tol):
+        s = _samples(np.random.default_rng(3).normal(0.0, 0.7, 200))
+        with pytest.raises(ValueError, match="finite"):
+            fit_mle(s, enumerate_basis(1, 1), build_grid(1, 6.0, 200), tol=tol)
+
     def test_gate_checked_at_start(self):
         basis = enumerate_basis(1, 1)
         with pytest.raises(GridConvergenceError):

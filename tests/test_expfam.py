@@ -83,6 +83,21 @@ class TestParamVector:
         with pytest.raises(ValueError, match="B >= 1"):
             ParamVector(basis, np.zeros(1), 0.5)
 
+    @pytest.mark.parametrize("B", [math.nan, math.inf])
+    def test_nonfinite_B_rejected(self, B):
+        with pytest.raises(ValueError, match="finite"):
+            ParamVector(enumerate_basis(1, 1), np.zeros(1), B)
+
+    @pytest.mark.parametrize("B", [math.nan, math.inf, 1e308])
+    def test_random_params_refuses_a_box_without_a_finite_width(self, B):
+        with pytest.raises(ValueError, match="2B"):
+            random_params(1, 3, B, seed=0)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0])
+    def test_build_grid_refuses_a_radius_not_finite_and_positive(self, radius):
+        with pytest.raises(ValueError, match="finite and positive"):
+            build_grid(1, radius, 100)
+
     def test_nonfinite_theta_rejected(self):
         basis = enumerate_basis(1, 1)
         with pytest.raises(ValueError, match="finite"):

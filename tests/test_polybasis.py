@@ -108,6 +108,12 @@ class TestGradedRank:
         assert graded_rank(rows).tolist() == [full.index(tuple(r)) for r in rows.tolist()]
         assert graded_rank(np.zeros((0, 3), dtype=int)).shape == (0,)
 
+    @pytest.mark.parametrize("row", [[-1, 2], [0, -1]])
+    def test_negative_exponent_refused(self, row):
+        # the ranks of x1^2 and x1 if the sum were taken as it stands
+        with pytest.raises(ValueError, match="nonnegative"):
+            graded_rank([row])
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=st.data(), n=st.integers(1, 20), rows=st.integers(1, 6))
     def test_support_rank_is_the_rank_of_the_dense_row(self, data, n, rows):
