@@ -423,7 +423,6 @@ class TestExitCodes:
         assert code == expect
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
-
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     @pytest.mark.parametrize("argv", [MLE_FIT[:-1] + ["3", "--points-per-axis", "100", "--radius"],
                                       BOUNDS_N1_D3 + ["--points-per-axis", "100", "--radius"],

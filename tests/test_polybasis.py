@@ -110,7 +110,7 @@ class TestGradedRank:
 
     @pytest.mark.parametrize("row", [[-1, 2], [0, -1]])
     def test_negative_exponent_refused(self, row):
-        # the ranks of x1^2 and x1 if the sum were taken as it stands
+        # summed unchecked, these rows get the ranks of x1^2 and x1
         with pytest.raises(ValueError, match="nonnegative"):
             graded_rank([row])
 
