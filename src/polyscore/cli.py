@@ -104,7 +104,11 @@ def _emit(out: str | None, config: dict, report: dict, t0: float) -> None:
             "version": __version__,
         },
     }
-    _write(out, json.dumps(doc, sort_keys=True, indent=2, default=default) + "\n")
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, default=default, allow_nan=False)
+    except ValueError as e:  # a report writes an undefined number as None, never NaN or infinity
+        raise NumericalError(f"report is not strict JSON: {e}") from e
+    _write(out, text + "\n")
 
 
 def _family_flags(p: argparse.ArgumentParser, need_B: bool = True):

@@ -238,7 +238,7 @@ class StudyResult:
     trials: int
     rows: list[dict]
     medians: dict[int, float]
-    slope: float
+    slope: float | None  # None below two sample sizes, where no rate is defined
 
 
 def study_csv(*results: StudyResult) -> str:
@@ -329,12 +329,11 @@ def convergence_study(
     samples = _trial_samples(theta_star, [N for N in Ns for _ in range(trials)], seeds)
     rows = [_one_trial(theta_star, s, k % trials, estimator, grid, draw_s) for k, (s, draw_s) in enumerate(samples)]
     medians = {N: _median([r["error_sq"] for r in rows if r["N"] == N]) for N in Ns}
+    slope = None
     if len(Ns) >= 2:
         slope = float(
             np.polyfit(np.log(list(medians.keys())), np.log(list(medians.values())), 1)[0]
         )
-    else:
-        slope = math.nan
     return StudyResult(
         estimator=estimator,
         n=theta_star.n,

@@ -36,9 +36,9 @@ The box [-R, R]^n comes from the same bound applied to all of theta: 1-D
 log-space integrals of its per-axis envelope certify the mass outside
 (:func:`auto_radius`), and theta = B in every entry covers the whole box.
 The same pass returns the power moments E[x^e] up to a requested order;
-:func:`moments` takes them to order 2d, which determines E[T], E[T T^t], the
-Jacobian Gram matrix, the score-matching terms and E|Lap T|^2
-(``polybasis.family_stats``).  Functions of polynomials,
+:func:`moments` takes them to order 2d and reads S = E[U U^t], U = (1, T),
+which determines E[T], E[T T^t], the Jacobian Gram matrix, the SM terms and
+E|Lap T|^2 (``polybasis.family_stats``).  Functions of polynomials,
 such as ``fisher``'s largest eigenvalue of (JT)^t(JT), ride the same pass as
 fields, the columns of one ``PolyCoeffs``: their slab values come from the
 same GEMM chain and go to a reducer.  :func:`quad_expectation` streams node
@@ -64,7 +64,6 @@ from .polybasis import (
     _as_batch,
     enumerate_basis,
     family_stats,
-    moment_degrees,
     row_blocks,
 )
 from .reports import BoundCheck
@@ -547,7 +546,8 @@ def _amgm(degrees: np.ndarray, coeffs: np.ndarray, r: np.ndarray) -> np.ndarray:
     w = np.abs(coeffs) / s
     g = np.array([np.bincount(s, a * w) for a in degrees.T])  # g[i, t]: the coefficient of |x_i|^t in m_i
     deg = np.flatnonzero(g.any(axis=0))  # an unused degree's overflowing |x|^deg times 0 would give nan
-    m = (r[:, None] ** deg @ g[:, deg].T).T
+    with np.errstate(over="ignore"):
+        m = (r[:, None] ** deg @ g[:, deg].T).T
     m[np.isnan(m)] = math.inf  # a power that overflowed times a zero coefficient
     return m
 
@@ -775,17 +775,18 @@ class Moments(FamilyStats):
 
     @classmethod
     def of(cls, p: ParamVector, out: PolyIntegral) -> "Moments":
-        """Gather the statistics from a pass under p of moment order >= 2d."""
-        power = out.moments[tuple(moment_degrees(p.n, p.d).T)]
-        return cls(**vars(family_stats(p.basis, power)), log_partition=out.log_integral)
+        """Gather the statistics from a pass under p of moment order >= 2d: S[k, l] = moments[U_k + U_l]."""
+        at = np.append(0, np.ravel_multi_index(tuple(p.basis.degrees.T), out.moments.shape))  # of x^U_k, U = (1, T)
+        S = out.moments.take(at[:, None] + at)  # flat positions add, as no axis of U_k + U_l passes the order
+        return cls(**vars(family_stats(p.basis, S)), log_partition=out.log_integral)
 
 
 def moments(p: ParamVector, grid: QuadratureGrid, check: bool = False) -> Moments:
     """Quadrature statistics under p_theta; mean_T = grad_theta log Z.
 
     One :func:`poly_quadrature` pass of order 2d gives the power moments
-    E[x^e], |e| <= 2d, and every :class:`FamilyStats` field is gathered
-    from them (see ``polybasis.family_stats``).  With ``check`` that pass is
+    E[x^e], |e| <= 2d, the matrix S = E[U U^t] is read from them, and every
+    :class:`FamilyStats` field from S (``polybasis.family_stats``).  With ``check`` that pass is
     the coarse pass of :func:`gated_quadrature`, so the gate costs only the
     doubled grid's log Z.
     """
@@ -810,12 +811,14 @@ def auto_radius(p: ParamVector) -> float:
     -t^{d+1}/2 past T >= 2G, so every integral of e^{U_i} takes on
     e^{-T^{d+1}/2} for its part past T, and T^{d+1} >= 4 SCREEN_MARGIN keeps
     that small.  The box's u_i dominates a member's on the shared rule, so
-    ``auto_radius(p) <= family_radius(p.basis, p.B)``.  Raises NumericalError
-    when no node qualifies.
+    ``auto_radius(p) <= family_radius(p.basis, p.B)``.  Raises ValueError when
+    T^{d+1} overflows, NumericalError when no node qualifies.
     """
     d, k = p.d, 2 * DEFAULT_POINTS_PER_AXIS[1]
     box = _amgm(p.basis.degrees, np.full(p.basis.size, float(p.B)), np.ones(1))
     T = max(2.0 * float(box.max()), (4.0 * SCREEN_MARGIN) ** (1.0 / (d + 1)))
+    if not T < (np.finfo(float).max / 2) ** (1.0 / (d + 1)):  # then U_i, L_i and the tails stay finite
+        raise ValueError(f"box radius B = {p.B:g} is too large: |x|^{d + 1} overflows doubles at |x| = {T:.3g}")
     x, w = _leggauss(k)
     t = 0.5 * T * (x + 1.0)
     base = np.log(0.5 * T * w) - t ** (d + 1)

@@ -16,9 +16,9 @@ op-norm(JT)^4 = lambda_max((JT)^t(JT))^2 is not a polynomial, but the entries
 of (JT)^t(JT) are, so on a grid they ride the quadrature pass as slab fields,
 the columns of one ``PolyCoeffs``, and :func:`_lambda_max` reduces them in
 closed form.  That pass (:func:`_jt_pass`) is of moment order 2d, so it also
-gathers the family statistics.  Check (vi)'s <w, T> and the preflight's
-|grad log h|^2 ride as more columns, apart from the ``family_stats`` gather
-that check audits.
+gathers the family statistics from its moment matrix E[U U^t].  Check (vi)'s
+<w, T> and the preflight's |grad log h|^2 ride as more columns, apart from
+the ``family_stats`` gather that check audits.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class SpectralReport:
     lambda_min: float
     lambda_max: float
     C_P: float
-    gamma_bound: float
+    gamma_bound: float | None  # None when lambda_min <= 0, where the bound does not apply
     checks: list[BoundCheck] = field(default_factory=list)
 
     def __post_init__(self):
@@ -346,11 +346,11 @@ def verify_bounds(
 
     # (vii): Poincare conditioning bound
     C_P = restricted_poincare(I, mom.gram, basis=p.basis)
-    cap_vii = (4.0 + 4.0 * meanT2) * lam_max / min(1.0, lam_min) if lam_min != 0 else math.inf
+    cap_vii = (4.0 + 4.0 * meanT2) * lam_max / min(1.0, lam_min) if lam_min != 0 else None
     holds_vii = lam_min > 0 and C_P <= cap_vii
     checks.append(BoundCheck("vii_poincare_cond", C_P, cap_vii, holds_vii))
 
-    gamma = gamma_bound(p, C_P, lam_min, inputs) if lam_min > 0 else math.inf
+    gamma = gamma_bound(p, C_P, lam_min, inputs) if lam_min > 0 else None
     return SpectralReport(
         lambda_min=lam_min,
         lambda_max=lam_max,

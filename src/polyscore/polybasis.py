@@ -4,8 +4,9 @@ Everything downstream parametrizes log densities by their coefficients on the
 monomials of total degree 1..d in n variables.  This module owns that
 coordinate system: deterministic enumeration of the multi-indices, batched
 evaluation of the monomial vector T(x) together with its Jacobian and
-Laplacian, the map from power moments to every expectation the estimators
-and audits use (:class:`FamilyStats`), the package's one polynomial type
+Laplacian, the map from the moment matrix E[U U^t], U the monomials of
+degree <= d, to every expectation the estimators and audits use
+(:class:`FamilyStats`), the package's one polynomial type
 :class:`PolyCoeffs` (graded-lex exponent rows plus coefficient arrays,
 behind the member's log density and score, the quadrature's integrands and
 fields, the CNF energies and the Legendre code; its one evaluator gathers
@@ -45,7 +46,6 @@ __all__ = [
     "eval_laplacian",
     "row_blocks",
     "row_mean",
-    "moment_degrees",
     "FamilyStats",
     "family_stats",
     "sample_stats",
@@ -293,21 +293,15 @@ def row_mean(fn, X: np.ndarray, width: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# family statistics as gathers from power moments
+# family statistics as gathers from one moment matrix
 #
 # Every expectation the estimators and audits use is that of a fixed
-# polynomial of degree <= 2d, so it is a fixed linear combination of the
-# power moments E[x^e], |e| <= 2d.  _stats_plan lists the combinations once
-# per (n, d); a grid (``expfam.moments``) or a sample (:func:`sample_stats`)
-# supplies the moment vector, ordered by graded_rank.
-
-
-@lru_cache(maxsize=None)
-def moment_degrees(n: int, d: int) -> np.ndarray:
-    """Exponent rows with |e| <= 2d in graded-lex order; row r has graded rank r."""
-    degrees = _graded_array(n, 2 * d)
-    degrees.setflags(write=False)
-    return degrees
+# polynomial of degree <= 2d.  With U the monomials of degree <= d, the
+# constant first, in graded-lex order (U = (1, T)), every exponent of degree
+# <= 2d is the sum of two rows of U, so each expectation is a fixed linear
+# combination of the entries of S[k, l] = E[U_k U_l].  _stats_plan lists the
+# combinations once per (n, d); a grid (``expfam.moments``) or a sample
+# (:func:`sample_stats`) supplies S.
 
 
 @dataclass(frozen=True)
@@ -335,51 +329,55 @@ class FamilyStats:
 
 @lru_cache(maxsize=None)
 def _stats_plan(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(out, rank, coef): flat[j] = sum of coef * power[rank] where out == j.
+    """(out, at, coef): flat[j] = sum of coef * S.ravel()[at] where out == j; ``at`` reads S's upper triangle.
 
-    flat holds the FamilyStats fields in order: mean_T (M1 values), second_T
-    and gram (M1^2 each, row-major), sm_linear (M1), then the three scalars.
+    flat holds the FamilyStats fields in order: mean_T (M values), second_T
+    and gram (M^2 each, row-major), sm_linear (M), then the three scalars.
+    Basis row k is row k + 1 of U, and a row of U lowered by e_i is again one:
+    only those n shifted copies are ranked, and only nonzero terms are formed.
     """
     A = _cached_basis(n, d).degrees
-    M1, E = len(A), np.eye(n, dtype=np.int64)
-    k, l = np.divmod(np.arange(M1 * M1), M1)
-    vec, pair, scalars = np.arange(M1), np.arange(M1 * M1), 2 * M1 + 2 * M1 * M1
-    gram, linear = M1 + M1 * M1 + pair, M1 + 2 * M1 * M1 + vec
-    lap = A * (A - 1)  # lap[k, i] x^(a_k - 2 e_i) is the i-th term of Lap T_k
-    terms = [(vec, A, 1.0), (M1 + pair, A[k] + A[l], 1.0)]
+    M, E, k = len(A), np.eye(n, dtype=np.int64), np.arange(len(A))
+    gram, linear, scalars = M + M * M, M + 2 * M * M, 2 * M + 2 * M * M
+    lower = np.zeros((n, M + 1), dtype=np.int64)  # lower[i, r]: the row of U_r - e_i, where U_ri > 0
     for i in range(n):
-        terms += [
-            (gram, A[k] + A[l] - 2 * E[i], A[k, i] * A[l, i]),
-            (linear, A - 2 * E[i], lap[:, i]),
-            (linear, A + (d - 1) * E[i], -(d + 1) * A[:, i]),
-            ([scalars], [(d - 1) * E[i]], -(d + 1) * d),
-            ([scalars], [2 * d * E[i]], 0.5 * (d + 1) ** 2),
-            ([scalars + 1], [(d + 1) * E[i]], -1.0),
-        ]
-        terms += [(np.full(M1, scalars + 2), 2 * (A - E[i] - E[j]), lap[:, i] * lap[:, j])
-                  for j in range(n)]
-    out, rank, coef = [], [], []
-    for idx, expo, c in terms:
-        idx, expo = np.asarray(idx), np.asarray(expo)
-        c = np.broadcast_to(np.asarray(c, dtype=float), idx.shape)
-        keep = c != 0.0  # the dropped rows carry negative exponents
-        out.append(idx[keep])
-        rank.append(graded_rank(expo[keep]))
-        coef.append(c[keep])
-    plan = np.concatenate(out), np.concatenate(rank), np.concatenate(coef)
-    for a in plan:
-        a.setflags(write=False)
+        lower[i, 1:][A[:, i] > 0] = graded_rank(A[A[:, i] > 0] - E[i])
+    pure = {t: graded_rank(t * E) for t in (1, d - 1, d)}  # pure[t][i]: the row of x_i^t
+    terms = []
+
+    def term(j, r, s, c):  # the terms c S[r, s] of flat[j], broadcast together
+        j, r, s, c = np.broadcast_arrays(j, r, s, np.asarray(c, dtype=float))
+        terms.append((j.ravel(), (np.minimum(r, s) * (M + 1) + np.maximum(r, s)).ravel(), c.ravel()))
+
+    term(k, 0, k + 1, 1.0)
+    term(M + k[:, None] * M + k, k[:, None] + 1, k + 1, 1.0)
+    for i in range(n):
+        one, two = k[A[:, i] > 0], k[A[:, i] > 1]
+        a, low = A[:, i], lower[i, one + 1]  # low: x^(a_k - e_i); below, x^(a_k - 2 e_i)
+        term(gram + one[:, None] * M + one, low[:, None], low, a[one, None] * a[one])
+        term(linear + two, 0, lower[i, lower[i, two + 1]], a[two] * (a[two] - 1))
+        term(linear + one, low, pure[d][i], -(d + 1) * a[one])
+        term(scalars, 0, pure[d - 1][i], -(d + 1) * d)
+        term(scalars, pure[d][i], pure[d][i], 0.5 * (d + 1) ** 2)
+        term(scalars + 1, pure[1][i], pure[d][i], -1.0)
+        for j in range(n):
+            both = k[(a > 1) & (A[:, j] > 1)]
+            term(scalars + 2, lower[i, lower[i, both + 1]], lower[j, lower[j, both + 1]],
+                 a[both] * (a[both] - 1) * A[both, j] * (A[both, j] - 1))
+    plan = tuple(np.concatenate(parts) for parts in zip(*terms))
+    for part in plan:
+        part.setflags(write=False)
     return plan
 
 
-def family_stats(basis: MonomialBasis, power) -> FamilyStats:
-    """Gather :class:`FamilyStats` from power[r] = E[x^e], e of graded rank r, |e| <= 2d."""
-    power = np.asarray(power, dtype=float)
-    if power.shape != (len(moment_degrees(basis.n, basis.d)),):
-        raise ValueError(f"power moments of shape {power.shape} do not fit n={basis.n}, d={basis.d}")
-    out, rank, coef = _stats_plan(basis.n, basis.d)
+def family_stats(basis: MonomialBasis, S) -> FamilyStats:
+    """Gather :class:`FamilyStats` from S[k, l] = E[U_k U_l], U = (1, T), reading S's upper triangle."""
+    S = np.asarray(S, dtype=float)
+    if S.shape != (basis.size + 1,) * 2:
+        raise ValueError(f"moments S of shape {S.shape} do not fit n={basis.n}, d={basis.d}")
+    out, at, coef = _stats_plan(basis.n, basis.d)
     M1, q = basis.size, basis.size**2
-    v = np.bincount(out, weights=coef * power[rank], minlength=2 * M1 + 2 * q + 3)
+    v = np.bincount(out, weights=coef * S.take(at), minlength=2 * M1 + 2 * q + 3)
     v.setflags(write=False)  # the fields are views of v; a SampleSet hands its cached stats to every caller
     return FamilyStats(
         v[:M1], v[M1 : M1 + q].reshape(M1, M1), v[M1 + q : M1 + 2 * q].reshape(M1, M1),
@@ -388,19 +386,13 @@ def family_stats(basis: MonomialBasis, power) -> FamilyStats:
 
 
 def sample_stats(basis: MonomialBasis, x) -> FamilyStats:
-    """:class:`FamilyStats` of the empirical measure of the rows of x."""
+    """:class:`FamilyStats` of the empirical measure of the rows of x: S = U^t U / N, one product per row block."""
     xb, _ = _as_batch(x, basis.n)
-    deg = moment_degrees(basis.n, basis.d)
-    mono = _moment_monomials(basis.n, basis.d)._monomials
-    # column-major blocks, so that row_mean's sums over the rows run pairwise down each column
-    power = row_mean(lambda X: np.asfortranarray(mono(X)), xb, len(deg))
-    return family_stats(basis, power)
-
-
-@lru_cache(maxsize=None)
-def _moment_monomials(n: int, d: int) -> "PolyCoeffs":
-    """The rows of :func:`moment_degrees` at unit coefficients, for :func:`sample_stats`."""
-    return PolyCoeffs.from_arrays(n, moment_degrees(n, d), np.ones(len(moment_degrees(n, d))))
+    S = np.zeros((basis.size + 1,) * 2)
+    for rows in row_blocks(len(xb), basis.size + 1):
+        U = np.hstack([np.ones((rows.stop - rows.start, 1)), basis._T._monomials(xb[rows])])
+        S += U.T @ U
+    return family_stats(basis, S / len(xb))
 
 
 def _null_space(G: np.ndarray, names: Sequence[str] | None) -> tuple[np.ndarray, np.ndarray, np.ndarray, str | None]:

@@ -30,6 +30,13 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def strict(text: str) -> dict:
+    """The document, refusing the NaN and Infinity literals that strict JSON has no room for."""
+    def refuse(literal):
+        raise AssertionError(f"non-finite literal {literal} in the document")
+    return json.loads(text, parse_constant=refuse)
+
+
 def strip_meta(text: str) -> dict:
     doc = json.loads(text)
     doc.pop("meta")
@@ -276,6 +283,14 @@ class TestVerify:
         assert code == 3 and out == ""
         assert "quadrature gate failed" in err
 
+    def test_corrupt_fisher_writes_null_gamma(self, capsys):
+        # the corrupted lambda_min is negative, where the gamma bound does not apply
+        code, out, _ = run(capsys, ["verify", "--suite", "bounds", "--n", "2", "--d", "3", "--seed", "3",
+                                    "--corrupt", "fisher"])
+        assert code == 3
+        spectrum = strict(out)["report"]["suites"]["bounds"]["spectrum"]
+        assert spectrum["lambda_min"] < 0 and spectrum["gamma_bound"] is None
+
     def test_unknown_corruption(self, capsys):
         code, _, err = run(
             capsys, ["verify", "--suite", "bounds", "--n", "1", "--d", "3", "--corrupt", "junk"]
@@ -335,6 +350,14 @@ class TestStudy:
         )
         assert code == 0
         assert any("wide" in note for note in json.loads(out)["report"]["notes"])
+
+    def test_single_size_slope_is_null(self, capsys, theta_file):
+        code, out, _ = run(capsys, ["study", "--estimator", "sm", "--theta-file", theta_file,
+                                    "--Ns", "50", "--trials", "1"])
+        assert code == 0
+        rep = strict(out)["report"]
+        assert rep["estimators"]["SM"]["slope"] is None
+        assert any("two sample sizes" in note for note in rep["notes"])
 
     def test_csv_output(self, capsys, theta_file, tmp_path):
         out_path = tmp_path / "rows.csv"
@@ -409,12 +432,19 @@ class TestExitCodes:
             (["verify", "--suite", "polybasis", "--seed", str(1 << 64)], 2),
             (["verify", "--suite", "hardness", "--points-per-axis", "0"], 2),
             (["verify", "--suite", "hardness", "--alpha", "1"], 2),
+            # boxes whose radius search would reach |x| where |x|^(d + 1) overflows doubles
+            (BOUNDS_N1_D3 + ["--B", "1e200"], 2),
+            (MLE_FIT + ["--B", "1e200"], 2),
+            (MLE_FIT[:-1] + ["3", "--B", "1e200"], 2),
+            (MLE_FIT + ["--B", "1e308"], 2),
         ],
         ids=["study-zero-trials", "study-decreasing-Ns", "study-zero-N", "fit-negative-radius",
              "fit-radius-without-points", "verify-n4", "study-mle-n4", "verify-underflow",
              "fit-underflow", "verify-malformed-cnf", "verify-polybasis-negative-seed",
              "verify-hardness-negative-seed", "verify-polybasis-seed-2^64",
-             "verify-hardness-zero-points", "verify-hardness-alpha-without-beta"],
+             "verify-hardness-zero-points", "verify-hardness-alpha-without-beta",
+             "verify-envelope-overflow", "fit-envelope-overflow", "fit-d3-envelope-overflow",
+             "fit-envelope-overflow-1e308"],
     )
     def test_documented_exit_code(self, capsys, argv, expect, theta_file, gaussian_samples,
                                   bad_inputs):
@@ -614,13 +644,24 @@ class TestSerialization:
         assert canonical_json(_payload()) == want
 
     def test_document_bytes(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "cmd_basis", lambda args: ({"given": (np.int64(1),)}, _payload(), 0))
+        # a document is strict JSON, so its payload is the finite part of _payload()
+        payload = {**_payload(), "matrix": np.array([[1.5, -0.0], [2.0, -3.0]])}
+        del payload["nan"], payload["inf"]
+        monkeypatch.setattr(cli, "cmd_basis", lambda args: ({"given": (np.int64(1),)}, payload, 0))
         code, out, _ = run(capsys, ["basis", "--n", "1", "--d", "3"])
         assert code == 0
         flags = {"command": "basis", "n": 1, "d": 3, "format": "text", "given": (np.int64(1),)}
-        doc = {"config": _to_jsonable(flags), "report": _to_jsonable(_payload()),
+        doc = {"config": _to_jsonable(flags), "report": _to_jsonable(payload),
                "meta": json.loads(out)["meta"]}
         assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("bad", [float("nan"), np.inf, np.array([1.0, -np.inf])], ids=["nan", "inf", "array"])
+    def test_non_finite_report_exits_3_without_a_document(self, capsys, monkeypatch, tmp_path, bad):
+        monkeypatch.setattr(cli, "cmd_basis", lambda args: ({}, {"value": bad}, 0))
+        out = tmp_path / "doc.json"
+        code, stdout, err = run(capsys, ["basis", "--n", "1", "--d", "3", "--out", str(out)])
+        assert code == 3 and not out.exists() and stdout == ""
+        assert err.startswith("error: report is not strict JSON") and err.count("\n") == 1
 
     def test_zero_dimensional_array_is_its_scalar(self):
         with pytest.raises(TypeError):

@@ -1,5 +1,6 @@
 """Tests for Fisher information, the Poincare constant, and the bound audit."""
 
+import json
 import math
 import tracemalloc
 
@@ -34,6 +35,7 @@ from polyscore.fisher import (
     verify_bounds,
 )
 from polyscore.polybasis import PolyCoeffs, enumerate_basis, eval_jacobian, eval_laplacian, eval_suffstats
+from polyscore.reports import default
 from polyscore.sampler import SampleSet, sample_exact_separable
 
 
@@ -390,6 +392,16 @@ class TestVerifyBounds:
         assert not by_name["iv_lambda_min_pos"].holds
         assert "fault injection" in by_name["iv_lambda_min_pos"].note
         assert report.lambda_min < 0
+
+    def test_lambda_min_clipped_to_zero_leaves_vii_cap_and_gamma_undefined(self, monkeypatch):
+        # a spectrum clipped to 0 has no conditioning cap and no gamma bound: both are None,
+        # which a report writes as null, not as Infinity
+        monkeypatch.setattr(fisher, "clip_spectrum", lambda w: (np.concatenate([[0.0], w[1:]]), "clipped"))
+        report = verify_bounds(random_params(1, 3, 1.0, seed=60), build_grid(1, 5.0, 240), seed=1)
+        vii = {c.name: c for c in report.checks}["vii_poincare_cond"]
+        assert report.lambda_min == 0.0 and report.gamma_bound is None
+        assert vii.rhs is None and not vii.holds
+        json.dumps(report, default=default, allow_nan=False)
 
     def test_corrupt_fisher_fails_vi_too(self):
         # (vi) integrates Var(<w, T>) apart from the Fisher matrix it checks

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from polyscore.fisher import fisher_info, gram_matrix, sm_moment_inputs
 from polyscore.polybasis import (
     MonomialBasis,
     PolyCoeffs,
+    _stats_plan,
     check_mon_l2_bound,
     enumerate_basis,
     eval_jacobian,
@@ -30,7 +32,6 @@ from polyscore.polybasis import (
     legendre_1d,
     legendre_indices,
     legendre_tensor,
-    moment_degrees,
     monomial_norm,
     poly_from_json,
     poly_to_json,
@@ -749,7 +750,7 @@ class TestMonL2Bound:
 
 
 # ---------------------------------------------------------------------------
-# family statistics gathered from power moments
+# family statistics gathered from the moment matrix S = E[U U^t]
 
 
 def _pointwise_stats(basis, X):
@@ -840,21 +841,30 @@ class TestFamilyStats:
         assert all(0 < b.stop - b.start <= max(1, (1 << 20) // width) for b in blocks)
 
     def test_gaussian_hand_values(self):
-        # n = 1, d = 1 under N(0, 1/2): E[x^2] = 1/2, G = 1, b = -2 E[x] = 0,
-        # c = -2 + 2 E[x^2] = -1, E[log h] = -1/2, E|Lap T|^2 = 0
+        # n = 1, d = 1 under N(0, 1/2): U = (1, x), S = [[1, E x], [E x, E x^2]];
+        # G = 1, b = -2 E[x] = 0, c = -2 + 2 E[x^2] = -1, E[log h] = -1/2, E|Lap T|^2 = 0
         basis = enumerate_basis(1, 1)
-        st_ = family_stats(basis, np.array([1.0, 0.0, 0.5]))
+        st_ = family_stats(basis, np.array([[1.0, 0.0], [0.0, 0.5]]))
         assert st_.second_T[0, 0] == 0.5 and st_.gram[0, 0] == 1.0
         assert st_.sm_linear[0] == 0.0 and st_.sm_const == -1.0
         assert st_.mean_log_h == -0.5 and st_.lap_sq == 0.0
         assert st_.fisher[0, 0] == 0.5
 
-    def test_moment_degrees_are_graded_ranked(self):
-        for n, d in [(1, 1), (2, 3), (3, 3), (5, 1)]:
-            deg = moment_degrees(n, d)
-            assert len(deg) == math.comb(n + 2 * d, n)
-            assert np.array_equal(graded_rank(deg), np.arange(len(deg)))
+    def test_plan_build_peaks_at_a_few_plans(self):
+        # the plan ranks only the n shifted copies of the basis; ranking the (M^2, n)
+        # exponent arrays of every pair peaked at about 84 times the plan's bytes at (14, 3)
+        enumerate_basis(14, 3).degrees
+        _stats_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            plan = _stats_plan(14, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            _stats_plan.cache_clear()
+        assert len(plan[0]) == 665_462
+        assert peak <= 4 * sum(a.nbytes for a in plan)
 
     def test_wrong_length_moment_vector_rejected(self):
         with pytest.raises(ValueError, match="do not fit"):
-            family_stats(enumerate_basis(2, 3), np.ones(5))
+            family_stats(enumerate_basis(2, 3), np.ones((5, 5)))
